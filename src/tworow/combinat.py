@@ -289,7 +289,10 @@ def enumerate_syt(n: int) -> tuple[Tableau, ...]:
     for first in sorted(_ballot_first_rows(n), reverse=True):
         second = tuple(sorted(letters - set(first)))
         tableaux.append(Tableau((first, second)))
-    assert len(tableaux) == catalan(n)
+    if len(tableaux) != catalan(n):
+        raise RuntimeError(
+            f"found {len(tableaux)} tableaux, expected Catalan({n}) = {catalan(n)}"
+        )
     return tuple(tableaux)
 
 
@@ -322,7 +325,10 @@ def enumerate_webs(n: int) -> tuple[Matching, ...]:
         for ps in _noncrossing_pairings(tuple(range(1, 2 * n + 1)))
     ]
     webs.sort(key=lambda w: w.openers(), reverse=True)
-    assert len(webs) == catalan(n)
+    if len(webs) != catalan(n):
+        raise RuntimeError(
+            f"found {len(webs)} webs, expected Catalan({n}) = {catalan(n)}"
+        )
     return tuple(webs)
 
 

@@ -1,29 +1,39 @@
 """
 The change of basis from standard polytabloids to webs.
 
-For a standard tableau T, take the permutation sigma sending the
-interleaved tableau to T, push the consecutive-pairs matching through
-sigma (tracking the inversion-pair sign), and resolve the crossings of
-the image.  The resulting web coordinates form row T of the transition
-matrix.  Two facts are checked rather than assumed:
+The map is equivariant, and the polytabloid of s_i T is s_i times the
+polytabloid of T, so row(s_i T) = s_i . row(T) in the web model.  The
+default build starts from the interleaved tableau, whose row is the
+consecutive-pairs web, and reaches every other standard tableau by such
+generator steps, each computed through an integer table over web
+indices.
+
+The paper's construction is kept as the reference the tests compare
+against: for a standard tableau T, take the permutation sigma sending
+the interleaved tableau to T, push the consecutive-pairs matching
+through sigma (tracking the inversion-pair sign), and resolve the
+crossings of the image (``transition_row``).  Two facts are checked
+rather than assumed:
 
 - every entry is a nonnegative integer, and
 - the matrix has unit diagonal under the opener/closer bijection with an
   acyclic off-diagonal support, so some ordering of the bases makes it
   triangular with ones on the diagonal.
 
-Independently of that construction, the matrix of the unique intertwiner
+Independently of both constructions, the matrix of the unique intertwiner
 between the two models (normalized to send the interleaved polytabloid to
 the consecutive-pairs web) is recovered from the one-dimensional
-nullspace of the stacked equivariance constraints X A_i = B_i X; the two
+nullspace of the stacked equivariance constraints X A_i = B_i X; the
 computations must agree entry for entry.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 
 from . import specht, webs
 from .combinat import (
@@ -108,7 +118,12 @@ def transition_row(t: Tableau, *, syzygy_signs=(1, 1)) -> webs.WebVector:
 
 
 def transition_matrix(n: int, *, syzygy_signs=(1, 1)) -> TransitionMatrix:
-    """The full change-of-basis matrix, rows tableaux, columns webs."""
+    """The full change-of-basis matrix, rows tableaux, columns webs.
+
+    Signs other than (1, 1) build every row by the crossing rewrite
+    (``transition_row``) with those branch signs; this is how ``verify``
+    injects a sign fault.
+    """
     if syzygy_signs == (1, 1):
         return _transition_matrix(n)
     return _build_transition_matrix(n, syzygy_signs)
@@ -116,10 +131,59 @@ def transition_matrix(n: int, *, syzygy_signs=(1, 1)) -> TransitionMatrix:
 
 @cache
 def _transition_matrix(n: int) -> TransitionMatrix:
-    return _build_transition_matrix(n, (1, 1))
+    """Rows by the generator recurrence row(s_i T) = s_i . row(T).
+
+    A tableau is coded by the bit mask of its second-row letters (bit
+    i - 1 for letter i).  s_i T is standard exactly when i is in row 2 and
+    i + 1 in row 1 of the standard tableau T; every standard tableau is
+    reached this way from the interleaved one.
+    """
+    syt = enumerate_syt(n)
+    web_list = enumerate_webs(n)
+    if syt[0] != interleaved_tableau(n) or web_list[0] != consecutive_matching(n):
+        raise RuntimeError("row 0 must be the indicator of web 0: canonical orders moved")
+    d = len(web_list)
+    col = {m: k for k, m in enumerate(web_list)}
+    # tables[i][k]: -1 when i ~ i+1 in web k (s_i negates it), otherwise
+    # the index of the web that s_i adds to it
+    tables = [None] + [
+        [-1 if m.of(i) == i + 1 else col[webs._uncross_at(m, i)] for m in web_list]
+        for i in range(1, 2 * n)
+    ]
+    masks = [sum(1 << (b - 1) for b in t.rows[1]) for t in syt]
+    slot = {mask: r for r, mask in enumerate(masks)}
+    rows: list[tuple[int, ...] | None] = [None] * d
+    rows[0] = (1,) + (0,) * (d - 1)
+    queue = deque([masks[0]])
+    all_columns = range(d)
+    while queue:
+        mask = queue.popleft()
+        parent = rows[slot[mask]]
+        for i in range(1, 2 * n):
+            if (mask >> (i - 1)) & 3 != 1:  # want i in row 2, i + 1 in row 1
+                continue
+            child_mask = mask ^ (3 << (i - 1))
+            r = slot[child_mask]
+            if rows[r] is not None:
+                continue
+            # s_i keeps each w_k and adds w_target, or turns w_k into -w_k
+            table = tables[i]
+            row = list(parent)
+            for k in compress(all_columns, parent):
+                target = table[k]
+                if target < 0:
+                    row[k] -= 2 * parent[k]
+                else:
+                    row[target] += parent[k]
+            rows[r] = tuple(row)
+            queue.append(child_mask)
+    if None in rows:
+        raise RuntimeError(f"generator recurrence reached {d - rows.count(None)} of {d} rows")
+    return TransitionMatrix(n, syt, web_list, tuple(rows))
 
 
 def _build_transition_matrix(n: int, syzygy_signs) -> TransitionMatrix:
+    """Every row by the crossing rewrite: the reference construction."""
     syt = enumerate_syt(n)
     web_list = enumerate_webs(n)
     col = {m: k for k, m in enumerate(web_list)}
@@ -214,7 +278,8 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     """
     syt = enumerate_syt(n)
     web_list = enumerate_webs(n)
-    assert syt[0] == interleaved_tableau(n) and web_list[0] == consecutive_matching(n)
+    if syt[0] != interleaved_tableau(n) or web_list[0] != consecutive_matching(n):
+        raise RuntimeError("the interleaved tableau and consecutive web must come first")
     d = len(syt)
     constraints: list[list[int]] = []
     for i in range(1, 2 * n):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from tworow import transition
 from tworow.cli import main
 from tworow.combinat import Matching, Tableau, catalan
 from tworow.minors import deserialize_polynomial, minor_product
@@ -173,6 +174,13 @@ class TestBench:
         assert code == 0
         assert out.startswith("metric,value")
 
+    def test_times_the_default_build(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(transition._transition_matrix, "__wrapped__", built.append)
+        code, _, _ = run(capsys, "bench", "--n", "3")
+        assert code == 0
+        assert built == [3]
+
 
 class TestUsageErrors:
     def test_missing_command(self, capsys):
@@ -190,6 +198,23 @@ class TestUsageErrors:
             main(["verify", "--n", "2", "--inject-fault", "nope"])
         assert exc.value.code == 2
 
+    def test_negative_samples(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--n", "2", "--samples", "-3"])
+        assert exc.value.code == 2
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, _, err = run(capsys, "matrix", "--n", "2", "--out", str(path))
+        assert code == 2
+        assert f"tworow: cannot write {path}" in err
+
+    def test_non_integer_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("TWOROW_MATRIX_CAP", "seven")
+        code, _, err = run(capsys, "matrix", "--n", "2")
+        assert code == 2
+        assert "TWOROW_MATRIX_CAP" in err
+
 
 def test_module_entry_point():
     proc = subprocess.run(
@@ -199,3 +224,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["nonnegative"] is True
+
+
+def test_invariants_survive_optimize_flag():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tworow", "verify", "--n", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["supportAcyclic"] is True

@@ -12,9 +12,10 @@ from tworow.combinat import (
     tableau_to_web,
 )
 from tworow.linalg import mat_mul
-from tworow import specht, webs
+from tworow import specht, transition, webs
 from tworow.transition import (
     TransitionMatrix,
+    _build_transition_matrix,
     check_diagonal_ones,
     check_nonnegative,
     check_support_acyclic,
@@ -88,6 +89,39 @@ class TestTransitionMatrix:
     def test_entry_lookup(self):
         tm = transition_matrix(2)
         assert tm.entry(interleaved_tableau(2), consecutive_matching(2)) == 1
+
+
+class TestGeneratorRecurrence:
+    """The default build against the paper's construction, the crossing
+    rewrite of every row."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_rewrite(self, n):
+        assert transition_matrix(n) == _build_transition_matrix(n, (1, 1))
+
+    def test_leaves_shared_memo_empty(self, monkeypatch):
+        monkeypatch.setattr(webs, "_SHARED_MEMO", {})
+        transition._transition_matrix.__wrapped__(5)
+        assert webs._SHARED_MEMO == {}
+
+    def test_sign_fault_goes_through_rewrite(self, monkeypatch):
+        calls = []
+        resolve = webs.resolve_crossings
+
+        def counting(m, **kwargs):
+            calls.append(kwargs.get("syzygy_signs"))
+            return resolve(m, **kwargs)
+
+        monkeypatch.setattr(webs, "resolve_crossings", counting)
+        report = verify(3, fault="syzygy-sign-flip")
+        assert not report.all_passed
+        assert calls == [(1, -1)] * len(enumerate_syt(3))
+
+    def test_moved_canonical_order_raises(self, monkeypatch):
+        syt = enumerate_syt(3)
+        monkeypatch.setattr(transition, "enumerate_syt", lambda n: syt[::-1])
+        with pytest.raises(RuntimeError, match="row 0"):
+            transition._transition_matrix.__wrapped__(3)
 
 
 class TestChecks:
