@@ -9,7 +9,8 @@ byte-stable for a fixed command line; CSV is available where tabular
 output makes sense.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
-(including an unwritable --out, a non-integer cap variable, and requests
+(including an unwritable --out, a cap variable or --oracle-cap that is
+not a nonnegative integer, --dump-poly without JSON, and requests
 above the memory-guard caps, which can be raised via TWOROW_ENUM_CAP /
 TWOROW_MATRIX_CAP / TWOROW_ORACLE_CAP or, for the oracle, --oracle-cap).
 """
@@ -30,7 +31,6 @@ from .combinat import (
     consecutive_matching,
     enumerate_syt,
     enumerate_webs,
-    crossing_pairs,
     interleaved_tableau,
     permutation_from_tableaux,
     permute_matching,
@@ -51,9 +51,12 @@ def _cap(env: str, default: int) -> int:
     if value is None:
         return default
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
         raise _UsageError(f"{env} must be an integer, got {value!r}") from None
+    if cap < 0:
+        raise _UsageError(f"{env} must be nonnegative, got {value!r}")
+    return cap
 
 
 def _positive_int(text: str) -> int:
@@ -94,6 +97,8 @@ def _guard(n: int, cap: int, what: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    if args.dump_poly and args.format != "json":
+        raise _UsageError("--dump-poly needs --format json")
     _guard(args.n, _cap("TWOROW_ENUM_CAP", DEFAULT_ENUM_CAP), "enumeration")
     n = args.n
     tableaux = enumerate_syt(n)
@@ -178,7 +183,7 @@ def cmd_bench(args) -> int:
         sigma = permutation_from_tableaux(t0, t)
         _, moved = permute_matching(sigma, m0)
         webs.resolve_crossings(moved, memo=memo)
-    rewrites = sum(1 for m in memo if crossing_pairs(m))
+    rewrites = sum(1 for p in memo if webs._first_crossing(p) is not None)
     rows = {
         "n": n,
         "matrixSeconds": round(matrix_seconds, 6),
@@ -199,7 +204,9 @@ def cmd_bench(args) -> int:
         webs.resolve_crossings(m, memo=sample_memo)
     rows["sampleSeconds"] = round(time.perf_counter() - t_start, 6)
     rows["sampleCount"] = args.samples
-    rows["sampleRewrites"] = sum(1 for m in sample_memo if crossing_pairs(m))
+    rows["sampleRewrites"] = sum(
+        1 for p in sample_memo if webs._first_crossing(p) is not None
+    )
 
     oracle_cap = _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP)
     if n <= oracle_cap:
@@ -245,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check nonnegativity and unitriangularity")
     common(p_verify, formats=("json",))
     p_verify.add_argument("--with-oracle", action="store_true")
-    p_verify.add_argument("--oracle-cap", type=int, default=None)
+    p_verify.add_argument("--oracle-cap", type=_nonnegative_int, default=None)
     p_verify.add_argument(
         "--inject-fault",
         choices=("syzygy-sign-flip", "negative-entry"),
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-compare", help="compare the matrix against the intertwiner nullspace"
     )
     common(p_oracle, formats=("json",))
-    p_oracle.add_argument("--oracle-cap", type=int, default=None)
+    p_oracle.add_argument("--oracle-cap", type=_nonnegative_int, default=None)
     p_oracle.set_defaults(func=cmd_oracle_compare)
 
     p_bench = sub.add_parser("bench", help="wall times and rewrite counts")

@@ -370,7 +370,8 @@ def tableau_to_web(t: Tableau) -> Matching:
         else:
             pairs.append((stack.pop(), letter))
     m = Matching.from_pairs(pairs, size=2 * t.n)
-    assert m.is_noncrossing
+    if not m.is_noncrossing:
+        raise RuntimeError(f"opener/closer bijection gave the crossing {m.partner}")
     return m
 
 

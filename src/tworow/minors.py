@@ -217,8 +217,8 @@ def _web_system(n: int):
     index = {mono: i for i, mono in enumerate(monos)}
     matrix = [[p.coefficient(mono) for p in polys] for mono in monos]
     ech = Echelon(matrix)
-    # the noncrossing minor products are linearly independent
-    assert ech.unique
+    if not ech.unique:
+        raise RuntimeError(f"the minor products of the n={n} webs are linearly dependent")
     return webs, index, ech
 
 

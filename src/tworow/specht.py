@@ -60,7 +60,8 @@ def polytabloid(t: Tableau) -> dict[Tabloid, int]:
         sign = -1 if sum(swaps) % 2 else 1
         first = tuple(sorted(b if s else a for (a, b), s in zip(cols, swaps)))
         vec[first] = vec.get(first, 0) + sign
-    assert len(vec) == 2**t.n
+    if len(vec) != 2**t.n:
+        raise RuntimeError(f"polytabloid support has {len(vec)} tabloids, not {2**t.n}")
     return vec
 
 
@@ -81,8 +82,8 @@ def _standard_basis_echelon(n: int) -> tuple[Echelon, dict[Tabloid, int]]:
     columns = [polytabloid(t) for t in enumerate_syt(n)]
     matrix = [[col.get(tab, 0) for col in columns] for tab in tabloids]
     ech = Echelon(matrix)
-    # the standard polytabloids are linearly independent
-    assert ech.unique
+    if not ech.unique:
+        raise RuntimeError(f"the n={n} standard polytabloids are linearly dependent")
     return ech, index
 
 
@@ -133,7 +134,9 @@ def _action_matrix(i: int, n: int) -> list[list[int]]:
     for t in enumerate_syt(n):
         moved = act_on_tabloid_vector(sigma, polytabloid(t))
         coords = express_in_standard_polytabloids(moved, n)
-        # coordinates of polytabloids in the standard basis are integers
-        assert all(c.denominator == 1 for c in coords)
+        if any(c.denominator != 1 for c in coords):
+            raise ArithmeticError(
+                f"non-integer coordinates of s_{i} on the polytabloid of {t.rows}"
+            )
         columns.append([int(c) for c in coords])
     return [list(row) for row in zip(*columns)]

@@ -16,6 +16,10 @@ the two uncrossed reconnections (a ~ b, c ~ d) and (a ~ d, b ~ c); both
 have strictly fewer crossings, so the rewrite terminates.
 ``resolve_crossings`` carries this out and returns the (nonnegative,
 integer) coefficients; the polynomial module has an independent check.
+Inside, the rewrite works on bare partner tuples: ``_first_crossing``
+scans for the lexicographically smallest crossing, the reconnections are
+built by swapping partners, and the memo is keyed by those tuples.  Only
+the returned keys are validated ``Matching`` objects.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from __future__ import annotations
 from .combinat import Matching, Permutation, crossing_pairs, enumerate_webs
 
 WebVector = dict[Matching, int]
+# the partner array of a matching, bare: the rewrite's internal key
+Partner = tuple[int, ...]
 
 
 def generator_action(i: int, vec: WebVector) -> WebVector:
@@ -61,23 +67,41 @@ def _uncross_at(m: Matching, i: int) -> Matching:
     partner[a - 1], partner[b - 1] = b, a
     partner[i - 1], partner[i] = i + 1, i
     out = Matching(tuple(partner))
-    assert out.is_noncrossing or not m.is_noncrossing
+    if _first_crossing(out.partner) is not None and _first_crossing(m.partner) is None:
+        raise RuntimeError(f"s_{i} took the noncrossing {m.partner} to a crossing matching")
     return out
 
 
-def _syzygy_children(m: Matching, quad: tuple[int, int, int, int]) -> tuple[Matching, Matching]:
+def _first_crossing(p: Partner) -> tuple[int, int, int, int] | None:
+    """The lexicographically smallest quadruple a < b < c < d with a ~ c
+    and b ~ d in the partner tuple p, or None when p is noncrossing; the
+    same as ``crossing_pairs(Matching(p))[0]``.
+
+    >>> _first_crossing((3, 4, 1, 2)), _first_crossing((2, 1, 4, 3))
+    ((1, 2, 3, 4), None)
+    """
+    for a, c in enumerate(p, 1):
+        for b in range(a + 1, c):
+            d = p[b - 1]
+            if d > c:
+                return a, b, c, d
+    return None
+
+
+def _syzygy_children(p: Partner, quad: tuple[int, int, int, int]) -> tuple[Partner, Partner]:
     """Reconnect the crossing a ~ c, b ~ d as (a ~ b, c ~ d) and (a ~ d, b ~ c)."""
     a, b, c, d = quad
-    first = list(m.partner)
+    first = list(p)
     first[a - 1], first[b - 1], first[c - 1], first[d - 1] = b, a, d, c
-    second = list(m.partner)
+    second = list(p)
     second[a - 1], second[d - 1], second[b - 1], second[c - 1] = d, a, c, b
-    return Matching(tuple(first)), Matching(tuple(second))
+    return tuple(first), tuple(second)
 
 
-# results for the standard rewrite are shared across calls; they are small
-# (at most Catalan(n) keys each) and callers receive copies
-_SHARED_MEMO: dict[tuple[int, int], dict[Matching, WebVector]] = {}
+# results for the standard rewrite are shared across calls, keyed by the
+# signs and then by partner tuple; they are small (at most Catalan(n) keys
+# each) and callers receive fresh dicts
+_SHARED_MEMO: dict[tuple[int, int], dict[Partner, dict[Partner, int]]] = {}
 
 
 def resolve_crossings(
@@ -85,7 +109,7 @@ def resolve_crossings(
     *,
     syzygy_signs: tuple[int, int] = (1, 1),
     pick=None,
-    memo: dict[Matching, WebVector] | None = None,
+    memo: dict[Partner, dict[Partner, int]] | None = None,
 ) -> WebVector:
     """Expand an arbitrary perfect matching into noncrossing matchings.
 
@@ -93,49 +117,67 @@ def resolve_crossings(
     arguments every coefficient is a nonnegative integer and a noncrossing
     input returns {m: 1}.
 
-    ``pick`` chooses which crossing quadruple to rewrite (default: the
-    lexicographically smallest); the result does not depend on the choice,
+    ``pick`` chooses which crossing quadruple to rewrite, from the list
+    ``crossing_pairs`` returns (default: the lexicographically smallest,
+    found by a direct scan); the result does not depend on the choice,
     which the test suite checks directly.  ``syzygy_signs`` scales the two
-    reconnection branches and exists so the verifier can inject a sign
-    fault and prove the downstream checks catch it.  ``memo`` supplies a
-    private memo table (used by the benchmark to count rewrites); by
-    default a shared table keyed by the signs is used.
+    reconnection branches by nonzero integers and exists so the verifier
+    can inject a sign fault and prove the downstream checks catch it.
+    ``memo`` supplies a private memo table (used by the benchmark to count
+    rewrites); by default a shared table keyed by the signs is used.  Memo
+    tables map a partner tuple to its expansion, itself keyed by partner
+    tuples; only the returned dict is keyed by ``Matching``.
 
     >>> resolve_crossings(Matching.from_pairs([(1, 3), (2, 4)]))
     {Matching(partner=(2, 1, 4, 3)): 1, Matching(partner=(4, 3, 2, 1)): 1}
     """
+    s1, s2 = syzygy_signs
+    if not (s1 and s2):
+        raise ValueError(f"syzygy signs must be nonzero, got {syzygy_signs}")
     if memo is None:
         if pick is None:
             memo = _SHARED_MEMO.setdefault(syzygy_signs, {})
         else:
             memo = {}
-    stack = [m]
-    chosen: dict[Matching, tuple[Matching, Matching]] = {}
+    root = m.partner
+    stack = [root]
+    chosen: dict[Partner, tuple[Partner, Partner]] = {}
     while stack:
         top = stack[-1]
         if top in memo:
             stack.pop()
             continue
-        if top not in chosen:
-            quads = crossing_pairs(top)
-            if not quads:
+        kids = chosen.get(top)
+        if kids is None:
+            if pick is None:
+                quad = _first_crossing(top)
+            else:
+                quads = crossing_pairs(Matching(top))
+                quad = pick(quads) if quads else None
+            if quad is None:
                 memo[top] = {top: 1}
                 stack.pop()
                 continue
-            chosen[top] = _syzygy_children(top, quads[0] if pick is None else pick(quads))
-        kids = chosen[top]
+            kids = chosen[top] = _syzygy_children(top, quad)
         pending = [k for k in kids if k not in memo]
         if pending:
             stack.extend(pending)
             continue
-        combined: WebVector = {}
-        for child, s in zip(kids, syzygy_signs):
-            for key, coeff in memo[child].items():
-                combined[key] = combined.get(key, 0) + s * coeff
-        memo[top] = {k: v for k, v in combined.items() if v}
+        first, second = kids
+        combined = dict(memo[first])
+        if s1 != 1:
+            for key in combined:
+                combined[key] *= s1
+        for key, coeff in memo[second].items():
+            total = combined.get(key, 0) + s2 * coeff
+            if total:
+                combined[key] = total
+            else:
+                del combined[key]
+        memo[top] = combined
         del chosen[top]
         stack.pop()
-    return dict(memo[m])
+    return {Matching(key): coeff for key, coeff in memo[root].items()}
 
 
 def action_matrix(i: int, n: int) -> list[list[int]]:

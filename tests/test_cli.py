@@ -65,6 +65,11 @@ class TestEnumerate:
         assert "tableau,0,1 3|2 4" in lines
         assert "web,0,2 1 4 3" in lines
 
+    def test_dump_poly_needs_json(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--n", "2", "--format", "csv", "--dump-poly")
+        assert code == 2 and out == ""
+        assert "tworow: --dump-poly needs --format json" in err
+
     def test_cap_refused(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "11")
         assert code == 2
@@ -174,6 +179,14 @@ class TestBench:
         assert code == 0
         assert out.startswith("metric,value")
 
+    def test_rewrite_counts_n6(self, capsys):
+        code, out, _ = run(capsys, "bench", "--n", "6", "--samples", "20")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["matchingsResolved"] == 1500
+        assert doc["syzygyRewrites"] == 1368
+        assert doc["sampleRewrites"] == 440
+
     def test_times_the_default_build(self, capsys, monkeypatch):
         built = []
         monkeypatch.setattr(transition._transition_matrix, "__wrapped__", built.append)
@@ -215,6 +228,19 @@ class TestUsageErrors:
         assert code == 2
         assert "TWOROW_MATRIX_CAP" in err
 
+    def test_negative_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("TWOROW_MATRIX_CAP", "-1")
+        code, _, err = run(capsys, "matrix", "--n", "1")
+        assert code == 2
+        assert "TWOROW_MATRIX_CAP must be nonnegative" in err
+
+    @pytest.mark.parametrize("command", ["verify", "oracle-compare"])
+    def test_negative_oracle_cap(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "2", "--oracle-cap", "-5"])
+        assert exc.value.code == 2
+        assert "--oracle-cap" in capsys.readouterr().err
+
 
 def test_module_entry_point():
     proc = subprocess.run(
@@ -234,3 +260,17 @@ def test_invariants_survive_optimize_flag():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["supportAcyclic"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--n", "3", "--with-oracle"], ["enumerate", "--n", "3", "--dump-poly"]],
+)
+def test_optimized_run_passes(argv):
+    # specht, minors and the tableau-to-web bijection check their
+    # invariants with explicit raises, which python -O keeps
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tworow", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    json.loads(proc.stdout)

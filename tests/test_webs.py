@@ -19,12 +19,13 @@ from tworow.combinat import (
 )
 from tworow.linalg import identity_matrix, mat_mul
 from tworow.webs import (
+    _first_crossing,
     act_by_permutation,
     action_matrix,
     generator_action,
     resolve_crossings,
 )
-from tworow import specht
+from tworow import specht, webs
 
 
 class TestGeneratorAction:
@@ -99,6 +100,51 @@ class TestResolveCrossings:
             consecutive_matching(2): 1,
             Matching.from_pairs([(1, 4), (2, 3)]): -1,
         }
+
+
+class TestTupleRewrite:
+    """The rewrite runs on partner tuples; these pin it to the rewrite on
+    ``Matching`` objects it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_first_crossing_is_smallest_quadruple(self, n):
+        for m in enumerate_perfect_matchings(n):
+            assert _first_crossing(m.partner) == (crossing_pairs(m) or [None])[0]
+
+    def test_returns_matching_keys(self):
+        out = resolve_crossings(Matching.from_pairs([(1, 4), (2, 6), (3, 5)]), memo={})
+        assert out and all(isinstance(k, Matching) for k in out)
+
+    def test_result_is_a_copy_of_the_shared_memo(self, monkeypatch):
+        monkeypatch.setattr(webs, "_SHARED_MEMO", {})
+        crossed = Matching.from_pairs([(1, 4), (2, 5), (3, 6)])
+        out = resolve_crossings(crossed)
+        snapshot = {
+            signs: {k: dict(v) for k, v in table.items()}
+            for signs, table in webs._SHARED_MEMO.items()
+        }
+        out[next(iter(out))] += 5
+        out.clear()
+        assert webs._SHARED_MEMO == snapshot
+        assert resolve_crossings(crossed) == {w: 1 for w in enumerate_webs(3)}
+
+    def test_memo_size_on_fourteen_letters(self):
+        # the same rewrite tree as the Matching-keyed loop, which left
+        # 1772 keys holding 14873 terms on these twelve matchings
+        rng = random.Random(14)
+        letters = list(range(1, 15))
+        memo: dict = {}
+        for _ in range(12):
+            rng.shuffle(letters)
+            pairs = [sorted(letters[i : i + 2]) for i in range(0, 14, 2)]
+            resolve_crossings(Matching.from_pairs(pairs), memo=memo)
+        assert all(type(k) is tuple for k in memo)
+        assert len(memo) == 1772
+        assert sum(map(len, memo.values())) == 14873
+
+    def test_zero_sign_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            resolve_crossings(consecutive_matching(2), syzygy_signs=(1, 0))
 
 
 class TestActionMatrix:
