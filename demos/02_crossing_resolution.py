@@ -7,13 +7,14 @@ reconnected in the two planar ways, (a~b, c~d) and (a~d, b~c); both have
 strictly fewer crossings, so repeating this expands any matching as a
 sum of noncrossing ones with nonnegative integer coefficients.  The
 expansion is independent of which crossing is rewritten first, and it
-agrees with exact polynomial arithmetic on products of 2x2 minors.
+agrees with an exact linear solve on products of 2x2 minors, written as
+tabloid vectors.
 """
 
 import random
 
 from tworow import Matching, crossing_pairs
-from tworow.minors import expand_in_web_basis, minor_product
+from tworow.minors import expand_in_web_basis, web_vector
 from tworow.webs import resolve_crossings
 
 crossed = Matching.from_pairs([(1, 4), (2, 5), (3, 6)])
@@ -33,6 +34,7 @@ print("\nrandom rewrite order gives the same expansion:", randomized == expansio
 
 # Independent check: expand the product of the pair minors of the
 # matching over the minor products of noncrossing matchings, by exact
-# linear algebra on the monomial coefficients.
-oracle = expand_in_web_basis(minor_product(crossed), 3)
-print("polynomial expansion agrees:", oracle == expansion)
+# linear algebra on the monomial coefficients.  Each product is
+# multilinear, so a monomial is fixed by its row-1 columns (a tabloid).
+oracle = expand_in_web_basis(web_vector(crossed), 3)
+print("minor-product expansion agrees:", oracle == expansion)

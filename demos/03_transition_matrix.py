@@ -7,7 +7,8 @@ interleaved tableau with T); pushing the consecutive-pairs matching
 through it and resolving the crossings gives the web coordinates of the
 image of T's polytabloid.  Collected over all T these rows form the
 change-of-basis matrix, which comes out with nonnegative integer entries
-and a unit diagonal under the opener/closer pairing -- exactly and at
+and lower unitriangular in canonical order (web k is the opener/closer
+image of tableau k, so the pairing is the diagonal) -- exactly and at
 every size computed here.
 
 ``transition_matrix`` reaches the same rows faster: the map is

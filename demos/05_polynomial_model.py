@@ -2,39 +2,42 @@
 The polynomial model
 ====================
 
-Everything about webs can be phrased inside the ring of polynomials in a
-2 x 2n matrix of variables: a matching becomes the product of the 2x2
-minors of its pairs, crossings disappear through the three-term minor
-identity, and permuting columns realizes the symmetric group action with
-an explicit sign.
+Everything about webs can be phrased with polynomials in a 2 x 2n matrix
+of variables: a matching becomes the product of the 2x2 minors of its
+pairs, crossings disappear through the three-term minor identity, and
+permuting columns realizes the symmetric group action with an explicit
+sign.  The products are multilinear, so each monomial is fixed by the
+set of columns it takes from row 1, a tabloid: D(M) is a signed tabloid
+vector, in the same space as the polytabloids.
 """
 
 from tworow import Matching, Permutation, consecutive_matching, permute_matching
 from tworow.combinat import adjacent_transposition
 from tworow.minors import (
-    minor,
-    minor_product,
-    permute_columns,
+    serialize_polynomial,
     sign_rule_holds,
     syzygy_holds,
     web_polynomials_independent,
+    web_vector,
 )
+from tworow.specht import act_on_tabloid_vector
 
-print("the 2x2 minor on columns {1,2}:", minor(1, 2))
-print("product over the matching 1~2, 3~4:", minor_product(consecutive_matching(2)))
+m0 = consecutive_matching(2)
+print("D(1,2):", web_vector(consecutive_matching(1)))
+print("D(1,2)D(3,4) by row-1 columns:", web_vector(m0))
+print("the same as monomials:")
+for term in serialize_polynomial(web_vector(m0)):
+    print(f"  {term['coeff']:+d} *", " ".join(f"x[{r},{j}]" for r, j, _ in term["exponents"]))
 
 # The identity that powers the crossing rewrite.
 print("\nD(1,3)D(2,4) = D(1,2)D(3,4) + D(1,4)D(2,3):", syzygy_holds(1, 2, 3, 4))
-lhs = minor(1, 3) * minor(2, 4)
-rhs = minor(1, 2) * minor(3, 4) + minor(1, 4) * minor(2, 3)
-print("expanded, both sides have", lhs.term_count(), "and", rhs.term_count(), "terms")
 
 # Column permutation picks up a sign counting the inverted pairs.
 s1 = adjacent_transposition(4, 1)
-m0 = consecutive_matching(2)
-print("\npermuting columns 1,2 of D(1,2)D(3,4):",
-      permute_columns(s1, minor_product(m0)) == -1 * minor_product(m0))
-sign, moved = permute_matching(s1, m0)
+moved = act_on_tabloid_vector(s1, web_vector(m0))
+print("\npermuting columns 1,2 of D(1,2)D(3,4) negates it:",
+      moved == {tab: -c for tab, c in web_vector(m0).items()})
+sign, _ = permute_matching(s1, m0)
 print("inversion-pair sign:", sign)
 
 sigma = Permutation((3, 1, 4, 2))

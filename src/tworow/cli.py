@@ -34,7 +34,6 @@ from .combinat import (
     interleaved_tableau,
     permutation_from_tableaux,
     permute_matching,
-    tableau_to_web,
 )
 
 DEFAULT_ENUM_CAP = 10
@@ -103,8 +102,8 @@ def cmd_enumerate(args) -> int:
     n = args.n
     tableaux = enumerate_syt(n)
     web_list = enumerate_webs(n)
-    web_index = {w: k for k, w in enumerate(web_list)}
-    pairing = [web_index[tableau_to_web(t)] for t in tableaux]
+    # web k is the opener/closer image of tableau k
+    pairing = list(range(len(tableaux)))
     if args.format == "csv":
         lines = ["kind,index,label"]
         for k, t in enumerate(tableaux):
@@ -124,7 +123,7 @@ def cmd_enumerate(args) -> int:
     }
     if args.dump_poly:
         doc["webPolynomials"] = [
-            minors.serialize_polynomial(minors.minor_product(w)) for w in web_list
+            minors.serialize_polynomial(minors.web_vector(w)) for w in web_list
         ]
     _write(_json_text(doc), args.out)
     return 0

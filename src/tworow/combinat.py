@@ -8,11 +8,14 @@ Conventions used throughout the package:
   all live in {1, ..., 2n}.  Internal tuples are 0-indexed by position, so
   ``sigma.images[i - 1]`` is the image of the letter ``i``; use
   ``sigma(i)`` to stay in letter language.
-- The canonical enumeration order on standard tableaux (and on noncrossing
-  matchings) is descending lexicographic on the first-row tuple (resp. the
-  tuple of pair minima).  This puts the interleaved tableau 1,3,5,.. /
-  2,4,6,.. and the consecutive-pairs matching {1~2, 3~4, ...} at index 0
-  and makes every serialized enumeration reproducible byte for byte.
+- The canonical enumeration order on standard tableaux is descending
+  lexicographic on the first-row tuple.  Noncrossing matchings are
+  enumerated as the opener/closer images of the tableaux in that order;
+  the openers of the image of T are the first row of T, so this is
+  descending lexicographic on the tuple of pair minima.  It puts the
+  interleaved tableau 1,3,5,.. / 2,4,6,.. and the consecutive-pairs
+  matching {1~2, 3~4, ...} at index 0, pairs tableau k with web k, and
+  makes every serialized enumeration reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -296,42 +299,6 @@ def enumerate_syt(n: int) -> tuple[Tableau, ...]:
     return tuple(tableaux)
 
 
-def _noncrossing_pairings(letters: tuple[int, ...]):
-    """Yield the pair lists of all noncrossing matchings on the given
-    (sorted) letters: letters[0] pairs at an odd offset, splitting the rest
-    into an inside and an outside block."""
-    if not letters:
-        yield []
-        return
-    first = letters[0]
-    for j in range(1, len(letters), 2):
-        inside, outside = letters[1:j], letters[j + 1 :]
-        for left in _noncrossing_pairings(inside):
-            for right in _noncrossing_pairings(outside):
-                yield [(first, letters[j])] + left + right
-
-
-@cache
-def enumerate_webs(n: int) -> tuple[Matching, ...]:
-    """All noncrossing perfect matchings on 1..2n, canonically ordered.
-
-    >>> [w.pairs() for w in enumerate_webs(2)]
-    [((1, 2), (3, 4)), ((1, 4), (2, 3))]
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    webs = [
-        Matching.from_pairs(ps, size=2 * n)
-        for ps in _noncrossing_pairings(tuple(range(1, 2 * n + 1)))
-    ]
-    webs.sort(key=lambda w: w.openers(), reverse=True)
-    if len(webs) != catalan(n):
-        raise RuntimeError(
-            f"found {len(webs)} webs, expected Catalan({n}) = {catalan(n)}"
-        )
-    return tuple(webs)
-
-
 def enumerate_perfect_matchings(n: int):
     """Iterate over all (2n - 1)!! perfect matchings on 1..2n, crossing or
     not, smallest free letter matched to each larger partner in turn."""
@@ -373,6 +340,17 @@ def tableau_to_web(t: Tableau) -> Matching:
     if not m.is_noncrossing:
         raise RuntimeError(f"opener/closer bijection gave the crossing {m.partner}")
     return m
+
+
+@cache
+def enumerate_webs(n: int) -> tuple[Matching, ...]:
+    """All noncrossing perfect matchings on 1..2n, canonically ordered:
+    the opener/closer images of enumerate_syt(n), in order.
+
+    >>> [w.pairs() for w in enumerate_webs(2)]
+    [((1, 2), (3, 4)), ((1, 4), (2, 3))]
+    """
+    return tuple(tableau_to_web(t) for t in enumerate_syt(n))
 
 
 def permutation_from_tableaux(t_from: Tableau, t_to: Tableau) -> Permutation:

@@ -30,10 +30,6 @@ def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> lis
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list[Scalar]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def transpose(a: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return [list(col) for col in zip(*a)]
 

@@ -1,13 +1,17 @@
 """
-The polytabloid model of the irreducible two-row representation.
+The polytabloid model of the irreducible two-row representation, and the
+tabloid space both models are computed in.
 
 A (row) tabloid of shape (n, n) is determined by its first-row set, so we
 store it as the sorted tuple of first-row entries.  The permutation module
-spanned by all tabloids has dimension C(2n, n); inside it, the polytabloid
-of a tableau T is the signed sum over the 2^n column swaps of T, and the
-polytabloids of the standard tableaux form a basis of the irreducible
-submodule.  Coordinates in that basis are obtained by an exact linear
-solve against the tabloid-coordinate matrix of the standard polytabloids.
+spanned by all tabloids has dimension C(2n, n).  For disjoint pairs, the
+signed sum over the choices of one letter per pair (``pair_vector``) is
+the tabloid vector of both bases: the polytabloid of a tableau T is the
+pair vector of its columns, and the minor product D(M) of a perfect
+matching M is the pair vector of its pairs (``minors``).  The standard
+polytabloids form a basis of the irreducible submodule; coordinates in
+it, or in any other independent family of tabloid vectors, come from one
+exact echelon form over the all_tabloids(n) index (``tabloid_echelon``).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
+from typing import Sequence
 
 from .combinat import Permutation, Tableau, adjacent_transposition, enumerate_syt
 from .linalg import Echelon
@@ -43,26 +48,36 @@ def act_on_tabloid_vector(sigma: Permutation, vec: dict[Tabloid, int]) -> dict[T
     return {act_on_tabloid(sigma, tab): c for tab, c in vec.items()}
 
 
-def polytabloid(t: Tableau) -> dict[Tabloid, int]:
-    """The signed sum of tabloids over the column stabilizer of t.
+def pair_vector(pairs: Sequence[tuple[int, int]]) -> dict[Tabloid, int]:
+    """The signed sum of tabloids over the choices of one letter per pair.
 
-    Each of the 2^n choices of columns to swap contributes the resulting
-    tabloid with sign (-1)^(number of swapped columns).  The column entry
-    sets are disjoint, so no cancellation occurs: the support has exactly
-    2^n tabloids, each with coefficient +1 or -1.
+    Choosing the second letter b of a pair (a, b) costs a sign, so the
+    vector has exactly 2^k tabloids, each with coefficient +1 or -1.
+    Read as a polynomial in the entries x[r, j] of a 2 x 2n matrix, with
+    the tabloid giving the row-1 columns, it is the product of the minors
+    x[1,a] x[2,b] - x[1,b] x[2,a] of the pairs.
+
+    >>> pair_vector([(1, 2)])
+    {(1,): 1, (2,): -1}
+    """
+    letters = [x for pair in pairs for x in pair]
+    if len(set(letters)) != len(letters):
+        raise ValueError(f"pairs are not disjoint: {list(pairs)}")
+    vec: dict[Tabloid, int] = {}
+    for swaps in itertools.product((0, 1), repeat=len(pairs)):
+        first = tuple(sorted(b if s else a for (a, b), s in zip(pairs, swaps)))
+        vec[first] = -1 if sum(swaps) % 2 else 1
+    return vec
+
+
+def polytabloid(t: Tableau) -> dict[Tabloid, int]:
+    """The signed sum of tabloids over the column stabilizer of t: the
+    pair vector of its columns.
 
     >>> polytabloid(Tableau(((1,), (2,))))
     {(1,): 1, (2,): -1}
     """
-    cols = t.columns()
-    vec: dict[Tabloid, int] = {}
-    for swaps in itertools.product((0, 1), repeat=t.n):
-        sign = -1 if sum(swaps) % 2 else 1
-        first = tuple(sorted(b if s else a for (a, b), s in zip(cols, swaps)))
-        vec[first] = vec.get(first, 0) + sign
-    if len(vec) != 2**t.n:
-        raise RuntimeError(f"polytabloid support has {len(vec)} tabloids, not {2**t.n}")
-    return vec
+    return pair_vector(t.columns())
 
 
 @cache
@@ -74,17 +89,49 @@ def all_tabloids(n: int) -> tuple[Tabloid, ...]:
 
 
 @cache
-def _standard_basis_echelon(n: int) -> tuple[Echelon, dict[Tabloid, int]]:
-    """Echelon form of the C(2n,n) x Cat(n) matrix whose columns are the
-    standard polytabloids in tabloid coordinates, cached per n."""
-    tabloids = all_tabloids(n)
-    index = {tab: i for i, tab in enumerate(tabloids)}
-    columns = [polytabloid(t) for t in enumerate_syt(n)]
-    matrix = [[col.get(tab, 0) for col in columns] for tab in tabloids]
+def _tabloid_index(n: int) -> dict[Tabloid, int]:
+    return {tab: i for i, tab in enumerate(all_tabloids(n))}
+
+
+def tabloid_echelon(vectors: Sequence[dict[Tabloid, int]], n: int) -> Echelon:
+    """Echelon form of the C(2n,n) x k matrix whose columns are the k
+    given tabloid vectors, rows in all_tabloids(n) order.
+
+    Raises RuntimeError when the vectors are linearly dependent.
+    """
+    index = _tabloid_index(n)
+    matrix = [[0] * len(vectors) for _ in index]
+    for j, vec in enumerate(vectors):
+        for tab, c in vec.items():
+            matrix[index[tab]][j] = c
     ech = Echelon(matrix)
     if not ech.unique:
-        raise RuntimeError(f"the n={n} standard polytabloids are linearly dependent")
-    return ech, index
+        raise RuntimeError(f"the {len(vectors)} tabloid vectors at n={n} are linearly dependent")
+    return ech
+
+
+def coordinates(ech: Echelon, vec: dict[Tabloid, int], n: int) -> list[Fraction]:
+    """Exact coordinates of a tabloid vector in the columns of ech, an
+    echelon from tabloid_echelon(..., n).
+
+    Raises ValueError when the vector is outside their span.
+    """
+    index = _tabloid_index(n)
+    rhs = [0] * len(index)
+    for tab, c in vec.items():
+        if tab not in index:
+            raise ValueError(f"{tab} is not a tabloid of shape ({n}, {n})")
+        rhs[index[tab]] = c
+    coords = ech.solve(rhs)
+    if coords is None:
+        raise ValueError("vector is not in the span of the basis")
+    return coords
+
+
+@cache
+def _standard_basis_echelon(n: int) -> Echelon:
+    """Echelon form of the standard polytabloids, cached per n."""
+    return tabloid_echelon([polytabloid(t) for t in enumerate_syt(n)], n)
 
 
 def express_in_standard_polytabloids(vec: dict[Tabloid, int], n: int) -> list[Fraction]:
@@ -98,26 +145,7 @@ def express_in_standard_polytabloids(vec: dict[Tabloid, int], n: int) -> list[Fr
     >>> express_in_standard_polytabloids(polytabloid(interleaved_tableau(2)), 2)
     [Fraction(1, 1), Fraction(0, 1)]
     """
-    ech, index = _standard_basis_echelon(n)
-    rhs = [0] * len(index)
-    for tab, c in vec.items():
-        rhs[index[tab]] = c
-    coords = ech.solve(rhs)
-    if coords is None:
-        raise ValueError("vector is not in the span of the standard polytabloids")
-    return coords
-
-
-def serialize_tabloid_vector(vec: dict[Tabloid, int]) -> list[dict]:
-    """JSON-ready term list [{"firstRow": [...], "coeff": c}], keys in
-    ascending first-row order."""
-    return [
-        {"firstRow": list(tab), "coeff": vec[tab]} for tab in sorted(vec)
-    ]
-
-
-def deserialize_tabloid_vector(terms: list[dict]) -> dict[Tabloid, int]:
-    return {tuple(t["firstRow"]): t["coeff"] for t in terms}
+    return coordinates(_standard_basis_echelon(n), vec, n)
 
 
 def action_matrix(i: int, n: int) -> list[list[int]]:

@@ -16,9 +16,10 @@ crossings of the image (``transition_row``).  Two facts are checked
 rather than assumed:
 
 - every entry is a nonnegative integer, and
-- the matrix has unit diagonal under the opener/closer bijection with an
-  acyclic off-diagonal support, so some ordering of the bases makes it
-  triangular with ones on the diagonal.
+- the matrix is lower unitriangular: the webs are enumerated as the
+  opener/closer images of the tableaux in order, so entry (T, web of T)
+  sits on the diagonal, every diagonal entry is 1 and every entry above
+  it is 0.
 
 Independently of both constructions, the matrix of the unique intertwiner
 between the two models (normalized to send the interleaved polytabloid to
@@ -45,7 +46,6 @@ from .combinat import (
     interleaved_tableau,
     permutation_from_tableaux,
     permute_matching,
-    tableau_to_web,
 )
 from .linalg import mat_mul, nullspace
 
@@ -101,8 +101,11 @@ def row_sign(t: Tableau) -> int:
     return sign
 
 
-def transition_row(t: Tableau, *, syzygy_signs=(1, 1)) -> webs.WebVector:
+def transition_row(t: Tableau, *, syzygy_signs=(1, 1), memo=None) -> webs.WebVector:
     """Web coordinates of the image of the standard polytabloid of t.
+
+    ``memo`` is passed to ``webs.resolve_crossings``, so that rows built
+    with the same signs can share one rewrite memo.
 
     >>> transition_row(interleaved_tableau(2)) == {consecutive_matching(2): 1}
     True
@@ -111,7 +114,7 @@ def transition_row(t: Tableau, *, syzygy_signs=(1, 1)) -> webs.WebVector:
         raise ValueError("tableau is not standard")
     sigma = permutation_from_tableaux(interleaved_tableau(t.n), t)
     sign, moved = permute_matching(sigma, consecutive_matching(t.n))
-    expansion = webs.resolve_crossings(moved, syzygy_signs=syzygy_signs)
+    expansion = webs.resolve_crossings(moved, syzygy_signs=syzygy_signs, memo=memo)
     if sign == 1:
         return expansion
     return {m: -c for m, c in expansion.items()}
@@ -187,10 +190,11 @@ def _build_transition_matrix(n: int, syzygy_signs) -> TransitionMatrix:
     syt = enumerate_syt(n)
     web_list = enumerate_webs(n)
     col = {m: k for k, m in enumerate(web_list)}
+    memo: dict = {}
     entries = []
     for t in syt:
         row = [0] * len(web_list)
-        for m, c in transition_row(t, syzygy_signs=syzygy_signs).items():
+        for m, c in transition_row(t, syzygy_signs=syzygy_signs, memo=memo).items():
             row[col[m]] = c
         entries.append(tuple(row))
     return TransitionMatrix(n, syt, web_list, tuple(entries))
@@ -208,60 +212,33 @@ def check_nonnegative(tm: TransitionMatrix) -> tuple[bool, list[dict]]:
 
 
 def check_diagonal_ones(tm: TransitionMatrix) -> tuple[bool, list[dict]]:
-    """Entry 1 at (T, web of T) for every row, under the opener/closer
-    bijection."""
-    col = {m: k for k, m in enumerate(tm.col_labels)}
-    bad = []
-    for r, t in enumerate(tm.row_labels):
-        c = col[tableau_to_web(t)]
-        if tm.entries[r][c] != 1:
-            bad.append(
-                {"check": "diagonalOnes", "row": r, "col": c, "entry": tm.entries[r][c]}
-            )
+    """Entry 1 at (T, web of T) for every row: on the diagonal, because
+    the canonical webs are the opener/closer images of the canonical
+    tableaux in order."""
+    bad = [
+        {"check": "diagonalOnes", "row": r, "col": r, "entry": row[r]}
+        for r, row in enumerate(tm.entries)
+        if row[r] != 1
+    ]
     return not bad, bad
 
 
 def check_support_acyclic(tm: TransitionMatrix) -> tuple[bool, list[dict]]:
-    """The relation 'web of T has a nonzero entry at M' (M different) must
-    be acyclic; then ordering webs topologically makes the matrix
-    triangular with the diagonal of check_diagonal_ones."""
-    col = {m: k for k, m in enumerate(tm.col_labels)}
-    succ: dict[int, set[int]] = {k: set() for k in range(len(tm.col_labels))}
-    for r, t in enumerate(tm.row_labels):
-        d = col[tableau_to_web(t)]
-        for c, v in enumerate(tm.entries[r]):
-            if v and c != d:
-                succ[d].add(c)
-    # Kahn peeling; whatever remains lies on or feeds a cycle
-    indeg = {k: 0 for k in succ}
-    for outs in succ.values():
-        for c in outs:
-            indeg[c] += 1
-    queue = [k for k, v in indeg.items() if v == 0]
-    seen = 0
-    while queue:
-        k = queue.pop()
-        seen += 1
-        for c in succ[k]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    if seen == len(succ):
-        return True, []
-    # every unpeeled node keeps an unpeeled predecessor; walking
-    # predecessors from any of them must revisit a node, closing a cycle
-    remaining = {k for k, v in indeg.items() if v > 0}
-    path, at = [], min(remaining)
-    while at not in path:
-        path.append(at)
-        at = min(k for k in remaining if at in succ[k])
-    cycle = list(reversed(path[path.index(at) :]))
-    return False, [{"check": "supportAcyclic", "cycle": cycle}]
+    """Every entry above the diagonal is 0: the matrix is lower triangular
+    in canonical order, which with check_diagonal_ones makes it
+    unitriangular.  This is stronger than the acyclic off-diagonal support
+    the check is named for; the counterexample is the first nonzero entry
+    above the diagonal in row-major order."""
+    for r, row in enumerate(tm.entries):
+        if any(row[r + 1 :]):
+            c = next(c for c in range(r + 1, len(row)) if row[c])
+            return False, [{"check": "supportAcyclic", "row": r, "col": c, "entry": row[c]}]
+    return True, []
 
 
 def check_unitriangular(tm: TransitionMatrix) -> bool:
-    """Unit diagonal plus acyclic support: some basis order makes the
-    matrix unitriangular."""
+    """Unit diagonal and nothing above it: lower unitriangular in
+    canonical order."""
     return check_diagonal_ones(tm)[0] and check_support_acyclic(tm)[0]
 
 

@@ -15,7 +15,7 @@ rewriting one crossing pair a < b < c < d (a ~ c, b ~ d) as the sum of
 the two uncrossed reconnections (a ~ b, c ~ d) and (a ~ d, b ~ c); both
 have strictly fewer crossings, so the rewrite terminates.
 ``resolve_crossings`` carries this out and returns the (nonnegative,
-integer) coefficients; the polynomial module has an independent check.
+integer) coefficients; the minors module has an independent check.
 Inside, the rewrite works on bare partner tuples: ``_first_crossing``
 scans for the lexicographically smallest crossing, the reconnections are
 built by swapping partners, and the memo is keyed by those tuples.  Only
@@ -24,7 +24,7 @@ the returned keys are validated ``Matching`` objects.
 
 from __future__ import annotations
 
-from .combinat import Matching, Permutation, crossing_pairs, enumerate_webs
+from .combinat import Matching, crossing_pairs, enumerate_webs
 
 WebVector = dict[Matching, int]
 # the partner array of a matching, bare: the rewrite's internal key
@@ -98,12 +98,6 @@ def _syzygy_children(p: Partner, quad: tuple[int, int, int, int]) -> tuple[Partn
     return tuple(first), tuple(second)
 
 
-# results for the standard rewrite are shared across calls, keyed by the
-# signs and then by partner tuple; they are small (at most Catalan(n) keys
-# each) and callers receive fresh dicts
-_SHARED_MEMO: dict[tuple[int, int], dict[Partner, dict[Partner, int]]] = {}
-
-
 def resolve_crossings(
     m: Matching,
     *,
@@ -123,10 +117,12 @@ def resolve_crossings(
     which the test suite checks directly.  ``syzygy_signs`` scales the two
     reconnection branches by nonzero integers and exists so the verifier
     can inject a sign fault and prove the downstream checks catch it.
-    ``memo`` supplies a private memo table (used by the benchmark to count
-    rewrites); by default a shared table keyed by the signs is used.  Memo
-    tables map a partner tuple to its expansion, itself keyed by partner
-    tuples; only the returned dict is keyed by ``Matching``.
+    ``memo`` supplies a memo table to share across calls with the same
+    signs (the reference build passes one for all rows; the benchmark
+    reads it to count rewrites); by default each call uses a fresh one.
+    Memo tables map a partner tuple to its expansion, itself keyed by
+    partner tuples; only the returned dict, a fresh one, is keyed by
+    ``Matching``.
 
     >>> resolve_crossings(Matching.from_pairs([(1, 3), (2, 4)]))
     {Matching(partner=(2, 1, 4, 3)): 1, Matching(partner=(4, 3, 2, 1)): 1}
@@ -135,10 +131,7 @@ def resolve_crossings(
     if not (s1 and s2):
         raise ValueError(f"syzygy signs must be nonzero, got {syzygy_signs}")
     if memo is None:
-        if pick is None:
-            memo = _SHARED_MEMO.setdefault(syzygy_signs, {})
-        else:
-            memo = {}
+        memo = {}
     root = m.partner
     stack = [root]
     chosen: dict[Partner, tuple[Partner, Partner]] = {}
@@ -189,27 +182,3 @@ def action_matrix(i: int, n: int) -> list[list[int]]:
         for key, coeff in generator_action(i, {w: 1}).items():
             matrix[index[key]][col] = coeff
     return matrix
-
-
-def serialize_web_vector(vec: WebVector) -> list[dict]:
-    """JSON-ready term list [{"partnerArray": [...], "coeff": c}], keys in
-    ascending partner-array order."""
-    return [
-        {"partnerArray": list(m.partner), "coeff": vec[m]}
-        for m in sorted(vec, key=lambda m: m.partner)
-    ]
-
-
-def deserialize_web_vector(terms: list[dict]) -> WebVector:
-    return {Matching(tuple(t["partnerArray"])): t["coeff"] for t in terms}
-
-
-def act_by_permutation(sigma: Permutation, vec: WebVector) -> WebVector:
-    """Act with an arbitrary permutation by writing it as a product of
-    adjacent transpositions (bubble-sort word) and applying the generator
-    action one letter at a time.  The generator action satisfies the
-    Coxeter relations, so the result is independent of the word."""
-    out = dict(vec)
-    for i in sigma.reduced_word():
-        out = generator_action(i, out)
-    return out

@@ -67,13 +67,13 @@ def test_criterion_02_positive_expansion():
                 if m.is_noncrossing:
                     assert out == {m: 1}
                 if n <= 4:
-                    expanded = minors.expand_in_web_basis(minors.minor_product(m), n)
+                    expanded = minors.expand_in_web_basis(minors.web_vector(m), n)
                     assert expanded == {k: Fraction(v) for k, v in out.items()}
         # sampled at n=5
         rng = random.Random(0)
         pool = list(enumerate_perfect_matchings(5))
         for m in rng.sample(pool, 100):
-            expanded = minors.expand_in_web_basis(minors.minor_product(m), 5)
+            expanded = minors.expand_in_web_basis(minors.web_vector(m), 5)
             resolved = webs.resolve_crossings(m)
             assert expanded == {k: Fraction(v) for k, v in resolved.items()}
 
@@ -104,8 +104,10 @@ def test_criterion_04_unitriangular():
             tm = transition_matrix(n)
             ok_diag, bad = check_diagonal_ones(tm)
             assert ok_diag, bad
-            ok_acyclic, bad = check_support_acyclic(tm)
-            assert ok_acyclic, bad
+            ok_lower, bad = check_support_acyclic(tm)
+            assert ok_lower, bad
+            # the diagonal is the opener/closer pairing
+            assert tm.col_labels == tuple(map(tableau_to_web, tm.row_labels))
             # first row is exactly the indicator of the consecutive matching
             indicator = tuple(
                 1 if m == consecutive_matching(n) else 0 for m in tm.col_labels
@@ -115,7 +117,7 @@ def test_criterion_04_unitriangular():
 
     _check(
         4,
-        "unit diagonal under the opener/closer pairing, acyclic support, "
+        "lower unitriangular with the opener/closer pairing on the diagonal, "
         "and indicator first row for n=1..6",
         body,
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 from tworow import transition
 from tworow.cli import main
 from tworow.combinat import Matching, Tableau, catalan
-from tworow.minors import deserialize_polynomial, minor_product
+from tworow.minors import web_vector
 from tworow.transition import TransitionMatrix, transition_matrix
 
 
@@ -53,9 +54,24 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--n", "2", "--dump-poly")
         doc = json.loads(out)
         assert code == 0
-        polys = [deserialize_polynomial(terms) for terms in doc["webPolynomials"]]
         webs = [Matching(tuple(p)) for p in doc["webs"]]
-        assert polys == [minor_product(w) for w in webs]
+        assert len(doc["webPolynomials"]) == len(webs)
+        for terms, w in zip(doc["webPolynomials"], webs):
+            # each term is x[1, j] over the tabloid's columns j, then
+            # x[2, k] over the other columns k, all to the first power
+            tabloids = []
+            for term in terms:
+                exponents = term["exponents"]
+                row1 = [j for r, j, e in exponents if r == 1]
+                row2 = [k for r, k, e in exponents if r == 2]
+                assert all(e == 1 for _, _, e in exponents)
+                assert exponents == [[1, j, 1] for j in row1] + [[2, k, 1] for k in row2]
+                assert sorted(row1 + row2) == [1, 2, 3, 4]
+                assert row1 == sorted(row1) and row2 == sorted(row2)
+                tabloids.append(tuple(row1))
+            assert tabloids == sorted(tabloids)
+            coeffs = {tab: term["coeff"] for tab, term in zip(tabloids, terms)}
+            assert coeffs == web_vector(w)
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "2", "--format", "csv")
@@ -134,6 +150,17 @@ class TestVerify:
         doc = json.loads(out)
         assert not doc["nonnegative"]
         assert doc["counterexamples"]
+
+    def test_negative_entry_fault_reports_both_checks(self, capsys):
+        # the -1 sits at (row 0, last column), above the diagonal
+        code, out, _ = run(capsys, "verify", "--n", "3", "--inject-fault", "negative-entry")
+        assert code == 1
+        doc = json.loads(out)
+        assert not doc["nonnegative"] and not doc["supportAcyclic"]
+        assert doc["counterexamples"] == [
+            {"check": "nonnegative", "row": 0, "col": 4, "entry": -1},
+            {"check": "supportAcyclic", "row": 0, "col": 4, "entry": -1},
+        ]
 
     def test_negative_entry_fault_exits_nonzero(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--inject-fault", "negative-entry")
@@ -242,6 +269,30 @@ class TestUsageErrors:
         assert "--oracle-cap" in capsys.readouterr().err
 
 
+# sha256 of stdout for fixed command lines; any byte change in the
+# enumeration, the matrix, the polynomial rendering or the verify report
+# shows here
+PINNED_OUTPUTS = {
+    ("matrix", "--n", "5"): "4039813e75aed1cfd935ea6c1a5e2d79fb24fb9346333133fcef52dd01d2f206",
+    ("enumerate", "--n", "4", "--dump-poly"): (
+        "cc0bb88ae66ba2f2664ac2a23d226fa62e3aa14935804d08665325e72b2b4b22"
+    ),
+    ("enumerate", "--n", "4", "--format", "csv"): (
+        "40283e1718a7b9061e0322ba5a9b87069caf41eda835a9a2080ccc4aef3d809f"
+    ),
+    ("verify", "--n", "4", "--with-oracle"): (
+        "9b252b8490241e1b7eaa8754ccf9c7ab688e08c78c81c5b9161b068367aa0f1f"
+    ),
+}
+
+
+def test_outputs_match_pinned_digests(capsys):
+    for argv, digest in PINNED_OUTPUTS.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tworow", "verify", "--n", "2"],
@@ -267,7 +318,7 @@ def test_invariants_survive_optimize_flag():
     [["verify", "--n", "3", "--with-oracle"], ["enumerate", "--n", "3", "--dump-poly"]],
 )
 def test_optimized_run_passes(argv):
-    # specht, minors and the tableau-to-web bijection check their
+    # specht and the tableau-to-web bijection check their
     # invariants with explicit raises, which python -O keeps
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "tworow", *argv], capture_output=True, text=True

@@ -113,6 +113,17 @@ class TestEnumerateWebs:
         assert len(got) == 14
         assert set(got) == expected
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_is_the_noncrossing_filter_by_openers_descending(self, n):
+        # an enumeration independent of the tableaux: filter every perfect
+        # matching, then sort by the tuple of pair minima, descending
+        expected = sorted(
+            (m for m in enumerate_perfect_matchings(n) if m.is_noncrossing),
+            key=lambda m: m.openers(),
+            reverse=True,
+        )
+        assert enumerate_webs(n) == tuple(expected)
+
     def test_counts_and_noncrossing(self):
         for n in range(1, 9):
             ws = enumerate_webs(n)

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tworow.linalg import Echelon, identity_matrix, mat_mul, mat_vec, nullspace, rank, solve
+from tworow.linalg import Echelon, identity_matrix, mat_mul, nullspace, rank, solve
 
 small_entries = st.integers(-9, 9)
+
+
+def mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def small_matrices(max_dim=6):

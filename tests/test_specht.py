@@ -20,7 +20,9 @@ from tworow.specht import (
     action_matrix,
     all_tabloids,
     express_in_standard_polytabloids,
+    pair_vector,
     polytabloid,
+    tabloid_echelon,
     tabloid_of,
     _standard_basis_echelon,
 )
@@ -134,19 +136,28 @@ class TestExpress:
 class TestBasis:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_standard_polytabloids_independent(self, n):
-        ech, _ = _standard_basis_echelon(n)
-        assert ech.rank == catalan(n)
+        assert _standard_basis_echelon(n).rank == catalan(n)
+
+    def test_dependent_vectors_raise(self):
+        vec = polytabloid(interleaved_tableau(2))
+        with pytest.raises(RuntimeError, match="linearly dependent"):
+            tabloid_echelon([vec, {tab: -c for tab, c in vec.items()}], 2)
+
+    def test_foreign_tabloid_raises(self):
+        with pytest.raises(ValueError, match="not a tabloid"):
+            express_in_standard_polytabloids({(1, 2): 1}, 1)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        import json
+class TestPairVector:
+    def test_polytabloid_is_pair_vector_of_columns(self):
+        for t in enumerate_syt(4):
+            assert polytabloid(t) == pair_vector(t.columns())
 
-        from tworow.specht import deserialize_tabloid_vector, serialize_tabloid_vector
-
-        vec = polytabloid(interleaved_tableau(3))
-        doc = json.loads(json.dumps(serialize_tabloid_vector(vec)))
-        assert deserialize_tabloid_vector(doc) == vec
+    def test_rejects_overlapping_pairs(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            pair_vector([(1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="disjoint"):
+            pair_vector([(2, 2)])
 
 
 class TestActionMatrix:

@@ -99,10 +99,25 @@ class TestGeneratorRecurrence:
     def test_matches_rewrite(self, n):
         assert transition_matrix(n) == _build_transition_matrix(n, (1, 1))
 
-    def test_leaves_shared_memo_empty(self, monkeypatch):
-        monkeypatch.setattr(webs, "_SHARED_MEMO", {})
-        transition._transition_matrix.__wrapped__(5)
-        assert webs._SHARED_MEMO == {}
+    def test_never_calls_rewrite(self, monkeypatch):
+        reference = _build_transition_matrix(5, (1, 1))
+        calls = []
+        monkeypatch.setattr(webs, "resolve_crossings", lambda *a, **k: calls.append(a))
+        assert transition._transition_matrix.__wrapped__(5) == reference
+        assert calls == []
+
+    def test_reference_build_shares_one_memo(self, monkeypatch):
+        memos = []
+        resolve = webs.resolve_crossings
+
+        def spy(m, **kwargs):
+            memos.append(kwargs["memo"])
+            return resolve(m, **kwargs)
+
+        monkeypatch.setattr(webs, "resolve_crossings", spy)
+        _build_transition_matrix(4, (1, 1))
+        assert len(memos) == len(enumerate_syt(4))
+        assert all(memo is memos[0] for memo in memos) and memos[0]
 
     def test_sign_fault_goes_through_rewrite(self, monkeypatch):
         calls = []
@@ -147,8 +162,30 @@ class TestChecks:
         assert check_diagonal_ones(bad)[0]
         ok, why = check_support_acyclic(bad)
         assert not ok
-        assert why[0]["check"] == "supportAcyclic"
+        assert why == [{"check": "supportAcyclic", "row": 0, "col": 1, "entry": 1}]
         assert not check_unitriangular(bad)
+
+    def test_upper_triangular_entry_located(self):
+        # unit diagonal and acyclic support (web 1 -> web 0 only), but not
+        # lower triangular in canonical order
+        good = transition_matrix(2)
+        bad = TransitionMatrix(2, good.row_labels, good.col_labels, ((1, 1), (0, 1)))
+        assert check_diagonal_ones(bad)[0]
+        ok, why = check_support_acyclic(bad)
+        assert not ok
+        assert why == [{"check": "supportAcyclic", "row": 0, "col": 1, "entry": 1}]
+        assert not check_unitriangular(bad)
+
+    def test_first_entry_above_diagonal_reported(self):
+        entries = [list(row) for row in transition_matrix(4).entries]
+        entries[5][9] = 3
+        entries[7][8] = 2
+        good = transition_matrix(4)
+        bad = TransitionMatrix(4, good.row_labels, good.col_labels, tuple(map(tuple, entries)))
+        assert check_support_acyclic(bad) == (
+            False,
+            [{"check": "supportAcyclic", "row": 5, "col": 9, "entry": 3}],
+        )
 
     def test_broken_diagonal_located(self):
         good = transition_matrix(2)

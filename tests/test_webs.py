@@ -20,12 +20,11 @@ from tworow.combinat import (
 from tworow.linalg import identity_matrix, mat_mul
 from tworow.webs import (
     _first_crossing,
-    act_by_permutation,
     action_matrix,
     generator_action,
     resolve_crossings,
 )
-from tworow import specht, webs
+from tworow import specht
 
 
 class TestGeneratorAction:
@@ -115,18 +114,15 @@ class TestTupleRewrite:
         out = resolve_crossings(Matching.from_pairs([(1, 4), (2, 6), (3, 5)]), memo={})
         assert out and all(isinstance(k, Matching) for k in out)
 
-    def test_result_is_a_copy_of_the_shared_memo(self, monkeypatch):
-        monkeypatch.setattr(webs, "_SHARED_MEMO", {})
+    def test_result_is_a_copy_of_the_memo(self):
         crossed = Matching.from_pairs([(1, 4), (2, 5), (3, 6)])
-        out = resolve_crossings(crossed)
-        snapshot = {
-            signs: {k: dict(v) for k, v in table.items()}
-            for signs, table in webs._SHARED_MEMO.items()
-        }
+        memo: dict = {}
+        out = resolve_crossings(crossed, memo=memo)
+        snapshot = {k: dict(v) for k, v in memo.items()}
         out[next(iter(out))] += 5
         out.clear()
-        assert webs._SHARED_MEMO == snapshot
-        assert resolve_crossings(crossed) == {w: 1 for w in enumerate_webs(3)}
+        assert memo == snapshot
+        assert resolve_crossings(crossed, memo=memo) == {w: 1 for w in enumerate_webs(3)}
 
     def test_memo_size_on_fourteen_letters(self):
         # the same rewrite tree as the Matching-keyed loop, which left
@@ -171,7 +167,17 @@ class TestActionMatrix:
                     assert mat_mul(mats[i], mats[j]) == mat_mul(mats[j], mats[i])
 
 
+def act_by_permutation(sigma, vec):
+    """Act with sigma letter by letter along its bubble-sort word."""
+    for i in sigma.reduced_word():
+        vec = generator_action(i, vec)
+    return vec
+
+
 class TestActByPermutation:
+    """The generator action extends to a well-defined action of the whole
+    symmetric group: the result does not depend on the word."""
+
     def test_identity(self):
         from tworow.combinat import Permutation
 
@@ -195,16 +201,6 @@ class TestActByPermutation:
         combined = act_by_permutation(sigma * tau, vec)
         stepwise = act_by_permutation(sigma, act_by_permutation(tau, vec))
         assert combined == stepwise
-
-
-def test_web_vector_serialization_round_trip():
-    import json
-
-    from tworow.webs import deserialize_web_vector, serialize_web_vector
-
-    vec = resolve_crossings(Matching.from_pairs([(1, 4), (2, 5), (3, 6)]))
-    doc = json.loads(json.dumps(serialize_web_vector(vec)))
-    assert deserialize_web_vector(doc) == vec
 
 
 def model_trace(n: int, cycle_type, matrices) -> int:
