@@ -7,7 +7,7 @@ reconnected in the two planar ways, (a~b, c~d) and (a~d, b~c); both have
 strictly fewer crossings, so repeating this expands any matching as a
 sum of noncrossing ones with nonnegative integer coefficients.  The
 expansion is independent of which crossing is rewritten first, and it
-agrees with an exact linear solve on products of 2x2 minors, written as
+agrees with an exact expansion of products of 2x2 minors, written as
 tabloid vectors.
 """
 
@@ -33,8 +33,9 @@ randomized = resolve_crossings(crossed, pick=rng.choice, memo={})
 print("\nrandom rewrite order gives the same expansion:", randomized == expansion)
 
 # Independent check: expand the product of the pair minors of the
-# matching over the minor products of noncrossing matchings, by exact
-# linear algebra on the monomial coefficients.  Each product is
-# multilinear, so a monomial is fixed by its row-1 columns (a tabloid).
+# matching over the minor products of noncrossing matchings.  Each
+# product is multilinear, so a monomial is fixed by its row-1 columns (a
+# tabloid), and the noncrossing products are unitriangular over the
+# tabloids, so the expansion peels them off by their leading tabloids.
 oracle = expand_in_web_basis(web_vector(crossed), 3)
 print("minor-product expansion agrees:", oracle == expansion)

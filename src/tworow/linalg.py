@@ -1,5 +1,6 @@
 """
-Exact dense linear algebra over the rationals.
+Exact dense linear algebra over the rationals: products, rank and the
+nullspace the intertwiner oracle is read from.
 
 Matrices are plain lists of rows whose entries are ints or
 ``fractions.Fraction``; everything here is exact, there is no floating
@@ -7,7 +8,8 @@ point anywhere.  Internally each row is scaled to integers (clear the
 denominators, divide out the content) and elimination runs in
 fraction-free integer arithmetic, which keeps the hot loops on machine
 ints for the problem sizes this package meets.  Back substitution
-reintroduces Fractions only at the end.
+reintroduces Fractions only at the end.  Coordinates in the two bases
+need none of this: both are unitriangular (``specht.coordinates``).
 """
 
 from __future__ import annotations
@@ -93,54 +95,6 @@ def _eliminate(rows: list[list[int]], ncols: int) -> list[tuple[int, int]]:
     return pivots
 
 
-class Echelon:
-    """Row echelon form of a matrix, reusable across right-hand sides.
-
-    Eliminates the augmented matrix [A | I], so each solve costs one
-    matrix-vector product with the recorded row operations plus a back
-    substitution, instead of a fresh elimination.
-    """
-
-    def __init__(self, matrix: Sequence[Sequence[Scalar]]):
-        self.nrows = len(matrix)
-        self.ncols = len(matrix[0]) if self.nrows else 0
-        rows = [
-            _integer_row(list(row) + [1 if j == i else 0 for j in range(self.nrows)])
-            for i, row in enumerate(matrix)
-        ]
-        self.pivots = _eliminate(rows, self.ncols)
-        self.rows = rows
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def solve(self, rhs: Sequence[Scalar]) -> list[Fraction] | None:
-        """One exact solution of A x = rhs with free variables set to 0,
-        or None when the system is inconsistent."""
-        if len(rhs) != self.nrows:
-            raise ValueError("right-hand side has the wrong length")
-        nc = self.ncols
-        transformed = [
-            sum(e * b for e, b in zip(row[nc:], rhs) if b) for row in self.rows
-        ]
-        for r in range(self.rank, self.nrows):
-            if transformed[r] != 0:
-                return None
-        x: list[Fraction] = [Fraction(0)] * nc
-        for r, c in reversed(self.pivots):
-            row = self.rows[r]
-            acc = transformed[r] - sum(
-                row[j] * x[j] for j in range(c + 1, nc) if x[j]
-            )
-            x[c] = Fraction(acc, row[c])
-        return x
-
-    @property
-    def unique(self) -> bool:
-        return self.rank == self.ncols
-
-
 def rank(matrix: Sequence[Sequence[Scalar]]) -> int:
     """Rank over the rationals.
 
@@ -151,29 +105,6 @@ def rank(matrix: Sequence[Sequence[Scalar]]) -> int:
         return 0
     rows = [_integer_row(row) for row in matrix]
     return len(_eliminate(rows, len(matrix[0])))
-
-
-def solve(
-    matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
-) -> tuple[list[Fraction], bool] | None:
-    """Solve A x = rhs exactly.
-
-    Returns (solution, unique) when consistent -- with free variables set
-    to 0 and ``unique`` false when the system is underdetermined -- and
-    None when there is no solution.
-
-    >>> solve([[1, 0], [0, 2]], [3, 5])
-    ([Fraction(3, 1), Fraction(5, 2)], True)
-    >>> solve([[1], [1]], [1, 2]) is None
-    True
-    """
-    if len(matrix) != len(rhs):
-        raise ValueError("matrix and right-hand side sizes do not match")
-    ech = Echelon(matrix)
-    x = ech.solve(rhs)
-    if x is None:
-        return None
-    return x, ech.unique
 
 
 def nullspace(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:

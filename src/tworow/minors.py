@@ -17,17 +17,17 @@ three-term identity
 
     D(a,c) * D(b,d) = D(a,b) * D(c,d) + D(a,d) * D(b,c),
 
-which is what makes the crossing rewrite of the web module work; the
-products D(N) over noncrossing N are linearly independent, so expanding a
-vector in them (an exact linear solve over the tabloid coordinates)
-gives an independent check of that rewrite.  Permuting the columns sends
-D(M) to +/- D(sigma(M)), the sign counting the pairs of M that sigma
-inverts.
+which is what makes the crossing rewrite of the web module work.  For
+noncrossing N, D(N) has coefficient 1 at the openers of N and every other
+tabloid in it is dominated by them, so expanding a vector in these
+products is an integer peel over the tabloids (``specht.coordinates``)
+and gives an independent check of that rewrite.  Permuting the columns
+sends D(M) to +/- D(sigma(M)), the sign counting the pairs of M that
+sigma inverts.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from . import specht
@@ -65,21 +65,19 @@ def sign_rule_holds(sigma: Permutation, m: Matching) -> bool:
 
 
 @cache
-def _web_system(n: int):
-    """Cached exact solver for coordinates in the span of the minor
-    products of noncrossing matchings: (webs, echelon)."""
-    webs = enumerate_webs(n)
-    return webs, specht.tabloid_echelon([web_vector(w) for w in webs], n)
+def _web_basis(n: int):
+    """The minor products of the noncrossing matchings as a
+    specht.triangular_basis, cached per n."""
+    return specht.triangular_basis([web_vector(w) for w in enumerate_webs(n)])
 
 
 def web_polynomials_independent(n: int) -> bool:
     """Whether the minor products of the Catalan(n) noncrossing matchings
-    have full rank as tabloid vectors."""
-    _, ech = _web_system(n)
-    return ech.rank == len(enumerate_webs(n))
+    are unitriangular over the tabloids, which makes them independent."""
+    return specht.is_unitriangular([web_vector(w) for w in enumerate_webs(n)])
 
 
-def expand_in_web_basis(vec: dict[Tabloid, int], n: int) -> dict[Matching, Fraction]:
+def expand_in_web_basis(vec: dict[Tabloid, int], n: int) -> dict[Matching, int]:
     """Exact coordinates of a tabloid vector in the span of the
     noncrossing minor products; the independent check for the crossing
     rewrite.
@@ -91,9 +89,8 @@ def expand_in_web_basis(vec: dict[Tabloid, int], n: int) -> dict[Matching, Fract
     >>> expand_in_web_basis(web_vector(m0), 2) == {m0: 1}
     True
     """
-    webs, ech = _web_system(n)
-    coords = specht.coordinates(ech, vec, n)
-    return {w: c for w, c in zip(webs, coords) if c}
+    coords = specht.coordinates(_web_basis(n), vec, n)
+    return {w: c for w, c in zip(enumerate_webs(n), coords) if c}
 
 
 def column_action_matches_web_action(n: int) -> bool:
@@ -104,9 +101,8 @@ def column_action_matches_web_action(n: int) -> bool:
     for i in range(1, 2 * n):
         sigma = adjacent_transposition(2 * n, i)
         for m in enumerate_webs(n):
-            lhs = expand_in_web_basis(act_on_tabloid_vector(sigma, web_vector(m)), n)
-            rhs = generator_action(i, {m: 1})
-            if lhs != {k: Fraction(v) for k, v in rhs.items()}:
+            moved = act_on_tabloid_vector(sigma, web_vector(m))
+            if expand_in_web_basis(moved, n) != generator_action(i, {m: 1}):
                 return False
     return True
 

@@ -8,21 +8,25 @@ spanned by all tabloids has dimension C(2n, n).  For disjoint pairs, the
 signed sum over the choices of one letter per pair (``pair_vector``) is
 the tabloid vector of both bases: the polytabloid of a tableau T is the
 pair vector of its columns, and the minor product D(M) of a perfect
-matching M is the pair vector of its pairs (``minors``).  The standard
-polytabloids form a basis of the irreducible submodule; coordinates in
-it, or in any other independent family of tabloid vectors, come from one
-exact echelon form over the all_tabloids(n) index (``tabloid_echelon``).
+matching M is the pair vector of its pairs (``minors``).
+
+Both bases are unitriangular over the tabloids, ordered by dominance:
+the polytabloid of a standard T has coefficient 1 at the first row of T
+and every other tabloid in it is dominated by that row (the standard
+basis theorem), and D(M) for a noncrossing M does the same at the
+openers of M.  So coordinates in either basis come from one integer peel
+(``triangular_basis``, ``coordinates``): visit the leads most dominant
+first, read the residual there and subtract that multiple of the basis
+vector.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
 from .combinat import Permutation, Tableau, adjacent_transposition, enumerate_syt
-from .linalg import Echelon
 
 Tabloid = tuple[int, ...]
 
@@ -80,61 +84,70 @@ def polytabloid(t: Tableau) -> dict[Tabloid, int]:
     return pair_vector(t.columns())
 
 
-@cache
-def all_tabloids(n: int) -> tuple[Tabloid, ...]:
-    """All n-subsets of 1..2n in colex order; the fixed coordinate order
-    for matrices over the tabloid space."""
-    subsets = itertools.combinations(range(1, 2 * n + 1), n)
-    return tuple(sorted(subsets, key=lambda s: tuple(reversed(s))))
+def _lead(vec: dict[Tabloid, int]) -> Tabloid | None:
+    """The lexicographically first tabloid of vec when its coefficient is
+    1 and it dominates every tabloid of vec, else None.
 
-
-@cache
-def _tabloid_index(n: int) -> dict[Tabloid, int]:
-    return {tab: i for i, tab in enumerate(all_tabloids(n))}
-
-
-def tabloid_echelon(vectors: Sequence[dict[Tabloid, int]], n: int) -> Echelon:
-    """Echelon form of the C(2n,n) x k matrix whose columns are the k
-    given tabloid vectors, rows in all_tabloids(n) order.
-
-    Raises RuntimeError when the vectors are linearly dependent.
+    For sorted first rows of equal length, a dominates b exactly when
+    a[j] <= b[j] for every j; lexicographic order extends dominance.
     """
-    index = _tabloid_index(n)
-    matrix = [[0] * len(vectors) for _ in index]
-    for j, vec in enumerate(vectors):
-        for tab, c in vec.items():
-            matrix[index[tab]][j] = c
-    ech = Echelon(matrix)
-    if not ech.unique:
-        raise RuntimeError(f"the {len(vectors)} tabloid vectors at n={n} are linearly dependent")
-    return ech
+    lead = min(vec, default=None)
+    ok = lead is not None and vec[lead] == 1
+    return lead if ok and all(x <= y for tab in vec for x, y in zip(lead, tab)) else None
 
 
-def coordinates(ech: Echelon, vec: dict[Tabloid, int], n: int) -> list[Fraction]:
-    """Exact coordinates of a tabloid vector in the columns of ech, an
-    echelon from tabloid_echelon(..., n).
+def is_unitriangular(vectors: Sequence[dict[Tabloid, int]]) -> bool:
+    """Whether every vector has a lead (``_lead``) and no two share one:
+    then the family is independent and ``coordinates`` need no division."""
+    leads = [_lead(vec) for vec in vectors]
+    return None not in leads and len(set(leads)) == len(leads)
+
+
+def triangular_basis(vectors: Sequence[dict[Tabloid, int]]) -> list[tuple]:
+    """(lead, index, vector) for each vector, leads ascending, so most
+    dominant first.  Raises RuntimeError unless ``is_unitriangular``."""
+    if not is_unitriangular(vectors):
+        raise RuntimeError(f"the {len(vectors)} tabloid vectors are not unitriangular")
+    return sorted((min(vec), j, vec) for j, vec in enumerate(vectors))
+
+
+def _is_tabloid(tab: Tabloid, n: int) -> bool:
+    return len(tab) == n and list(tab) == sorted(set(tab)) and all(1 <= x <= 2 * n for x in tab)
+
+
+def coordinates(basis, vec: dict[Tabloid, int], n: int) -> list[int]:
+    """Integer coordinates of a tabloid vector in a triangular_basis.
+
+    Peels the basis vectors off by their leads, most dominant first: every
+    other tabloid of a basis vector is dominated by its lead, so a peel
+    never touches a lead already read.
 
     Raises ValueError when the vector is outside their span.
     """
-    index = _tabloid_index(n)
-    rhs = [0] * len(index)
-    for tab, c in vec.items():
-        if tab not in index:
+    residual = dict(vec)
+    coords = [0] * len(basis)
+    for lead, j, basis_vec in basis:
+        c = residual.pop(lead, 0)
+        if c:
+            coords[j] = c
+            for tab, v in basis_vec.items():
+                if tab != lead:
+                    residual[tab] = residual.get(tab, 0) - c * v
+    for tab, c in residual.items():
+        if not _is_tabloid(tab, n):
             raise ValueError(f"{tab} is not a tabloid of shape ({n}, {n})")
-        rhs[index[tab]] = c
-    coords = ech.solve(rhs)
-    if coords is None:
+    if any(residual.values()):
         raise ValueError("vector is not in the span of the basis")
     return coords
 
 
 @cache
-def _standard_basis_echelon(n: int) -> Echelon:
-    """Echelon form of the standard polytabloids, cached per n."""
-    return tabloid_echelon([polytabloid(t) for t in enumerate_syt(n)], n)
+def _standard_basis(n: int):
+    """The standard polytabloids as a triangular_basis, cached per n."""
+    return triangular_basis([polytabloid(t) for t in enumerate_syt(n)])
 
 
-def express_in_standard_polytabloids(vec: dict[Tabloid, int], n: int) -> list[Fraction]:
+def express_in_standard_polytabloids(vec: dict[Tabloid, int], n: int) -> list[int]:
     """Exact coordinates of a tabloid-space vector in the standard
     polytabloid basis, ordered like enumerate_syt(n).
 
@@ -143,9 +156,9 @@ def express_in_standard_polytabloids(vec: dict[Tabloid, int], n: int) -> list[Fr
 
     >>> from .combinat import interleaved_tableau
     >>> express_in_standard_polytabloids(polytabloid(interleaved_tableau(2)), 2)
-    [Fraction(1, 1), Fraction(0, 1)]
+    [1, 0]
     """
-    return coordinates(_standard_basis_echelon(n), vec, n)
+    return coordinates(_standard_basis(n), vec, n)
 
 
 def action_matrix(i: int, n: int) -> list[list[int]]:
@@ -161,10 +174,5 @@ def _action_matrix(i: int, n: int) -> list[list[int]]:
     columns = []
     for t in enumerate_syt(n):
         moved = act_on_tabloid_vector(sigma, polytabloid(t))
-        coords = express_in_standard_polytabloids(moved, n)
-        if any(c.denominator != 1 for c in coords):
-            raise ArithmeticError(
-                f"non-integer coordinates of s_{i} on the polytabloid of {t.rows}"
-            )
-        columns.append([int(c) for c in coords])
+        columns.append(express_in_standard_polytabloids(moved, n))
     return [list(row) for row in zip(*columns)]

@@ -201,10 +201,12 @@ def _build_transition_matrix(n: int, syzygy_signs) -> TransitionMatrix:
 
 
 def check_nonnegative(tm: TransitionMatrix) -> tuple[bool, list[dict]]:
-    """Every entry >= 0; counterexamples locate any negative entries."""
+    """Every entry >= 0; counterexamples locate any negative entries.
+    Only rows with a negative minimum are walked entry by entry."""
     bad = [
         {"check": "nonnegative", "row": r, "col": c, "entry": v}
         for r, row in enumerate(tm.entries)
+        if min(row, default=0) < 0
         for c, v in enumerate(row)
         if v < 0
     ]

@@ -228,6 +228,13 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["enumerate", "matrix", "verify", "oracle-compare"])
+    def test_seed_is_a_bench_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "2", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_bad_n(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["matrix", "--n", "0"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tworow.linalg import Echelon, identity_matrix, mat_mul, nullspace, rank, solve
+from tworow.linalg import identity_matrix, mat_mul, nullspace, rank
 
 small_entries = st.integers(-9, 9)
 
@@ -52,48 +52,6 @@ class TestRank:
         assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]) == 1
 
 
-class TestSolve:
-    def test_identity_returns_rhs(self):
-        sol, unique = solve(identity_matrix(3), [4, -1, 7])
-        assert sol == [4, -1, 7]
-        assert unique
-
-    def test_inconsistent_two_by_one(self):
-        assert solve([[1], [1]], [1, 2]) is None
-
-    def test_underdetermined_flag(self):
-        res = solve([[1, 1]], [3])
-        assert res is not None
-        sol, unique = res
-        assert not unique
-        assert sum(sol) == 3
-
-    def test_recovers_known_vector(self):
-        import random
-
-        rng = random.Random(7)
-        while True:
-            a = [[rng.randint(-5, 5) for _ in range(8)] for _ in range(8)]
-            if rank(a) == 8:
-                break
-        x = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(8)]
-        b = mat_vec(a, x)
-        sol, unique = solve(a, b)
-        assert unique
-        assert sol == x
-
-    @settings(max_examples=60)
-    @given(small_matrices(), st.data())
-    def test_solution_satisfies_system(self, matrix, data):
-        rhs = data.draw(
-            st.lists(small_entries, min_size=len(matrix), max_size=len(matrix))
-        )
-        res = solve(matrix, rhs)
-        if res is not None:
-            sol, _ = res
-            assert mat_vec(matrix, sol) == rhs
-
-
 class TestNullspace:
     def test_zero_matrix(self):
         basis = nullspace([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
@@ -119,26 +77,6 @@ class TestNullspace:
         # is 1 and the others are 0, but check the rank anyway
         if basis:
             assert rank(basis) == len(basis)
-
-
-class TestEchelon:
-    def test_reusable_solves(self):
-        a = [[2, 1], [1, 3], [3, 4]]
-        ech = Echelon(a)
-        for rhs in ([3, 4, 7], [5, 5, 10], [1, 0, 0]):
-            direct = solve(a, rhs)
-            via_echelon = ech.solve(rhs)
-            if direct is None:
-                assert via_echelon is None
-            else:
-                assert via_echelon == direct[0]
-
-    def test_rank_exposed(self):
-        assert Echelon([[1, 2], [2, 4]]).rank == 1
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            Echelon([[1, 2]]).solve([1, 2, 3])
 
 
 class TestExactArithmetic:

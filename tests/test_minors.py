@@ -13,6 +13,7 @@ from tworow.combinat import (
     adjacent_transposition,
     consecutive_matching,
     enumerate_perfect_matchings,
+    enumerate_syt,
     enumerate_webs,
 )
 from tworow.minors import (
@@ -24,7 +25,7 @@ from tworow.minors import (
     web_polynomials_independent,
     web_vector,
 )
-from tworow.specht import act_on_tabloid_vector, pair_vector
+from tworow.specht import act_on_tabloid_vector, pair_vector, tabloid_of
 from tworow.webs import resolve_crossings
 
 
@@ -146,9 +147,13 @@ class TestSignRule:
 
 
 class TestWebBasisExpansion:
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_independent(self, n):
+        # unitriangular over the tabloids: the lead of web k is its
+        # opener set, the first row of tableau k
         assert web_polynomials_independent(n)
+        leads = [min(web_vector(w)) for w in enumerate_webs(n)]
+        assert leads == [tabloid_of(t) for t in enumerate_syt(n)]
 
     def test_identity_on_basis(self):
         m0 = consecutive_matching(2)

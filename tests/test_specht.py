@@ -18,13 +18,13 @@ from tworow.specht import (
     act_on_tabloid,
     act_on_tabloid_vector,
     action_matrix,
-    all_tabloids,
+    coordinates,
     express_in_standard_polytabloids,
+    is_unitriangular,
     pair_vector,
     polytabloid,
-    tabloid_echelon,
     tabloid_of,
-    _standard_basis_echelon,
+    triangular_basis,
 )
 
 
@@ -51,9 +51,6 @@ class TestTabloid:
         assert act_on_tabloid(s1, (1, 3)) == (2, 3)
         assert act_on_tabloid(s3, (1, 3)) == (1, 4)
         assert act_on_tabloid(Permutation.identity(4), (1, 3)) == (1, 3)
-
-    def test_colex_order(self):
-        assert all_tabloids(2) == ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
 
 
 class TestPolytabloid:
@@ -133,15 +130,56 @@ class TestExpress:
         assert rebuilt == {k: Fraction(v) for k, v in vec.items()}
 
 
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_recovers_integer_combination(self, data):
+        n = data.draw(st.integers(1, 4))
+        d = catalan(n)
+        coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+        vec: dict = {}
+        for c, t in zip(coeffs, enumerate_syt(n)):
+            for tab, v in polytabloid(t).items():
+                vec[tab] = vec.get(tab, 0) + c * v
+        assert express_in_standard_polytabloids(vec, n) == coeffs
+
+
 class TestBasis:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_standard_polytabloids_independent(self, n):
-        assert _standard_basis_echelon(n).rank == catalan(n)
+        # unitriangular over the tabloids, the lead of T being its first row
+        vectors = [polytabloid(t) for t in enumerate_syt(n)]
+        assert is_unitriangular(vectors)
+        assert [lead for lead, _, _ in triangular_basis(vectors)] == sorted(
+            tabloid_of(t) for t in enumerate_syt(n)
+        )
 
     def test_dependent_vectors_raise(self):
         vec = polytabloid(interleaved_tableau(2))
-        with pytest.raises(RuntimeError, match="linearly dependent"):
-            tabloid_echelon([vec, {tab: -c for tab, c in vec.items()}], 2)
+        with pytest.raises(RuntimeError, match="not unitriangular"):
+            triangular_basis([vec, {tab: -c for tab, c in vec.items()}])
+        with pytest.raises(RuntimeError, match="not unitriangular"):
+            triangular_basis([vec, vec])
+
+    def test_lead_coefficient_two_raises(self):
+        vec = polytabloid(interleaved_tableau(2))
+        assert not is_unitriangular([{tab: 2 * c for tab, c in vec.items()}])
+        with pytest.raises(RuntimeError, match="not unitriangular"):
+            triangular_basis([{tab: 2 * c for tab, c in vec.items()}])
+
+    def test_undominated_tabloid_raises(self):
+        # (2, 3, 6) comes after (1, 4, 5) lexicographically, but 3 < 4:
+        # the lead does not dominate it
+        assert not is_unitriangular([{(1, 4, 5): 1, (2, 3, 6): -1}])
+        with pytest.raises(RuntimeError, match="not unitriangular"):
+            triangular_basis([{(1, 4, 5): 1, (2, 3, 6): -1}])
+        assert is_unitriangular([{(1, 4, 5): 1, (2, 4, 6): -1}])
+
+    def test_peel_reads_leads_most_dominant_first(self):
+        # the first vector's lead (1, 3) is also a tabloid of the second,
+        # so reading it before peeling the second (lead (1, 2)) gives a
+        # wrong coordinate and leaves a residual
+        basis = triangular_basis([{(1, 3): 1, (2, 4): 1}, {(1, 2): 1, (1, 3): 1}])
+        assert coordinates(basis, {(1, 2): 1, (1, 3): 3, (2, 4): 2}, 2) == [2, 1]
 
     def test_foreign_tabloid_raises(self):
         with pytest.raises(ValueError, match="not a tabloid"):

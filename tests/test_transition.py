@@ -156,6 +156,17 @@ class TestChecks:
         assert not ok
         assert where == [{"check": "nonnegative", "row": 1, "col": 0, "entry": -1}]
 
+    def test_negative_entries_in_row_major_order(self):
+        good = transition_matrix(3)
+        entries = [list(row) for row in good.entries]
+        entries[1][3], entries[3][0], entries[3][4] = -2, -1, -5
+        bad = TransitionMatrix(3, good.row_labels, good.col_labels, tuple(map(tuple, entries)))
+        assert check_nonnegative(bad) == (False, [
+            {"check": "nonnegative", "row": 1, "col": 3, "entry": -2},
+            {"check": "nonnegative", "row": 3, "col": 0, "entry": -1},
+            {"check": "nonnegative", "row": 3, "col": 4, "entry": -5},
+        ])
+
     def test_all_ones_has_cycle(self):
         good = transition_matrix(2)
         bad = TransitionMatrix(2, good.row_labels, good.col_labels, ((1, 1), (1, 1)))
