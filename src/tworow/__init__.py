@@ -3,9 +3,9 @@ Exact computations in the two models of the irreducible representation of
 the symmetric group on 2n letters labeled by the 2 x n rectangle: the
 polytabloid model built from tableaux and the web model built from
 noncrossing perfect matchings.  The package constructs both bases,
-computes the transition matrix between them by generator steps from the
-interleaved tableau (resolving crossings with the minor syzygy is kept as
-the reference construction), and verifies exactly -- in integer
+computes the transition matrix between them in canonical order, one
+generator step per row (the crossing rewrite of the columns of each
+tableau is kept as the reference), and verifies exactly -- in integer
 arithmetic, with an independent intertwiner computation as a cross-check
 -- that the matrix is unitriangular with nonnegative integer entries.
 """

@@ -9,8 +9,8 @@ byte-stable for a fixed command line; CSV is available where tabular
 output makes sense.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
-(including an unwritable --out, a cap variable or --oracle-cap that is
-not a nonnegative integer, --dump-poly without JSON, and requests
+(including an unwritable --out or stdout, a cap variable or --oracle-cap
+that is not a nonnegative integer, --dump-poly without JSON, and requests
 above the memory-guard caps, which can be raised via TWOROW_ENUM_CAP /
 TWOROW_MATRIX_CAP / TWOROW_ORACLE_CAP or, for the oracle, --oracle-cap).
 """
@@ -64,18 +64,26 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _write(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
     try:
+        if out_path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+        target = "stdout" if out_path is None else out_path
+        raise _UsageError(f"cannot write {target}: {exc.strerror or exc}") from None
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _oracle_cap(args) -> int:
+    if args.oracle_cap is not None:
+        return args.oracle_cap
+    return _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP)
 
 
 def _guard(n: int, cap: int, what: str) -> None:
@@ -133,24 +141,14 @@ def cmd_matrix(args) -> int:
 def cmd_verify(args) -> int:
     _guard(args.n, _cap("TWOROW_MATRIX_CAP", DEFAULT_MATRIX_CAP), "matrix")
     if args.with_oracle:
-        oracle_cap = (
-            args.oracle_cap
-            if args.oracle_cap is not None
-            else _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP)
-        )
-        _guard(args.n, oracle_cap, "oracle")
+        _guard(args.n, _oracle_cap(args), "oracle")
     report = transition.verify(args.n, with_oracle=args.with_oracle, fault=args.inject_fault)
     _write(_json_text(report.to_json_dict()), args.out)
     return 0 if report.all_passed else 1
 
 
 def cmd_oracle_compare(args) -> int:
-    oracle_cap = (
-        args.oracle_cap
-        if args.oracle_cap is not None
-        else _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP)
-    )
-    _guard(args.n, oracle_cap, "oracle")
+    _guard(args.n, _oracle_cap(args), "oracle")
     computed = transition.transition_matrix(args.n)
     oracle = transition.intertwiner_oracle(args.n)
     agrees = computed == oracle
@@ -162,7 +160,7 @@ def cmd_bench(args) -> int:
     _guard(args.n, _cap("TWOROW_MATRIX_CAP", DEFAULT_MATRIX_CAP), "matrix")
     n = args.n
     t_start = time.perf_counter()
-    transition._transition_matrix.__wrapped__(n)
+    transition.transition_matrix(n)
     matrix_seconds = time.perf_counter() - t_start
     # the crossing rewrite of every row, untimed: it is the reference
     # construction, and its memo gives the rewrite counts
@@ -197,7 +195,7 @@ def cmd_bench(args) -> int:
     oracle_cap = _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP)
     if n <= oracle_cap:
         t_start = time.perf_counter()
-        transition.intertwiner_oracle.__wrapped__(n)
+        transition.intertwiner_oracle(n)
         rows["oracleSeconds"] = round(time.perf_counter() - t_start, 6)
 
     if args.format == "csv":

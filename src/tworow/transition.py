@@ -1,19 +1,18 @@
 """
 The change of basis from standard polytabloids to webs.
 
-The map is equivariant, and the polytabloid of s_i T is s_i times the
-polytabloid of T, so row(s_i T) = s_i . row(T) in the web model.  The
-default build starts from the interleaved tableau, whose row is the
-consecutive-pairs web, and reaches every other standard tableau by such
-generator steps, each computed through an integer table over web
-indices.
+Row T of the matrix is the web expansion of the polytabloid of T, the
+product of the column minors of T.  The map is equivariant, and the
+polytabloid of s_i T is s_i times the polytabloid of T, so
+row(s_i T) = s_i . row(T) in the web model.  ``transition_matrix`` builds
+the rows in canonical order: row 0, of the interleaved tableau, is the
+consecutive-pairs web, and every later row is one generator step, through
+``webs.action_table``, from a row built before it.
 
 The paper's construction is kept as the reference the tests compare
-against: for a standard tableau T, take the permutation sigma sending
-the interleaved tableau to T, push the consecutive-pairs matching
-through sigma (tracking the inversion-pair sign), and resolve the
-crossings of the image (``transition_row``).  Two facts are checked
-rather than assumed:
+against: resolve the crossings of the matching whose pairs are the
+columns of T (``transition_row``).  Two facts are checked rather than
+assumed:
 
 - every entry is a nonnegative integer, and
 - the matrix is lower unitriangular: the webs are enumerated as the
@@ -30,10 +29,8 @@ computations must agree entry for entry.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import compress
 
 from . import specht, webs
@@ -44,8 +41,6 @@ from .combinat import (
     enumerate_syt,
     enumerate_webs,
     interleaved_tableau,
-    permutation_from_tableaux,
-    permute_matching,
 )
 from .linalg import mat_mul, nullspace
 
@@ -92,17 +87,9 @@ class TransitionMatrix:
         return "\n".join(lines) + "\n"
 
 
-def row_sign(t: Tableau) -> int:
-    """The sign picked up when the aligning permutation is pushed through
-    the consecutive-pairs matching.  Nonnegativity of the whole row rests
-    on this being +1; it is computed, never assumed."""
-    sigma = permutation_from_tableaux(interleaved_tableau(t.n), t)
-    sign, _ = permute_matching(sigma, consecutive_matching(t.n))
-    return sign
-
-
 def transition_row(t: Tableau, *, syzygy_signs=(1, 1), memo=None) -> webs.WebVector:
-    """Web coordinates of the image of the standard polytabloid of t.
+    """Web coordinates of the polytabloid of t, the product of its column
+    minors: the crossing rewrite of the matching of the columns of t.
 
     ``memo`` is passed to ``webs.resolve_crossings``, so that rows built
     with the same signs can share one rewrite memo.
@@ -112,81 +99,50 @@ def transition_row(t: Tableau, *, syzygy_signs=(1, 1), memo=None) -> webs.WebVec
     """
     if not t.is_standard:
         raise ValueError("tableau is not standard")
-    sigma = permutation_from_tableaux(interleaved_tableau(t.n), t)
-    sign, moved = permute_matching(sigma, consecutive_matching(t.n))
-    expansion = webs.resolve_crossings(moved, syzygy_signs=syzygy_signs, memo=memo)
-    if sign == 1:
-        return expansion
-    return {m: -c for m, c in expansion.items()}
+    return webs.resolve_crossings(
+        Matching.from_pairs(t.columns()), syzygy_signs=syzygy_signs, memo=memo
+    )
 
 
-def transition_matrix(n: int, *, syzygy_signs=(1, 1)) -> TransitionMatrix:
+def transition_matrix(n: int) -> TransitionMatrix:
     """The full change-of-basis matrix, rows tableaux, columns webs.
 
-    Signs other than (1, 1) build every row by the crossing rewrite
-    (``transition_row``) with those branch signs; this is how ``verify``
-    injects a sign fault.
-    """
-    if syzygy_signs == (1, 1):
-        return _transition_matrix(n)
-    return _build_transition_matrix(n, syzygy_signs)
-
-
-@cache
-def _transition_matrix(n: int) -> TransitionMatrix:
-    """Rows by the generator recurrence row(s_i T) = s_i . row(T).
-
-    A tableau is coded by the bit mask of its second-row letters (bit
-    i - 1 for letter i).  s_i T is standard exactly when i is in row 2 and
-    i + 1 in row 1 of the standard tableau T; every standard tableau is
-    reached this way from the interleaved one.
+    Row T is s_i . row(P) for P = s_i T, where i is the smallest letter in
+    the first row of T whose i + 1 sits in the second row in another
+    column.  P has i + 1 in place of i in its first row, so it comes
+    earlier in canonical order and its row is already built.
     """
     syt = enumerate_syt(n)
     web_list = enumerate_webs(n)
     if syt[0] != interleaved_tableau(n) or web_list[0] != consecutive_matching(n):
         raise RuntimeError("row 0 must be the indicator of web 0: canonical orders moved")
     d = len(web_list)
-    col = {m: k for k, m in enumerate(web_list)}
-    # tables[i][k]: -1 when i ~ i+1 in web k (s_i negates it), otherwise
-    # the index of the web that s_i adds to it
-    tables = [None] + [
-        [-1 if m.of(i) == i + 1 else col[webs._uncross_at(m, i)] for m in web_list]
-        for i in range(1, 2 * n)
-    ]
-    masks = [sum(1 << (b - 1) for b in t.rows[1]) for t in syt]
-    slot = {mask: r for r, mask in enumerate(masks)}
-    rows: list[tuple[int, ...] | None] = [None] * d
-    rows[0] = (1,) + (0,) * (d - 1)
-    queue = deque([masks[0]])
+    tables = [None] + [webs.action_table(i, n) for i in range(1, 2 * n)]
+    slot = {t.rows[0]: r for r, t in enumerate(syt)}
+    rows = [(1,) + (0,) * (d - 1)]
     all_columns = range(d)
-    while queue:
-        mask = queue.popleft()
-        parent = rows[slot[mask]]
-        for i in range(1, 2 * n):
-            if (mask >> (i - 1)) & 3 != 1:  # want i in row 2, i + 1 in row 1
-                continue
-            child_mask = mask ^ (3 << (i - 1))
-            r = slot[child_mask]
-            if rows[r] is not None:
-                continue
-            # s_i keeps each w_k and adds w_target, or turns w_k into -w_k
-            table = tables[i]
-            row = list(parent)
-            for k in compress(all_columns, parent):
-                target = table[k]
-                if target < 0:
-                    row[k] -= 2 * parent[k]
-                else:
-                    row[target] += parent[k]
-            rows[r] = tuple(row)
-            queue.append(child_mask)
-    if None in rows:
-        raise RuntimeError(f"generator recurrence reached {d - rows.count(None)} of {d} rows")
+    for t in syt[1:]:
+        first, second = t.rows
+        j, i = next(
+            (j, a) for j, a in enumerate(first) if a + 1 in second and second[j] != a + 1
+        )
+        parent = rows[slot[first[:j] + (i + 1,) + first[j + 1 :]]]
+        # s_i keeps each w_k and adds w_target, or turns w_k into -w_k
+        table = tables[i]
+        row = list(parent)
+        for k in compress(all_columns, parent):
+            target = table[k]
+            if target < 0:
+                row[k] -= 2 * parent[k]
+            else:
+                row[target] += parent[k]
+        rows.append(tuple(row))
     return TransitionMatrix(n, syt, web_list, tuple(rows))
 
 
 def _build_transition_matrix(n: int, syzygy_signs) -> TransitionMatrix:
-    """Every row by the crossing rewrite: the reference construction."""
+    """Every row by the crossing rewrite with the given branch signs: the
+    reference construction, and with (1, -1) the injected sign fault."""
     syt = enumerate_syt(n)
     web_list = enumerate_webs(n)
     col = {m: k for k, m in enumerate(web_list)}
@@ -244,7 +200,6 @@ def check_unitriangular(tm: TransitionMatrix) -> bool:
     return check_diagonal_ones(tm)[0] and check_support_acyclic(tm)[0]
 
 
-@cache
 def intertwiner_oracle(n: int) -> TransitionMatrix:
     """Recompute the transition matrix from the equivariance equations
     alone: stack X A_i - B_i X = 0 over all generators, take the
@@ -351,7 +306,7 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> Verif
     if fault is None:
         tm = transition_matrix(n)
     elif fault == "syzygy-sign-flip":
-        tm = transition_matrix(n, syzygy_signs=(1, -1))
+        tm = _build_transition_matrix(n, (1, -1))
     elif fault == "negative-entry":
         good = transition_matrix(n)
         entries = [list(row) for row in good.entries]

@@ -7,7 +7,8 @@ The adjacent transposition s_i acts on a basis matching M by
     s_i . w_M = -w_M                if i ~ i+1 in M,
     s_i . w_M = w_M + w_M'          otherwise,
 
-where M' replaces the pairs a ~ i and b ~ i+1 with a ~ b and i ~ i+1.
+where M' replaces the pairs a ~ i and b ~ i+1 with a ~ b and i ~ i+1;
+``action_table`` codes this as one web index per basis matching.
 
 An arbitrary (crossing) perfect matching is not a basis element, but the
 product of its column minors expands into the basis by repeatedly
@@ -55,19 +56,19 @@ def generator_action(i: int, vec: WebVector) -> WebVector:
             add(m, -coeff)
         else:
             add(m, coeff)
-            add(_uncross_at(m, i), coeff)
+            add(Matching(_uncross_at(m, i)), coeff)
     return out
 
 
-def _uncross_at(m: Matching, i: int) -> Matching:
-    """The matching M' of the action's second branch: repartner the mates
-    of i and i+1 with each other and pair i with i+1."""
+def _uncross_at(m: Matching, i: int) -> Partner:
+    """The partner tuple of the matching M' of the action's second branch:
+    repartner the mates of i and i+1 with each other and pair i with i+1."""
     a, b = m.of(i), m.of(i + 1)
     partner = list(m.partner)
     partner[a - 1], partner[b - 1] = b, a
     partner[i - 1], partner[i] = i + 1, i
-    out = Matching(tuple(partner))
-    if _first_crossing(out.partner) is not None and _first_crossing(m.partner) is None:
+    out = tuple(partner)
+    if _first_crossing(out) is not None and _first_crossing(m.partner) is None:
         raise RuntimeError(f"s_{i} took the noncrossing {m.partner} to a crossing matching")
     return out
 
@@ -173,12 +174,28 @@ def resolve_crossings(
     return {Matching(key): coeff for key, coeff in memo[root].items()}
 
 
+def action_table(i: int, n: int) -> tuple[int, ...]:
+    """s_i on the web basis as one integer per web: entry k is -1 when
+    s_i negates w_k (i ~ i+1 in it), and otherwise the index of the web
+    w' in s_i . w_k = w_k + w', both in canonical order.
+
+    >>> action_table(1, 2) == (-1, 0)
+    True
+    """
+    if not 1 <= i <= 2 * n - 1:
+        raise ValueError(f"generator index {i} out of range 1..{2 * n - 1}")
+    web_list = enumerate_webs(n)
+    index = {w.partner: k for k, w in enumerate(web_list)}
+    return tuple(-1 if w.of(i) == i + 1 else index[_uncross_at(w, i)] for w in web_list)
+
+
 def action_matrix(i: int, n: int) -> list[list[int]]:
     """Matrix of s_i on the web model in the web basis; entries -1, 0, 1."""
-    webs = enumerate_webs(n)
-    index = {w: k for k, w in enumerate(webs)}
-    matrix = [[0] * len(webs) for _ in webs]
-    for col, w in enumerate(webs):
-        for key, coeff in generator_action(i, {w: 1}).items():
-            matrix[index[key]][col] = coeff
+    table = action_table(i, n)
+    matrix = [[0] * len(table) for _ in table]
+    for k, target in enumerate(table):
+        if target < 0:
+            matrix[k][k] = -1
+        else:
+            matrix[k][k] = matrix[target][k] = 1
     return matrix

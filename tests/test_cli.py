@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -174,6 +175,15 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--n", "5")
         assert code == 0
 
+    def test_oracle_cap_from_env_and_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("TWOROW_ORACLE_CAP", "3")
+        code, _, err = run(capsys, "verify", "--n", "4", "--with-oracle")
+        assert code == 2 and "oracle cap of 3" in err
+        # the flag takes precedence over the variable
+        code, out, _ = run(capsys, "verify", "--n", "4", "--with-oracle", "--oracle-cap", "4")
+        assert code == 0
+        assert json.loads(out)["oracleAgrees"] is True
+
 
 class TestOracleCompare:
     def test_n2_agrees(self, capsys):
@@ -216,7 +226,7 @@ class TestBench:
 
     def test_times_the_default_build(self, capsys, monkeypatch):
         built = []
-        monkeypatch.setattr(transition._transition_matrix, "__wrapped__", built.append)
+        monkeypatch.setattr(transition, "transition_matrix", built.append)
         code, _, _ = run(capsys, "bench", "--n", "3")
         assert code == 0
         assert built == [3]
@@ -256,6 +266,19 @@ class TestUsageErrors:
         assert code == 2
         assert f"tworow: cannot write {path}" in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_stdout(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tworow", "verify", "--n", "3"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("tworow: cannot write stdout")
+        assert "Traceback" not in proc.stderr
+
     def test_non_integer_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("TWOROW_MATRIX_CAP", "seven")
         code, _, err = run(capsys, "matrix", "--n", "2")
@@ -276,27 +299,35 @@ class TestUsageErrors:
         assert "--oracle-cap" in capsys.readouterr().err
 
 
-# sha256 of stdout for fixed command lines; any byte change in the
-# enumeration, the matrix, the polynomial rendering or the verify report
-# shows here
+# exit code and sha256 of stdout for fixed command lines; any byte change
+# in the enumeration, the matrix, the polynomial rendering, the CSV writer,
+# the verify report or the sign-fault path shows here
 PINNED_OUTPUTS = {
-    ("matrix", "--n", "5"): "4039813e75aed1cfd935ea6c1a5e2d79fb24fb9346333133fcef52dd01d2f206",
+    ("matrix", "--n", "5"): (
+        0, "4039813e75aed1cfd935ea6c1a5e2d79fb24fb9346333133fcef52dd01d2f206"
+    ),
+    ("matrix", "--n", "5", "--format", "csv"): (
+        0, "c4deedba9120af90c54c7659e6d5a4b77537cacd2fb451616b19dd9ac47cf58c"
+    ),
     ("enumerate", "--n", "4", "--dump-poly"): (
-        "cc0bb88ae66ba2f2664ac2a23d226fa62e3aa14935804d08665325e72b2b4b22"
+        0, "cc0bb88ae66ba2f2664ac2a23d226fa62e3aa14935804d08665325e72b2b4b22"
     ),
     ("enumerate", "--n", "4", "--format", "csv"): (
-        "40283e1718a7b9061e0322ba5a9b87069caf41eda835a9a2080ccc4aef3d809f"
+        0, "40283e1718a7b9061e0322ba5a9b87069caf41eda835a9a2080ccc4aef3d809f"
     ),
     ("verify", "--n", "4", "--with-oracle"): (
-        "9b252b8490241e1b7eaa8754ccf9c7ab688e08c78c81c5b9161b068367aa0f1f"
+        0, "9b252b8490241e1b7eaa8754ccf9c7ab688e08c78c81c5b9161b068367aa0f1f"
+    ),
+    ("verify", "--n", "3", "--inject-fault", "syzygy-sign-flip"): (
+        1, "c113ca4ba1e54b7e6e6687636de1bd50b1378349b4a68c46be24369848b49a79"
     ),
 }
 
 
 def test_outputs_match_pinned_digests(capsys):
-    for argv, digest in PINNED_OUTPUTS.items():
+    for argv, (exit_code, digest) in PINNED_OUTPUTS.items():
         code, out, _ = run(capsys, *argv)
-        assert code == 0, argv
+        assert code == exit_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from tworow.combinat import (
 )
 from tworow.linalg import mat_mul
 from tworow import specht, transition, webs
+from tworow.minors import web_vector
 from tworow.transition import (
     TransitionMatrix,
     _build_transition_matrix,
@@ -22,7 +25,6 @@ from tworow.transition import (
     check_unitriangular,
     intertwiner_oracle,
     realized_map_equivariant,
-    row_sign,
     transition_matrix,
     transition_row,
     verify,
@@ -58,9 +60,12 @@ class TestTransitionRow:
             assert all(c > 0 for c in row.values())
             assert row[tableau_to_web(t)] == 1
 
-    def test_signs_all_positive(self):
+    def test_column_matching_is_polytabloid(self):
+        # the product of the column minors of T is the polytabloid of T,
+        # so the reference row needs no aligning permutation and no sign
         for n in range(1, 7):
-            assert all(row_sign(t) == 1 for t in enumerate_syt(n))
+            for t in enumerate_syt(n):
+                assert web_vector(Matching.from_pairs(t.columns())) == specht.polytabloid(t)
 
     def test_rejects_nonstandard(self):
         with pytest.raises(ValueError):
@@ -103,7 +108,7 @@ class TestGeneratorRecurrence:
         reference = _build_transition_matrix(5, (1, 1))
         calls = []
         monkeypatch.setattr(webs, "resolve_crossings", lambda *a, **k: calls.append(a))
-        assert transition._transition_matrix.__wrapped__(5) == reference
+        assert transition_matrix(5) == reference
         assert calls == []
 
     def test_reference_build_shares_one_memo(self, monkeypatch):
@@ -136,7 +141,30 @@ class TestGeneratorRecurrence:
         syt = enumerate_syt(3)
         monkeypatch.setattr(transition, "enumerate_syt", lambda n: syt[::-1])
         with pytest.raises(RuntimeError, match="row 0"):
-            transition._transition_matrix.__wrapped__(3)
+            transition_matrix(3)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_row_has_an_earlier_parent(self, n):
+        syt = enumerate_syt(n)
+        slot = {t: r for r, t in enumerate(syt)}
+        for r, t in enumerate(syt):
+            first, second = t.rows
+            letters = [a for j, a in enumerate(first) if a + 1 in second and second[j] != a + 1]
+            assert bool(letters) == (r > 0)  # only the interleaved tableau has none
+            if r == 0:
+                continue
+            i = min(letters)
+            swap = {i: i + 1, i + 1: i}
+            parent = Tableau(tuple(tuple(swap.get(x, x) for x in row) for row in t.rows))
+            assert parent.is_standard
+            assert slot[parent] < r
+
+    def test_results_are_not_cached(self):
+        built = weakref.ref(transition_matrix(6))
+        oracle = weakref.ref(intertwiner_oracle(3))
+        gc.collect()
+        assert built() is None
+        assert oracle() is None
 
 
 class TestChecks:
