@@ -6,7 +6,10 @@ pairing), ``matrix`` (the transition matrix), ``verify`` (checks plus
 exit code), ``oracle-compare`` (rewrite vs. intertwiner), ``bench``
 (timings and rewrite counts).  JSON is the canonical output format and is
 byte-stable for a fixed command line; CSV is available where tabular
-output makes sense.
+output makes sense.  Every output is streamed: ``_json_chunks`` yields the
+text of ``json.dumps(doc, indent=2)`` piece by piece (a list of ints, such
+as one matrix row, is one piece) and ``_write`` writes each piece as it
+comes, so no document is ever held whole in memory.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including an unwritable --out or stdout, a cap variable or --oracle-cap
@@ -23,6 +26,7 @@ import os
 import random
 import sys
 import time
+from collections.abc import Iterable, Iterator
 
 from . import minors, transition, webs
 from .combinat import Matching, catalan, enumerate_syt, enumerate_webs
@@ -63,21 +67,92 @@ def _nonnegative_int(text: str) -> int:
     return k
 
 
-def _write(text: str, out_path: str | None) -> None:
+def _write(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the pieces to ``out_path``, or to stdout when it is None.  An
+    OSError, also one after part of the output is out, is a usage error."""
     try:
         if out_path is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
             return
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
+        if out_path is None:
+            _discard_stdout()
         target = "stdout" if out_path is None else out_path
         raise _UsageError(f"cannot write {target}: {exc.strerror or exc}") from None
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device.  What stdout still
+    buffers would otherwise fail again when the interpreter flushes it at
+    exit, which prints an ignored exception and exits 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a descriptor: nothing is flushed at exit
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def _json_chunks(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2) + "\\n"``, in pieces.
+
+    >>> "".join(_json_chunks({"a": [1, 2], "b": []}))
+    '{\\n  "a": [\\n    1,\\n    2\\n  ],\\n  "b": []\\n}\\n'
+    """
+    text = _json_leaf(obj, "")
+    if text is None:
+        yield from _json_pieces(obj, "")
+    else:
+        yield text
+    yield "\n"
+
+
+def _json_pieces(obj, pad: str) -> Iterator[str]:
+    """A dict, list or tuple that is not a leaf, at indentation ``pad``:
+    one piece per leaf item, and the pieces of every other item."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        start, end = "{", "}"
+        items = ((_json_key(key), value) for key, value in obj.items())
+    else:
+        start, end = "[", "]"
+        items = (("", value) for value in obj)
+    sep = start + "\n" + inner
+    for label, value in items:
+        text = _json_leaf(value, inner)
+        if text is None:
+            yield sep + label
+            yield from _json_pieces(value, inner)
+        else:
+            yield sep + label + text
+        sep = ",\n" + inner
+    yield "\n" + pad + end
+
+
+def _json_leaf(obj, pad: str) -> str | None:
+    """The text of a scalar, an empty container or a list of exact ints
+    (not bools), at indentation ``pad``; None for any other container."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    if isinstance(obj, dict) or set(map(type, obj)) != {int}:
+        return None
+    # a matrix row repeats a few values: str each of them once
+    text = {x: str(x) for x in set(obj)}
+    sep = ",\n" + pad + "  "
+    return f"[\n{pad}  {sep.join(map(text.__getitem__, obj))}\n{pad}]"
+
+
+def _json_key(key) -> str:
+    # json.dumps would turn an int, float, bool or None key into a string
+    if not isinstance(key, str):
+        raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+    return json.dumps(key) + ": "
 
 
 def _oracle_cap(args) -> int:
@@ -104,14 +179,7 @@ def cmd_enumerate(args) -> int:
     # web k is the opener/closer image of tableau k
     pairing = list(range(len(tableaux)))
     if args.format == "csv":
-        lines = ["kind,index,label"]
-        for k, t in enumerate(tableaux):
-            lines.append(f"tableau,{k},{'|'.join(' '.join(map(str, r)) for r in t.rows)}")
-        for k, w in enumerate(web_list):
-            lines.append(f"web,{k},{' '.join(map(str, w.partner))}")
-        for k, p in enumerate(pairing):
-            lines.append(f"pair,{k},{p}")
-        _write("\n".join(lines) + "\n", args.out)
+        _write(_enumerate_csv_lines(tableaux, web_list, pairing), args.out)
         return 0
     doc = {
         "n": n,
@@ -124,17 +192,27 @@ def cmd_enumerate(args) -> int:
         doc["webPolynomials"] = [
             minors.serialize_polynomial(minors.web_vector(w)) for w in web_list
         ]
-    _write(_json_text(doc), args.out)
+    _write(_json_chunks(doc), args.out)
     return 0
+
+
+def _enumerate_csv_lines(tableaux, web_list, pairing) -> Iterator[str]:
+    yield "kind,index,label\n"
+    for k, t in enumerate(tableaux):
+        yield f"tableau,{k},{'|'.join(' '.join(map(str, r)) for r in t.rows)}\n"
+    for k, w in enumerate(web_list):
+        yield f"web,{k},{' '.join(map(str, w.partner))}\n"
+    for k, p in enumerate(pairing):
+        yield f"pair,{k},{p}\n"
 
 
 def cmd_matrix(args) -> int:
     _guard(args.n, _cap("TWOROW_MATRIX_CAP", DEFAULT_MATRIX_CAP), "matrix")
     tm = transition.transition_matrix(args.n)
     if args.format == "csv":
-        _write(tm.to_csv(), args.out)
+        _write(tm.csv_lines(), args.out)
     else:
-        _write(_json_text(tm.to_json_dict()), args.out)
+        _write(_json_chunks(tm.to_json_dict()), args.out)
     return 0
 
 
@@ -143,7 +221,7 @@ def cmd_verify(args) -> int:
     if args.with_oracle:
         _guard(args.n, _oracle_cap(args), "oracle")
     report = transition.verify(args.n, with_oracle=args.with_oracle, fault=args.inject_fault)
-    _write(_json_text(report.to_json_dict()), args.out)
+    _write(_json_chunks(report.to_json_dict()), args.out)
     return 0 if report.all_passed else 1
 
 
@@ -152,7 +230,7 @@ def cmd_oracle_compare(args) -> int:
     computed = transition.transition_matrix(args.n)
     oracle = transition.intertwiner_oracle(args.n)
     agrees = computed == oracle
-    _write(_json_text({"n": args.n, "agrees": agrees}), args.out)
+    _write(_json_chunks({"n": args.n, "agrees": agrees}), args.out)
     return 0 if agrees else 1
 
 
@@ -199,10 +277,9 @@ def cmd_bench(args) -> int:
         rows["oracleSeconds"] = round(time.perf_counter() - t_start, 6)
 
     if args.format == "csv":
-        lines = ["metric,value"] + [f"{k},{v}" for k, v in rows.items()]
-        _write("\n".join(lines) + "\n", args.out)
+        _write(["metric,value\n"] + [f"{k},{v}\n" for k, v in rows.items()], args.out)
     else:
-        _write(_json_text(rows), args.out)
+        _write(_json_chunks(rows), args.out)
     return 0
 
 

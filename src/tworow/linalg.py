@@ -37,12 +37,11 @@ def transpose(a: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
 
 
 def _integer_row(row: Sequence[Scalar]) -> list[int]:
-    """Scale a row by the lcm of its denominators, then divide out the gcd."""
-    denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    ints = [int(x * denom) if isinstance(x, Fraction) else x * denom for x in row]
+    """Scale a row by the lcm of its denominators, then divide out the gcd.
+    An int is its own numerator over 1, so ints and Fractions need no
+    separate cases."""
+    denom = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (denom // x.denominator) for x in row]
     g = 0
     for x in ints:
         g = math.gcd(g, x)

@@ -29,6 +29,7 @@ computations must agree entry for entry.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -59,11 +60,13 @@ class TransitionMatrix:
         return self.entries[self.row_labels.index(t)][self.col_labels.index(m)]
 
     def to_json_dict(self) -> dict:
+        """The JSON document; "entries" is ``self.entries`` itself, not a
+        copy, so a streamed write of it holds no second matrix."""
         return {
             "n": self.n,
             "rowLabels": [t.to_lists() for t in self.row_labels],
             "colLabels": [list(m.partner) for m in self.col_labels],
-            "entries": [list(row) for row in self.entries],
+            "entries": self.entries,
         }
 
     @classmethod
@@ -75,16 +78,16 @@ class TransitionMatrix:
             entries=tuple(tuple(row) for row in d["entries"]),
         )
 
-    def to_csv(self) -> str:
-        """Label header row and column, entries as plain integers."""
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV text line by line: label header row and column, entries
+        as plain integers."""
         header = ["tableau\\web"] + [
             " ".join(map(str, m.partner)) for m in self.col_labels
         ]
-        lines = [",".join(header)]
+        yield ",".join(header) + "\n"
         for t, row in zip(self.row_labels, self.entries):
             label = "|".join(" ".join(map(str, r)) for r in t.rows)
-            lines.append(",".join([label] + [str(e) for e in row]))
-        return "\n".join(lines) + "\n"
+            yield ",".join([label] + [str(e) for e in row]) + "\n"
 
 
 def transition_row(t: Tableau, *, syzygy_signs=(1, 1), memo=None) -> webs.WebVector:

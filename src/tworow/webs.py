@@ -55,22 +55,23 @@ def generator_action(i: int, vec: WebVector) -> WebVector:
         if m.of(i) == i + 1:
             add(m, -coeff)
         else:
+            image = _uncross_at(m, i)
+            if _first_crossing(image) is not None and _first_crossing(m.partner) is None:
+                raise RuntimeError(f"s_{i} took the noncrossing {m.partner} to a crossing matching")
             add(m, coeff)
-            add(Matching(_uncross_at(m, i)), coeff)
+            add(Matching(image), coeff)
     return out
 
 
 def _uncross_at(m: Matching, i: int) -> Partner:
     """The partner tuple of the matching M' of the action's second branch:
-    repartner the mates of i and i+1 with each other and pair i with i+1."""
+    repartner the mates of i and i+1 with each other and pair i with i+1.
+    Whether M' is noncrossing is left to the caller."""
     a, b = m.of(i), m.of(i + 1)
     partner = list(m.partner)
     partner[a - 1], partner[b - 1] = b, a
     partner[i - 1], partner[i] = i + 1, i
-    out = tuple(partner)
-    if _first_crossing(out) is not None and _first_crossing(m.partner) is None:
-        raise RuntimeError(f"s_{i} took the noncrossing {m.partner} to a crossing matching")
-    return out
+    return tuple(partner)
 
 
 def _first_crossing(p: Partner) -> tuple[int, int, int, int] | None:
@@ -186,7 +187,18 @@ def action_table(i: int, n: int) -> tuple[int, ...]:
         raise ValueError(f"generator index {i} out of range 1..{2 * n - 1}")
     web_list = enumerate_webs(n)
     index = {w.partner: k for k, w in enumerate(web_list)}
-    return tuple(-1 if w.of(i) == i + 1 else index[_uncross_at(w, i)] for w in web_list)
+    table = []
+    for w in web_list:
+        if w.of(i) == i + 1:
+            table.append(-1)
+            continue
+        # the index holds every noncrossing matching, so a miss is a
+        # crossing image: no scan for one is needed
+        k = index.get(_uncross_at(w, i))
+        if k is None:
+            raise RuntimeError(f"s_{i} took the noncrossing {w.partner} to a crossing matching")
+        table.append(k)
+    return tuple(table)
 
 
 def action_matrix(i: int, n: int) -> list[list[int]]:

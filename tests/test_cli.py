@@ -1,13 +1,17 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tworow import transition
-from tworow.cli import main
+from tworow.cli import _json_chunks, main
 from tworow.combinat import Matching, Tableau, catalan
 from tworow.minors import web_vector
 from tworow.transition import TransitionMatrix, transition_matrix
@@ -17,6 +21,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# a buffered stdout, as in a normal run: an unbuffered one hides the bytes
+# left in the buffer after a failed write
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
 class TestEnumerate:
@@ -274,10 +283,41 @@ class TestUsageErrors:
                 stdout=full,
                 stderr=subprocess.PIPE,
                 text=True,
+                env=BUFFERED_ENV,
             )
         assert proc.returncode == 2
         assert proc.stderr.startswith("tworow: cannot write stdout")
         assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+    def test_stdout_closed_midway(self):
+        # the document is about 160 kB, more than a pipe holds, so the
+        # writer is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tworow", "matrix", "--n", "6"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=BUFFERED_ENV,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err.splitlines() == ["tworow: cannot write stdout: Broken pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_full_midway(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tworow", "matrix", "--n", "6", "--out", "/dev/full"],
+            capture_output=True,
+            text=True,
+            env=BUFFERED_ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "tworow: cannot write /dev/full: No space left on device"
+        ]
 
     def test_non_integer_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("TWOROW_MATRIX_CAP", "seven")
@@ -321,6 +361,15 @@ PINNED_OUTPUTS = {
     ("verify", "--n", "3", "--inject-fault", "syzygy-sign-flip"): (
         1, "c113ca4ba1e54b7e6e6687636de1bd50b1378349b4a68c46be24369848b49a79"
     ),
+    ("matrix", "--n", "6"): (
+        0, "9c2dd696b9fb8f14d50a9afcea0cc420a10ec187c2617d70e7bd9e4d2c8bd37f"
+    ),
+    ("matrix", "--n", "6", "--format", "csv"): (
+        0, "cd94bc4f42b585b3ba620d156e301dcbb6622ee81302919d7d25e494f5637059"
+    ),
+    ("oracle-compare", "--n", "3"): (
+        0, "8356ba256f8afc4c5dfc465f53262bd0069b966e9341740022a6d5ee8e48f7a9"
+    ),
 }
 
 
@@ -329,6 +378,58 @@ def test_outputs_match_pinned_digests(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == exit_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.text()
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.integers() | st.booleans())
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @given(JSON_DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2) + "\n"
+
+    def test_non_str_key_refused(self):
+        with pytest.raises(TypeError, match="keys must be str"):
+            "".join(_json_chunks({"n": {1: 2}}))
+
+    def test_matrix_is_written_a_row_at_a_time(self, monkeypatch):
+        class Sink(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.sizes = []
+
+            def write(self, text):
+                self.sizes.append(len(text))
+                return super().write(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["matrix", "--n", "6"]) == 0
+        rows = transition_matrix(6).entries
+        # a row's text in the document: the ",\n" before it, then the row
+        # indented to its depth under "entries"
+        row_text = max(
+            len(",\n" + textwrap.indent(json.dumps(row, indent=2), "    ")) for row in rows
+        )
+        assert len(sink.sizes) > len(rows)
+        assert max(sink.sizes) <= row_text
+        digest = PINNED_OUTPUTS[("matrix", "--n", "6")][1]
+        assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == digest
 
 
 def test_module_entry_point():

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import tworow.cli
 import tworow.combinat
 import tworow.linalg
 import tworow.minors
@@ -15,6 +16,7 @@ import tworow.webs
 @pytest.mark.parametrize(
     "module",
     [
+        tworow.cli,
         tworow.combinat,
         tworow.linalg,
         tworow.minors,

@@ -308,7 +308,7 @@ class TestSerialization:
         assert TransitionMatrix.from_json_dict(doc) == tm
 
     def test_csv_shape(self):
-        text = transition_matrix(2).to_csv()
+        text = "".join(transition_matrix(2).csv_lines())
         lines = text.strip().split("\n")
         assert lines[0].startswith("tableau\\web,")
         assert lines[1].split(",")[0] == "1 3|2 4"

@@ -18,9 +18,11 @@ from tworow.combinat import (
     cycle_type_representative,
 )
 from tworow.linalg import identity_matrix, mat_mul
+from tworow import webs
 from tworow.webs import (
     _first_crossing,
     action_matrix,
+    action_table,
     generator_action,
     resolve_crossings,
 )
@@ -146,6 +148,13 @@ class TestTupleRewrite:
 class TestActionMatrix:
     def test_n1_sign(self):
         assert action_matrix(1, 1) == [[-1]]
+
+    def test_image_missing_from_the_webs_raises(self, monkeypatch):
+        # s_1 takes 1~4, 2~3 to the consecutive web, dropped here
+        webs_without_first = enumerate_webs(2)[1:]
+        monkeypatch.setattr(webs, "enumerate_webs", lambda n: webs_without_first)
+        with pytest.raises(RuntimeError, match="to a crossing matching"):
+            action_table(1, 2)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_entries_small_and_involutive(self, n):
