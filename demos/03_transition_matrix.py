@@ -18,15 +18,16 @@ agree entry for entry.
 """
 
 from tworow import transition_matrix
-from tworow.transition import check_nonnegative, check_unitriangular
+from tworow.transition import check_diagonal_ones, check_nonnegative, check_support_acyclic
 
 for n in (2, 3, 4):
     tm = transition_matrix(n)
     print(f"\nn={n}  ({len(tm.entries)} x {len(tm.entries)})")
     for t, row in zip(tm.row_labels, tm.entries):
         print(f"  {t.rows[0]} | {' '.join(f'{e:2d}' for e in row)}")
-    print("  nonnegative:", check_nonnegative(tm)[0],
-          " unitriangular:", check_unitriangular(tm))
+    # unit diagonal and nothing above it: lower unitriangular
+    unitriangular = check_diagonal_ones(tm)[0] and check_support_acyclic(tm)[0]
+    print("  nonnegative:", check_nonnegative(tm)[0], " unitriangular:", unitriangular)
 
 # Larger sizes stay exact: the 132 x 132 matrix at n=6.
 tm6 = transition_matrix(6)

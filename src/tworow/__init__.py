@@ -21,7 +21,6 @@ from .combinat import (
     enumerate_syt,
     enumerate_webs,
     interleaved_tableau,
-    permutation_from_tableaux,
     permute_matching,
     tableau_to_web,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "enumerate_webs",
     "interleaved_tableau",
     "intertwiner_oracle",
-    "permutation_from_tableaux",
     "permute_matching",
     "tableau_to_web",
     "transition_matrix",

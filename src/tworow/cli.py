@@ -27,9 +27,10 @@ import random
 import sys
 import time
 from collections.abc import Iterable, Iterator
+from types import GeneratorType
 
 from . import minors, transition, webs
-from .combinat import Matching, catalan, enumerate_syt, enumerate_webs
+from .combinat import Matching, catalan, enumerate_syt, enumerate_webs, first_crossing
 
 DEFAULT_ENUM_CAP = 10
 DEFAULT_MATRIX_CAP = 6
@@ -98,7 +99,8 @@ def _discard_stdout() -> None:
 
 
 def _json_chunks(obj) -> Iterator[str]:
-    """The text of ``json.dumps(obj, indent=2) + "\\n"``, in pieces.
+    """The text of ``json.dumps(obj, indent=2) + "\\n"``, in pieces, where
+    a generator stands for a list of the items it yields.
 
     >>> "".join(_json_chunks({"a": [1, 2], "b": []}))
     '{\\n  "a": [\\n    1,\\n    2\\n  ],\\n  "b": []\\n}\\n'
@@ -112,8 +114,9 @@ def _json_chunks(obj) -> Iterator[str]:
 
 
 def _json_pieces(obj, pad: str) -> Iterator[str]:
-    """A dict, list or tuple that is not a leaf, at indentation ``pad``:
-    one piece per leaf item, and the pieces of every other item."""
+    """A dict, list, tuple or generator that is not a leaf, at indentation
+    ``pad``: one piece per leaf item, and the pieces of every other item.
+    A generator is an array whose items are made as they are written."""
     inner = pad + "  "
     if isinstance(obj, dict):
         start, end = "{", "}"
@@ -121,7 +124,7 @@ def _json_pieces(obj, pad: str) -> Iterator[str]:
     else:
         start, end = "[", "]"
         items = (("", value) for value in obj)
-    sep = start + "\n" + inner
+    opening = sep = start + "\n" + inner
     for label, value in items:
         text = _json_leaf(value, inner)
         if text is None:
@@ -130,14 +133,16 @@ def _json_pieces(obj, pad: str) -> Iterator[str]:
         else:
             yield sep + label + text
         sep = ",\n" + inner
-    yield "\n" + pad + end
+    # only a generator can be empty here; the leaf case takes the others
+    yield start + end if sep is opening else "\n" + pad + end
 
 
 def _json_leaf(obj, pad: str) -> str | None:
     """The text of a scalar, an empty container or a list of exact ints
-    (not bools), at indentation ``pad``; None for any other container."""
+    (not bools), at indentation ``pad``; None for any other container and
+    for a generator."""
     if not isinstance(obj, (dict, list, tuple)):
-        return json.dumps(obj)
+        return None if isinstance(obj, GeneratorType) else json.dumps(obj)
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     if isinstance(obj, dict) or set(map(type, obj)) != {int}:
@@ -189,9 +194,10 @@ def cmd_enumerate(args) -> int:
         "pairing": pairing,
     }
     if args.dump_poly:
-        doc["webPolynomials"] = [
+        # a generator: each web's term list is built as it is written
+        doc["webPolynomials"] = (
             minors.serialize_polynomial(minors.web_vector(w)) for w in web_list
-        ]
+        )
     _write(_json_chunks(doc), args.out)
     return 0
 
@@ -238,17 +244,22 @@ def cmd_bench(args) -> int:
     _guard(args.n, _cap("TWOROW_MATRIX_CAP", DEFAULT_MATRIX_CAP), "matrix")
     n = args.n
     t_start = time.perf_counter()
-    transition.transition_matrix(n)
+    tm = transition.transition_matrix(n)
     matrix_seconds = time.perf_counter() - t_start
+    t_start = time.perf_counter()
+    _write(_json_chunks(tm.to_json_dict()), os.devnull)
+    write_seconds = time.perf_counter() - t_start
+    del tm
     # the crossing rewrite of every row, untimed: it is the reference
     # construction, and its memo gives the rewrite counts
     memo: dict = {}
     for t in enumerate_syt(n):
         transition.transition_row(t, memo=memo)
-    rewrites = sum(1 for p in memo if webs._first_crossing(p) is not None)
+    rewrites = sum(1 for p in memo if first_crossing(p) is not None)
     rows = {
         "n": n,
         "matrixSeconds": round(matrix_seconds, 6),
+        "writeSeconds": round(write_seconds, 6),
         "matchingsResolved": len(memo),
         "syzygyRewrites": rewrites,
     }
@@ -260,15 +271,11 @@ def cmd_bench(args) -> int:
     for _ in range(args.samples):
         rng.shuffle(letters)
         pairs = [(letters[2 * i], letters[2 * i + 1]) for i in range(n)]
-        m = Matching.from_pairs(
-            [(min(p), max(p)) for p in pairs], size=2 * n
-        )
+        m = Matching.from_pairs([(min(p), max(p)) for p in pairs])
         webs.resolve_crossings(m, memo=sample_memo)
     rows["sampleSeconds"] = round(time.perf_counter() - t_start, 6)
     rows["sampleCount"] = args.samples
-    rows["sampleRewrites"] = sum(
-        1 for p in sample_memo if webs._first_crossing(p) is not None
-    )
+    rows["sampleRewrites"] = sum(1 for p in sample_memo if first_crossing(p) is not None)
 
     oracle_cap = _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP)
     if n <= oracle_cap:

@@ -99,9 +99,6 @@ class Permutation:
                 images[letter - 1] = cycle[(pos + 1) % len(cycle)]
         return cls(tuple(images))
 
-    def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self.images))
-
     def sign(self) -> int:
         inversions = sum(
             1
@@ -223,14 +220,12 @@ class Matching:
 
     @property
     def is_noncrossing(self) -> bool:
-        return not crossing_pairs(self)
+        return first_crossing(self.partner) is None
 
     @classmethod
-    def from_pairs(cls, pairs, size: int | None = None) -> "Matching":
+    def from_pairs(cls, pairs) -> "Matching":
         pairs = list(pairs)
-        if size is None:
-            size = 2 * len(pairs)
-        partner = [0] * size
+        partner = [0] * (2 * len(pairs))
         for a, b in pairs:
             partner[a - 1], partner[b - 1] = b, a
         return cls(tuple(partner))
@@ -251,6 +246,23 @@ def crossing_pairs(m: Matching) -> list[tuple[int, int, int, int]]:
         if a < b < c < d:
             quads.append((a, b, c, d))
     return sorted(quads)
+
+
+def first_crossing(partner: tuple[int, ...]) -> tuple[int, int, int, int] | None:
+    """The lexicographically smallest quadruple a < b < c < d with a ~ c
+    and b ~ d in a partner array, or None when it is noncrossing; the
+    same as ``crossing_pairs(Matching(partner))[0]``, found by a direct
+    scan that stops at the first crossing.
+
+    >>> first_crossing((3, 4, 1, 2)), first_crossing((2, 1, 4, 3))
+    ((1, 2, 3, 4), None)
+    """
+    for a, c in enumerate(partner, 1):
+        for b in range(a + 1, c):
+            d = partner[b - 1]
+            if d > c:
+                return a, b, c, d
+    return None
 
 
 def interleaved_tableau(n: int) -> Tableau:
@@ -315,7 +327,7 @@ def enumerate_perfect_matchings(n: int):
                 yield [(first, mate)] + tail
 
     for ps in rec(tuple(range(1, 2 * n + 1))):
-        yield Matching.from_pairs(ps, size=2 * n)
+        yield Matching.from_pairs(ps)
 
 
 def tableau_to_web(t: Tableau) -> Matching:
@@ -336,7 +348,7 @@ def tableau_to_web(t: Tableau) -> Matching:
             stack.append(letter)
         else:
             pairs.append((stack.pop(), letter))
-    m = Matching.from_pairs(pairs, size=2 * t.n)
+    m = Matching.from_pairs(pairs)
     if not m.is_noncrossing:
         raise RuntimeError(f"opener/closer bijection gave the crossing {m.partner}")
     return m
@@ -351,18 +363,6 @@ def enumerate_webs(n: int) -> tuple[Matching, ...]:
     [((1, 2), (3, 4)), ((1, 4), (2, 3))]
     """
     return tuple(tableau_to_web(t) for t in enumerate_syt(n))
-
-
-def permutation_from_tableaux(t_from: Tableau, t_to: Tableau) -> Permutation:
-    """The permutation sending each entry of t_from to the entry of t_to
-    in the same cell, so that applying it to t_from entrywise gives t_to."""
-    if t_from.n != t_to.n:
-        raise ValueError("tableaux must have the same shape")
-    images = [0] * (2 * t_from.n)
-    for row_from, row_to in zip(t_from.rows, t_to.rows):
-        for a, b in zip(row_from, row_to):
-            images[a - 1] = b
-    return Permutation(tuple(images))
 
 
 def permute_matching(sigma: Permutation, m: Matching) -> tuple[int, Matching]:
@@ -385,7 +385,7 @@ def permute_matching(sigma: Permutation, m: Matching) -> tuple[int, Matching]:
             inverted += 1
         new_pairs.append((min(sa, sb), max(sa, sb)))
     sign = -1 if inverted % 2 else 1
-    return sign, Matching.from_pairs(new_pairs, size=m.size)
+    return sign, Matching.from_pairs(new_pairs)
 
 
 def partitions(m: int):

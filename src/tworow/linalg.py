@@ -32,10 +32,6 @@ def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> lis
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def transpose(a: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    return [list(col) for col in zip(*a)]
-
-
 def _integer_row(row: Sequence[Scalar]) -> list[int]:
     """Scale a row by the lcm of its denominators, then divide out the gcd.
     An int is its own numerator over 1, so ints and Fractions need no

@@ -33,7 +33,7 @@ from functools import cache
 from . import specht
 from .combinat import Matching, Permutation, adjacent_transposition, enumerate_webs, permute_matching
 from .specht import Tabloid, act_on_tabloid_vector, pair_vector
-from .webs import generator_action
+from .webs import action_table
 
 
 def web_vector(m: Matching) -> dict[Tabloid, int]:
@@ -96,13 +96,16 @@ def expand_in_web_basis(vec: dict[Tabloid, int], n: int) -> dict[Matching, int]:
 def column_action_matches_web_action(n: int) -> bool:
     """Whether, for every generator s_i and every noncrossing matching M,
     permuting the columns of D(M) expands to exactly the web-model action
-    of s_i on M.  This is the compatibility that makes the two models the
-    same representation."""
+    of s_i on M, as ``webs.action_table`` codes it: -w_M, or w_M plus the
+    web its entry names.  This is the compatibility that makes the two
+    models the same representation."""
+    web_list = enumerate_webs(n)
     for i in range(1, 2 * n):
         sigma = adjacent_transposition(2 * n, i)
-        for m in enumerate_webs(n):
+        for m, target in zip(web_list, action_table(i, n)):
             moved = act_on_tabloid_vector(sigma, web_vector(m))
-            if expand_in_web_basis(moved, n) != generator_action(i, {m: 1}):
+            expected = {m: -1} if target < 0 else {m: 1, web_list[target]: 1}
+            if expand_in_web_basis(moved, n) != expected:
                 return False
     return True
 

@@ -56,9 +56,6 @@ class TransitionMatrix:
     col_labels: tuple[Matching, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    def entry(self, t: Tableau, m: Matching) -> int:
-        return self.entries[self.row_labels.index(t)][self.col_labels.index(m)]
-
     def to_json_dict(self) -> dict:
         """The JSON document; "entries" is ``self.entries`` itself, not a
         copy, so a streamed write of it holds no second matrix."""
@@ -68,15 +65,6 @@ class TransitionMatrix:
             "colLabels": [list(m.partner) for m in self.col_labels],
             "entries": self.entries,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TransitionMatrix":
-        return cls(
-            n=d["n"],
-            row_labels=tuple(Tableau.from_lists(rows) for rows in d["rowLabels"]),
-            col_labels=tuple(Matching(tuple(p)) for p in d["colLabels"]),
-            entries=tuple(tuple(row) for row in d["entries"]),
-        )
 
     def csv_lines(self) -> Iterator[str]:
         """The CSV text line by line: label header row and column, entries
@@ -195,12 +183,6 @@ def check_support_acyclic(tm: TransitionMatrix) -> tuple[bool, list[dict]]:
             c = next(c for c in range(r + 1, len(row)) if row[c])
             return False, [{"check": "supportAcyclic", "row": r, "col": c, "entry": row[c]}]
     return True, []
-
-
-def check_unitriangular(tm: TransitionMatrix) -> bool:
-    """Unit diagonal and nothing above it: lower unitriangular in
-    canonical order."""
-    return check_diagonal_ones(tm)[0] and check_support_acyclic(tm)[0]
 
 
 def intertwiner_oracle(n: int) -> TransitionMatrix:

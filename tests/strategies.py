@@ -19,6 +19,6 @@ def matchings(n: int):
             (min(a, b), max(a, b))
             for a, b in zip(letters[0::2], letters[1::2])
         ]
-        return Matching.from_pairs(pairs, size=2 * n)
+        return Matching.from_pairs(pairs)
 
     return st.permutations(tuple(range(1, 2 * n + 1))).map(pair_up)

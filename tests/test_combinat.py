@@ -17,7 +17,6 @@ from tworow.combinat import (
     enumerate_syt,
     enumerate_webs,
     interleaved_tableau,
-    permutation_from_tableaux,
     permute_matching,
     tableau_to_web,
 )
@@ -179,31 +178,6 @@ class TestTableauToWeb:
             tableau_to_web(Tableau(((2, 3), (1, 4))))
 
 
-class TestPermutationFromTableaux:
-    def test_identity(self):
-        t0 = interleaved_tableau(3)
-        assert permutation_from_tableaux(t0, t0).is_identity()
-
-    def test_n2_example(self):
-        sigma = permutation_from_tableaux(
-            interleaved_tableau(2), Tableau(((1, 2), (3, 4)))
-        )
-        assert sigma.images == (1, 3, 2, 4)
-
-    def test_n3_second_tableau(self):
-        t = Tableau(((1, 3, 4), (2, 5, 6)))
-        sigma = permutation_from_tableaux(interleaved_tableau(3), t)
-        assert sigma.images == (1, 2, 3, 5, 4, 6)
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_reproduces_target_entrywise(self, n):
-        t0 = interleaved_tableau(n)
-        for t in enumerate_syt(n):
-            sigma = permutation_from_tableaux(t0, t)
-            moved = Tableau(tuple(tuple(sigma(x) for x in row) for row in t0.rows))
-            assert moved == t
-
-
 class TestPermuteMatching:
     def test_identity(self):
         m = Matching.from_pairs([(1, 3), (2, 4)])
@@ -260,7 +234,7 @@ class TestPermutation:
         s1 = adjacent_transposition(3, 1)
         s2 = adjacent_transposition(3, 2)
         assert (s1 * s2).images == (2, 3, 1)
-        assert ((s1 * s2) * (s1 * s2).inverse()).is_identity()
+        assert (s1 * s2) * (s1 * s2).inverse() == Permutation.identity(3)
 
     @settings(max_examples=60)
     @given(st.data())

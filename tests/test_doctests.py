@@ -1,31 +1,30 @@
 """Keep the usage examples in the docstrings honest."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import tworow.cli
-import tworow.combinat
-import tworow.linalg
-import tworow.minors
-import tworow.specht
-import tworow.transition
-import tworow.webs
+import tworow
+
+# every module of the package; __main__ exits on import
+MODULES = [
+    importlib.import_module(f"tworow.{info.name}")
+    for info in pkgutil.iter_modules(tworow.__path__)
+    if info.name != "__main__"
+]
 
 
-@pytest.mark.parametrize(
-    "module",
-    [
-        tworow.cli,
-        tworow.combinat,
-        tworow.linalg,
-        tworow.minors,
-        tworow.specht,
-        tworow.transition,
-        tworow.webs,
-    ],
-    ids=lambda m: m.__name__,
-)
+def test_modules_found():
+    names = {m.__name__ for m in MODULES}
+    assert names >= {
+        f"tworow.{name}"
+        for name in ("cli", "combinat", "linalg", "minors", "specht", "transition", "webs")
+    }
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0

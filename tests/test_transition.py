@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 
 import pytest
@@ -22,7 +23,6 @@ from tworow.transition import (
     check_diagonal_ones,
     check_nonnegative,
     check_support_acyclic,
-    check_unitriangular,
     intertwiner_oracle,
     realized_map_equivariant,
     transition_matrix,
@@ -90,10 +90,6 @@ class TestTransitionMatrix:
 
     def test_deterministic(self):
         assert transition_matrix(3) == transition_matrix(3)
-
-    def test_entry_lookup(self):
-        tm = transition_matrix(2)
-        assert tm.entry(interleaved_tableau(2), consecutive_matching(2)) == 1
 
 
 class TestGeneratorRecurrence:
@@ -166,6 +162,29 @@ class TestGeneratorRecurrence:
         assert built() is None
         assert oracle() is None
 
+    def test_memory_stays_bounded_across_calls(self):
+        # library calls, not cli.main: argparse itself keeps about 1 KB
+        # per parser it builds
+        crossed = Matching.from_pairs([(1, 5), (2, 7), (3, 8), (4, 10), (6, 9)])
+
+        def calls():
+            verify(5)
+            verify(3, with_oracle=True)
+            webs.resolve_crossings(crossed)
+
+        calls()  # fills the per-n enumeration caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                calls()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024
+
 
 class TestChecks:
     @pytest.mark.parametrize("n", range(1, 5))
@@ -174,7 +193,6 @@ class TestChecks:
         assert check_nonnegative(tm) == (True, [])
         assert check_diagonal_ones(tm) == (True, [])
         assert check_support_acyclic(tm) == (True, [])
-        assert check_unitriangular(tm)
 
     def test_negative_entry_located(self):
         good = transition_matrix(2)
@@ -202,7 +220,6 @@ class TestChecks:
         ok, why = check_support_acyclic(bad)
         assert not ok
         assert why == [{"check": "supportAcyclic", "row": 0, "col": 1, "entry": 1}]
-        assert not check_unitriangular(bad)
 
     def test_upper_triangular_entry_located(self):
         # unit diagonal and acyclic support (web 1 -> web 0 only), but not
@@ -213,7 +230,6 @@ class TestChecks:
         ok, why = check_support_acyclic(bad)
         assert not ok
         assert why == [{"check": "supportAcyclic", "row": 0, "col": 1, "entry": 1}]
-        assert not check_unitriangular(bad)
 
     def test_first_entry_above_diagonal_reported(self):
         entries = [list(row) for row in transition_matrix(4).entries]
@@ -305,7 +321,9 @@ class TestSerialization:
     def test_json_round_trip(self, n):
         tm = transition_matrix(n)
         doc = json.loads(json.dumps(tm.to_json_dict()))
-        assert TransitionMatrix.from_json_dict(doc) == tm
+        assert doc == {**tm.to_json_dict(), "entries": [list(row) for row in tm.entries]}
+        assert tuple(Tableau.from_lists(rows) for rows in doc["rowLabels"]) == tm.row_labels
+        assert tuple(Matching(tuple(p)) for p in doc["colLabels"]) == tm.col_labels
 
     def test_csv_shape(self):
         text = "".join(transition_matrix(2).csv_lines())

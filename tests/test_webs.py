@@ -14,48 +14,48 @@ from tworow.combinat import (
     enumerate_perfect_matchings,
     enumerate_syt,
     enumerate_webs,
+    first_crossing,
     partitions,
     cycle_type_representative,
 )
 from tworow.linalg import identity_matrix, mat_mul
 from tworow import webs
-from tworow.webs import (
-    _first_crossing,
-    action_matrix,
-    action_table,
-    generator_action,
-    resolve_crossings,
-)
+from tworow.webs import action_matrix, action_table, resolve_crossings
 from tworow import specht
 
 
+def column(vec, n):
+    """A web combination as a coordinate column in the web basis."""
+    return [[vec.get(w, 0)] for w in enumerate_webs(n)]
+
+
 class TestGeneratorAction:
+    """s_i on the web basis as ``action_table`` codes it."""
+
     def test_paired_letters_negate(self):
-        m0 = consecutive_matching(3)
         for i in (1, 3, 5):
-            assert generator_action(i, {m0: 1}) == {m0: -1}
+            assert action_table(i, 3)[0] == -1  # s_i . w_0 = -w_0
 
     def test_unpaired_letters_add_uncrossing(self):
-        m0 = consecutive_matching(2)
         nested = Matching.from_pairs([(1, 4), (2, 3)])
-        assert generator_action(2, {m0: 1}) == {m0: 1, nested: 1}
+        # s_2 . w_0 = w_0 + w_nested
+        assert enumerate_webs(2)[action_table(2, 2)[0]] == nested
 
     @settings(max_examples=40)
     @given(st.data())
     def test_involution(self, data):
         n = data.draw(st.integers(1, 5))
-        webs = enumerate_webs(n)
         vec = {
             w: data.draw(st.integers(-3, 3))
-            for w in data.draw(st.sets(st.sampled_from(webs), min_size=1, max_size=4))
+            for w in data.draw(st.sets(st.sampled_from(enumerate_webs(n)), min_size=1, max_size=4))
         }
-        vec = {k: v for k, v in vec.items() if v}
         i = data.draw(st.integers(1, 2 * n - 1))
-        assert generator_action(i, generator_action(i, vec)) == vec
+        b = action_matrix(i, n)
+        assert mat_mul(b, mat_mul(b, column(vec, n))) == column(vec, n)
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            generator_action(4, {consecutive_matching(2): 1})
+            action_table(4, 2)
 
 
 class TestResolveCrossings:
@@ -91,8 +91,18 @@ class TestResolveCrossings:
         n = data.draw(st.integers(2, 5))
         m = data.draw(matchings(n))
         rng = random.Random(data.draw(st.integers(0, 10**6)))
-        randomized = resolve_crossings(m, pick=rng.choice, memo={})
-        assert randomized == resolve_crossings(m)
+        lexicographic = resolve_crossings(m)
+        scanned = []
+
+        def random_crossing(p):
+            # rewrite a random crossing at each step in place of the smallest
+            scanned.append(p)
+            return rng.choice(crossing_pairs(Matching(p)) or [None])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(webs, "first_crossing", random_crossing)
+            randomized = resolve_crossings(m, memo={})
+        assert scanned and randomized == lexicographic
 
     def test_fault_signs_change_result(self):
         crossed = Matching.from_pairs([(1, 3), (2, 4)])
@@ -110,7 +120,7 @@ class TestTupleRewrite:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_first_crossing_is_smallest_quadruple(self, n):
         for m in enumerate_perfect_matchings(n):
-            assert _first_crossing(m.partner) == (crossing_pairs(m) or [None])[0]
+            assert first_crossing(m.partner) == (crossing_pairs(m) or [None])[0]
 
     def test_returns_matching_keys(self):
         out = resolve_crossings(Matching.from_pairs([(1, 4), (2, 6), (3, 5)]), memo={})
@@ -176,10 +186,11 @@ class TestActionMatrix:
                     assert mat_mul(mats[i], mats[j]) == mat_mul(mats[j], mats[i])
 
 
-def act_by_permutation(sigma, vec):
-    """Act with sigma letter by letter along its bubble-sort word."""
+def act_by_permutation(sigma, vec, n):
+    """Act with sigma on a coordinate column letter by letter along its
+    bubble-sort word."""
     for i in sigma.reduced_word():
-        vec = generator_action(i, vec)
+        vec = mat_mul(action_matrix(i, n), vec)
     return vec
 
 
@@ -190,13 +201,12 @@ class TestActByPermutation:
     def test_identity(self):
         from tworow.combinat import Permutation
 
-        vec = {consecutive_matching(2): 3}
-        assert act_by_permutation(Permutation.identity(4), vec) == vec
+        vec = column({consecutive_matching(2): 3}, 2)
+        assert act_by_permutation(Permutation.identity(4), vec, 2) == vec
 
     def test_single_generator(self):
-        m0 = consecutive_matching(2)
-        vec = {m0: 1}
-        assert act_by_permutation(adjacent_transposition(4, 1), vec) == generator_action(1, vec)
+        vec = column({consecutive_matching(2): 1}, 2)
+        assert act_by_permutation(adjacent_transposition(4, 1), vec, 2) == [[-1], [0]]
 
     @settings(max_examples=30)
     @given(st.data())
@@ -206,9 +216,9 @@ class TestActByPermutation:
         n = 3
         sigma = data.draw(permutations(2 * n))
         tau = data.draw(permutations(2 * n))
-        vec = {data.draw(st.sampled_from(enumerate_webs(n))): 1}
-        combined = act_by_permutation(sigma * tau, vec)
-        stepwise = act_by_permutation(sigma, act_by_permutation(tau, vec))
+        vec = column({data.draw(st.sampled_from(enumerate_webs(n))): 1}, n)
+        combined = act_by_permutation(sigma * tau, vec, n)
+        stepwise = act_by_permutation(sigma, act_by_permutation(tau, vec, n), n)
         assert combined == stepwise
 
 
