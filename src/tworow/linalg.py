@@ -1,21 +1,24 @@
 """
-Exact dense linear algebra over the rationals: products, rank and the
+Exact linear algebra over the rationals: products, rank and the
 nullspace the intertwiner oracle is read from.
 
 Matrices are plain lists of rows whose entries are ints or
 ``fractions.Fraction``; everything here is exact, there is no floating
-point anywhere.  Internally each row is scaled to integers (clear the
-denominators, divide out the content) and elimination runs in
-fraction-free integer arithmetic, which keeps the hot loops on machine
-ints for the problem sizes this package meets.  Back substitution
-reintroduces Fractions only at the end.  Coordinates in the two bases
-need none of this: both are unitriangular (``specht.coordinates``).
+point anywhere.  ``rank`` and ``nullspace`` read one sparse row echelon
+(``_echelon``): each row is kept as {column: int} over its nonzeros,
+scaled to integers with its content divided out, and reduced
+fraction-free against a pivot column -> pivot row dict.  The oracle's
+stacked equations have a few nonzeros per row, so the work follows the
+nonzeros, not rows x columns.  Back substitution over the sparse pivot
+rows reintroduces Fractions only at the end.  Coordinates in the two
+bases need none of this: both are unitriangular (``specht.coordinates``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 Scalar = int | Fraction
@@ -32,61 +35,46 @@ def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> lis
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def _integer_row(row: Sequence[Scalar]) -> list[int]:
-    """Scale a row by the lcm of its denominators, then divide out the gcd.
-    An int is its own numerator over 1, so ints and Fractions need no
-    separate cases."""
-    denom = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (denom // x.denominator) for x in row]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+def _echelon(matrix: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
+    """Sparse fraction-free row echelon: pivot column -> pivot row.
 
-
-def _eliminate(rows: list[list[int]], ncols: int) -> list[tuple[int, int]]:
-    """Forward elimination in place on the first ``ncols`` columns.
-
-    Returns the pivot list [(row, col), ...].  Row combinations are
-    fraction-free (pivot * row - factor * pivot_row) followed by division
-    by the row content, so entries stay integral and small.
+    Each row is scaled to integers and kept as {column: entry} over its
+    nonzeros.  Rows are taken sparsest first and reduced against the pivot
+    rows in column order (pivot * row - factor * pivot_row, then the
+    content divided out) until the first column left has no pivot row, where
+    the row becomes one, or until it vanishes; a row that reduces to zero
+    costs only its own nonzeros.  The row order changes the work, not the
+    pivot columns.
     """
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        # pick the nonzero entry of smallest magnitude to limit growth
-        best = None
-        for i in range(r, nrows):
-            v = abs(rows[i][c])
-            if v and (best is None or v < best[0]):
-                best = (v, i)
-                if v == 1:
-                    break
-        if best is None:
-            continue
-        i = best[1]
-        rows[r], rows[i] = rows[i], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for j in range(r + 1, nrows):
-            f = rows[j][c]
-            if not f:
-                continue
-            row = rows[j]
-            new = [0] * c + [p * a - f * b for a, b in zip(row[c:], prow[c:])]
-            g = 0
-            for x in new:
-                g = math.gcd(g, x)
-                if g == 1:
-                    break
+    cols = range(len(matrix[0]) if matrix else 0)
+    rows = []
+    for dense in matrix:
+        row = {c: dense[c] for c in compress(cols, dense)}
+        denom = math.lcm(*(x.denominator for x in row.values()))
+        rows.append({c: x.numerator * (denom // x.denominator) for c, x in row.items()})
+    rows.sort(key=len)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is not None:
+                g = math.gcd(prow[c], row[c])
+                p, f = prow[c] // g, row[c] // g
+                if p != 1:
+                    row = {k: p * v for k, v in row.items()}
+                for k, v in prow.items():
+                    w = row.get(k, 0) - f * v
+                    if w:
+                        row[k] = w
+                    else:
+                        row.pop(k, None)
+            g = math.gcd(*row.values())
             if g > 1:
-                new = [x // g for x in new]
-            rows[j] = new
-        pivots.append((r, c))
-        r += 1
+                row = {k: v // g for k, v in row.items()}
+            if prow is None:
+                pivots[c] = row
+                break
     return pivots
 
 
@@ -96,16 +84,15 @@ def rank(matrix: Sequence[Sequence[Scalar]]) -> int:
     >>> rank([[1, 2], [2, 4], [0, 1]])
     2
     """
-    if not matrix:
-        return 0
-    rows = [_integer_row(row) for row in matrix]
-    return len(_eliminate(rows, len(matrix[0])))
+    return len(_echelon(matrix))
 
 
 def nullspace(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     """An exact basis of the right nullspace {x : A x = 0}.
 
-    One basis vector per free column, with that free variable set to 1.
+    One basis vector per free (non-pivot) column, 1 at that column and 0
+    at every other free column; the pivot columns of a row echelon form
+    are canonical, so this basis does not depend on the elimination.
 
     >>> nullspace([[1, 1]])
     [[Fraction(-1, 1), Fraction(1, 1)]]
@@ -113,17 +100,16 @@ def nullspace(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     if not matrix:
         return []
     ncols = len(matrix[0])
-    rows = [_integer_row(row) for row in matrix]
-    pivots = _eliminate(rows, ncols)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    pivots = _echelon(matrix)
+    order = sorted(pivots, reverse=True)
     basis = []
-    for f in free_cols:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         x = [Fraction(0)] * ncols
         x[f] = Fraction(1)
-        for r, c in reversed(pivots):
-            row = rows[r]
-            acc = -sum(row[j] * x[j] for j in range(c + 1, ncols) if x[j])
-            x[c] = Fraction(acc, row[c])
+        for c in order:
+            row = pivots[c]
+            x[c] = Fraction(-sum(v * x[k] for k, v in row.items() if k != c and x[k]), row[c])
         basis.append(x)
     return basis

@@ -25,6 +25,64 @@ def small_matrices(max_dim=6):
     )
 
 
+def reference_echelon(matrix):
+    """Textbook Gauss-Jordan over Fractions: the rank and the nullspace
+    basis read from the reduced row echelon form, one vector per free
+    column, 1 there and 0 at the other free columns."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    ncols = len(rows[0])
+    pivots = []
+    for c in range(ncols):
+        i = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[i] = rows[i], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for j in range(len(rows)):
+            f = rows[j][c]
+            if j != r and f:
+                rows[j] = [a - f * b for a, b in zip(rows[j], rows[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            x[c] = -rows[r][f]
+        basis.append(x)
+    return len(pivots), basis
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=8):
+    """Mostly zeros, with some Fraction entries, all-zero rows and
+    repeats of earlier rows."""
+    nrows, ncols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    entries = st.one_of(small_entries, st.fractions(-9, 9, max_denominator=6))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["sparse", "sparse", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append([draw(entries) if draw(st.integers(0, 2)) == 0 else 0 for _ in range(ncols)])
+    return rows
+
+
+class TestAgainstReference:
+    @settings(max_examples=200)
+    @given(sparse_matrices())
+    def test_sparse(self, matrix):
+        ref_rank, ref_basis = reference_echelon(matrix)
+        assert rank(matrix) == ref_rank
+        basis = nullspace(matrix)
+        assert basis == ref_basis
+        assert all(type(x) is Fraction for vec in basis for x in vec)
+
+
 class TestRank:
     def test_identity(self):
         assert rank(identity_matrix(5)) == 5
@@ -70,6 +128,7 @@ class TestNullspace:
     def test_rank_nullity(self, matrix):
         cols = len(matrix[0])
         basis = nullspace(matrix)
+        assert (rank(matrix), basis) == reference_echelon(matrix)
         assert rank(matrix) + len(basis) == cols
         for vec in basis:
             assert mat_vec(matrix, vec) == [0] * len(matrix)

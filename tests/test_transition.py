@@ -298,6 +298,12 @@ class TestVerify:
         assert not report.all_passed
         assert not report.nonnegative
 
+    @pytest.mark.parametrize("fault", ["syzygy-sign-flip", "negative-entry"])
+    def test_oracle_catches_fault(self, fault):
+        report = verify(3, with_oracle=True, fault=fault)
+        assert report.oracle_agrees is False
+        assert report.counterexamples[-1] == {"check": "oracleAgrees", "n": 3}
+
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):
             verify(2, fault="gremlins")
