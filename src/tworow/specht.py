@@ -164,12 +164,7 @@ def express_in_standard_polytabloids(vec: dict[Tabloid, int], n: int) -> list[in
 def action_matrix(i: int, n: int) -> list[list[int]]:
     """Matrix of the adjacent transposition s_i on the irreducible module
     in the standard polytabloid basis; column T holds the coordinates of
-    s_i acting on the polytabloid of T."""
-    return [row[:] for row in _action_matrix(i, n)]
-
-
-@cache
-def _action_matrix(i: int, n: int) -> list[list[int]]:
+    s_i acting on the polytabloid of T.  Built afresh on every call."""
     sigma = adjacent_transposition(2 * n, i)
     columns = []
     for t in enumerate_syt(n):

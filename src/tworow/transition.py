@@ -43,7 +43,7 @@ from .combinat import (
     enumerate_webs,
     interleaved_tableau,
 )
-from .linalg import mat_mul, nullspace
+from .linalg import nullspace
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,12 @@ class TransitionMatrix:
             yield ",".join([label] + [str(e) for e in row]) + "\n"
 
 
-def transition_row(t: Tableau, *, syzygy_signs=(1, 1), memo=None) -> webs.WebVector:
+def transition_row(t: Tableau, *, sign_flip=False, memo=None) -> webs.WebVector:
     """Web coordinates of the polytabloid of t, the product of its column
     minors: the crossing rewrite of the matching of the columns of t.
 
-    ``memo`` is passed to ``webs.resolve_crossings``, so that rows built
-    with the same signs can share one rewrite memo.
+    ``sign_flip`` and ``memo`` are passed to ``webs.resolve_crossings``,
+    so that rows built with the same ``sign_flip`` can share one memo.
 
     >>> transition_row(interleaved_tableau(2)) == {consecutive_matching(2): 1}
     True
@@ -91,7 +91,7 @@ def transition_row(t: Tableau, *, syzygy_signs=(1, 1), memo=None) -> webs.WebVec
     if not t.is_standard:
         raise ValueError("tableau is not standard")
     return webs.resolve_crossings(
-        Matching.from_pairs(t.columns()), syzygy_signs=syzygy_signs, memo=memo
+        Matching.from_pairs(t.columns()), sign_flip=sign_flip, memo=memo
     )
 
 
@@ -131,9 +131,9 @@ def transition_matrix(n: int) -> TransitionMatrix:
     return TransitionMatrix(n, syt, web_list, tuple(rows))
 
 
-def _build_transition_matrix(n: int, syzygy_signs) -> TransitionMatrix:
-    """Every row by the crossing rewrite with the given branch signs: the
-    reference construction, and with (1, -1) the injected sign fault."""
+def _build_transition_matrix(n: int, sign_flip: bool = False) -> TransitionMatrix:
+    """Every row by the crossing rewrite: the reference construction, and
+    with ``sign_flip`` the injected sign fault."""
     syt = enumerate_syt(n)
     web_list = enumerate_webs(n)
     col = {m: k for k, m in enumerate(web_list)}
@@ -141,7 +141,7 @@ def _build_transition_matrix(n: int, syzygy_signs) -> TransitionMatrix:
     entries = []
     for t in syt:
         row = [0] * len(web_list)
-        for m, c in transition_row(t, syzygy_signs=syzygy_signs, memo=memo).items():
+        for m, c in transition_row(t, sign_flip=sign_flip, memo=memo).items():
             row[col[m]] = c
         entries.append(tuple(row))
     return TransitionMatrix(n, syt, web_list, tuple(entries))
@@ -241,18 +241,6 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     return TransitionMatrix(n, syt, web_list, tuple(entries))
 
 
-def realized_map_equivariant(n: int) -> bool:
-    """Whether the computed matrix, read as a map from polytabloid
-    coordinates to web coordinates, commutes with every generator."""
-    x = [list(col) for col in zip(*transition_matrix(n).entries)]
-    for i in range(1, 2 * n):
-        a_mat = specht.action_matrix(i, n)
-        b_mat = webs.action_matrix(i, n)
-        if mat_mul(x, a_mat) != mat_mul(b_mat, x):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     n: int
@@ -291,7 +279,7 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> Verif
     if fault is None:
         tm = transition_matrix(n)
     elif fault == "syzygy-sign-flip":
-        tm = _build_transition_matrix(n, (1, -1))
+        tm = _build_transition_matrix(n, sign_flip=True)
     elif fault == "negative-entry":
         good = transition_matrix(n)
         entries = [list(row) for row in good.entries]

@@ -21,6 +21,16 @@ Inside, the rewrite works on bare partner tuples: ``first_crossing``
 scans for the lexicographically smallest crossing, the reconnections are
 built by swapping partners, and the memo is keyed by those tuples.  Only
 the returned keys are validated ``Matching`` objects.
+
+The rewrite is the recursion itself, ``_expand``: the expansion of a
+crossing matching is that of its first reconnection plus that of its
+second, memoised per partner tuple.  It is a module-level function and
+not a closure inside ``resolve_crossings``: a nested function that calls
+itself is a reference cycle, which would keep each call's memo alive
+until the cycle collector runs.  Each child has fewer crossings than its
+parent, so the depth is at most n(n-1)/2 + 1 (37 at n = 9), far below
+Python's recursion limit at every n the rewrite can finish.  The one
+knob, ``sign_flip``, negates the second reconnection to inject a fault.
 """
 
 from __future__ import annotations
@@ -53,10 +63,36 @@ def _syzygy_children(p: Partner, quad: tuple[int, int, int, int]) -> tuple[Partn
     return tuple(first), tuple(second)
 
 
+def _expand(
+    p: Partner, memo: dict[Partner, dict[Partner, int]], sign: int
+) -> dict[Partner, int]:
+    """The expansion of p, keyed by partner tuples and stored in ``memo``:
+    p itself when noncrossing, else the expansion of the first
+    reconnection of its first crossing plus ``sign`` times that of the
+    second, zeros dropped.  The value in ``memo`` is returned, not a copy."""
+    known = memo.get(p)
+    if known is not None:
+        return known
+    quad = first_crossing(p)
+    if quad is None:
+        out = {p: 1}
+    else:
+        first, second = _syzygy_children(p, quad)
+        out = dict(_expand(first, memo, sign))
+        for key, coeff in _expand(second, memo, sign).items():
+            total = out.get(key, 0) + sign * coeff
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    memo[p] = out
+    return out
+
+
 def resolve_crossings(
     m: Matching,
     *,
-    syzygy_signs: tuple[int, int] = (1, 1),
+    sign_flip: bool = False,
     memo: dict[Partner, dict[Partner, int]] | None = None,
 ) -> WebVector:
     """Expand an arbitrary perfect matching into noncrossing matchings.
@@ -65,61 +101,27 @@ def resolve_crossings(
     arguments every coefficient is a nonnegative integer and a noncrossing
     input returns {m: 1}.
 
-    Each step rewrites the lexicographically smallest crossing; the
-    result does not depend on that choice, which the test suite checks
-    with a random one.  ``syzygy_signs`` scales the two reconnection
-    branches by nonzero integers and exists so the verifier can inject a
-    sign fault and prove the downstream checks catch it.
+    The expansion is the memoised recursion ``_expand``: each step
+    rewrites the lexicographically smallest crossing and sums the
+    expansions of its two reconnections.  The result does not depend on
+    that choice, which the test suite checks with a random one.
+    ``sign_flip`` negates the second reconnection; it exists so the
+    verifier can inject a sign fault and prove the downstream checks
+    catch it.
     ``memo`` supplies a memo table to share across calls with the same
-    signs (the reference build passes one for all rows; the benchmark
-    reads it to count rewrites); by default each call uses a fresh one.
-    Memo tables map a partner tuple to its expansion, itself keyed by
-    partner tuples; only the returned dict, a fresh one, is keyed by
-    ``Matching``.
+    ``sign_flip`` (the reference build passes one for all rows; the
+    benchmark reads it to count rewrites); by default each call uses a
+    fresh one.  Memo tables map a partner tuple to its expansion, itself
+    keyed by partner tuples; only the returned dict, a fresh one, is
+    keyed by ``Matching``.
 
     >>> resolve_crossings(Matching.from_pairs([(1, 3), (2, 4)]))
     {Matching(partner=(2, 1, 4, 3)): 1, Matching(partner=(4, 3, 2, 1)): 1}
     """
-    s1, s2 = syzygy_signs
-    if not (s1 and s2):
-        raise ValueError(f"syzygy signs must be nonzero, got {syzygy_signs}")
     if memo is None:
         memo = {}
-    root = m.partner
-    stack = [root]
-    chosen: dict[Partner, tuple[Partner, Partner]] = {}
-    while stack:
-        top = stack[-1]
-        if top in memo:
-            stack.pop()
-            continue
-        kids = chosen.get(top)
-        if kids is None:
-            quad = first_crossing(top)
-            if quad is None:
-                memo[top] = {top: 1}
-                stack.pop()
-                continue
-            kids = chosen[top] = _syzygy_children(top, quad)
-        pending = [k for k in kids if k not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        first, second = kids
-        combined = dict(memo[first])
-        if s1 != 1:
-            for key in combined:
-                combined[key] *= s1
-        for key, coeff in memo[second].items():
-            total = combined.get(key, 0) + s2 * coeff
-            if total:
-                combined[key] = total
-            else:
-                del combined[key]
-        memo[top] = combined
-        del chosen[top]
-        stack.pop()
-    return {Matching(key): coeff for key, coeff in memo[root].items()}
+    expansion = _expand(m.partner, memo, -1 if sign_flip else 1)
+    return {Matching(key): coeff for key, coeff in expansion.items()}
 
 
 def action_table(i: int, n: int) -> tuple[int, ...]:

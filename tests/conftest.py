@@ -3,5 +3,5 @@ def pytest_addoption(parser):
         "--run-slow",
         action="store_true",
         default=False,
-        help="also run the slow checks (the n=5 intertwiner oracle, about 3 s and 250 MB)",
+        help="also run the slow checks (the n=5 intertwiner oracle, about 2 s and 236 MB)",
     )

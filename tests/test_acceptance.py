@@ -239,7 +239,7 @@ def test_criterion_10_negative_controls(capsys):
 
 @pytest.mark.skipif(
     "not config.getoption('--run-slow', default=False)",
-    reason="n=5 oracle takes about 3 s and 250 MB; enable with --run-slow",
+    reason="n=5 oracle takes about 2 s and 236 MB; enable with --run-slow",
 )
 def test_optional_oracle_equivalence_n5():
     assert intertwiner_oracle(5) == transition_matrix(5)

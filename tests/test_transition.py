@@ -24,7 +24,6 @@ from tworow.transition import (
     check_nonnegative,
     check_support_acyclic,
     intertwiner_oracle,
-    realized_map_equivariant,
     transition_matrix,
     transition_row,
     verify,
@@ -98,10 +97,10 @@ class TestGeneratorRecurrence:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_rewrite(self, n):
-        assert transition_matrix(n) == _build_transition_matrix(n, (1, 1))
+        assert transition_matrix(n) == _build_transition_matrix(n)
 
     def test_never_calls_rewrite(self, monkeypatch):
-        reference = _build_transition_matrix(5, (1, 1))
+        reference = _build_transition_matrix(5)
         calls = []
         monkeypatch.setattr(webs, "resolve_crossings", lambda *a, **k: calls.append(a))
         assert transition_matrix(5) == reference
@@ -116,7 +115,7 @@ class TestGeneratorRecurrence:
             return resolve(m, **kwargs)
 
         monkeypatch.setattr(webs, "resolve_crossings", spy)
-        _build_transition_matrix(4, (1, 1))
+        _build_transition_matrix(4)
         assert len(memos) == len(enumerate_syt(4))
         assert all(memo is memos[0] for memo in memos) and memos[0]
 
@@ -125,13 +124,13 @@ class TestGeneratorRecurrence:
         resolve = webs.resolve_crossings
 
         def counting(m, **kwargs):
-            calls.append(kwargs.get("syzygy_signs"))
+            calls.append(kwargs.get("sign_flip"))
             return resolve(m, **kwargs)
 
         monkeypatch.setattr(webs, "resolve_crossings", counting)
         report = verify(3, fault="syzygy-sign-flip")
         assert not report.all_passed
-        assert calls == [(1, -1)] * len(enumerate_syt(3))
+        assert calls == [True] * len(enumerate_syt(3))
 
     def test_moved_canonical_order_raises(self, monkeypatch):
         syt = enumerate_syt(3)
@@ -262,12 +261,8 @@ class TestIntertwinerOracle:
         assert intertwiner_oracle(n) == transition_matrix(n)
 
     @pytest.mark.parametrize("n", range(1, 5))
-    def test_realized_map_equivariant(self, n):
-        assert realized_map_equivariant(n)
-
-    def test_matrix_intertwines_explicitly(self):
+    def test_matrix_intertwines_explicitly(self, n):
         # X A_i = B_i X with X the transpose of the entry matrix
-        n = 3
         x = [list(col) for col in zip(*transition_matrix(n).entries)]
         for i in range(1, 2 * n):
             a = specht.action_matrix(i, n)

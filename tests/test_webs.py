@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -106,7 +108,7 @@ class TestResolveCrossings:
 
     def test_fault_signs_change_result(self):
         crossed = Matching.from_pairs([(1, 3), (2, 4)])
-        flipped = resolve_crossings(crossed, syzygy_signs=(1, -1))
+        flipped = resolve_crossings(crossed, sign_flip=True)
         assert flipped == {
             consecutive_matching(2): 1,
             Matching.from_pairs([(1, 4), (2, 3)]): -1,
@@ -150,9 +152,24 @@ class TestTupleRewrite:
         assert len(memo) == 1772
         assert sum(map(len, memo.values())) == 14873
 
-    def test_zero_sign_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            resolve_crossings(consecutive_matching(2), syzygy_signs=(1, 0))
+    def test_memo_freed_without_cycle_collector(self):
+        # the rewrite holds no reference cycle, so each call's memo is
+        # freed by reference counting alone; a self-calling closure would
+        # keep every memo until the cycle collector ran
+        twist = Matching.from_pairs([(i, i + 7) for i in range(1, 8)])
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            resolve_crossings(twist)
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                resolve_crossings(twist)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert grown < 64 * 1024
 
 
 class TestActionMatrix:
