@@ -260,14 +260,21 @@ class TestIntertwinerOracle:
     def test_agrees_with_rewrite(self, n):
         assert intertwiner_oracle(n) == transition_matrix(n)
 
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_matrix_intertwines_explicitly(self, n):
+    @staticmethod
+    def _assert_intertwines(n):
         # X A_i = B_i X with X the transpose of the entry matrix
         x = [list(col) for col in zip(*transition_matrix(n).entries)]
         for i in range(1, 2 * n):
             a = specht.action_matrix(i, n)
             b = webs.action_matrix(i, n)
             assert mat_mul(x, a) == mat_mul(b, x)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_realized_map_equivariant(self, n):
+        self._assert_intertwines(n)
+
+    def test_matrix_intertwines_explicitly(self):
+        self._assert_intertwines(3)
 
 
 class TestVerify:
