@@ -3,19 +3,19 @@ Batch front end.
 
 Subcommands: ``enumerate`` (dump the two indexing sets and their
 pairing), ``matrix`` (the transition matrix), ``verify`` (checks plus
-exit code), ``oracle-compare`` (rewrite vs. intertwiner), ``bench``
-(timings and rewrite counts).  JSON is the canonical output format and is
-byte-stable for a fixed command line; CSV is available where tabular
-output makes sense.  Every output is streamed: ``_json_chunks`` yields the
+exit code; ``--with-oracle`` adds the rewrite vs. intertwiner
+comparison), ``bench`` (timings and rewrite counts).  JSON is the
+canonical output format and is byte-stable for a fixed command line; CSV
+is available where tabular output makes sense.  Every output is streamed: ``_json_chunks`` yields the
 text of ``json.dumps(doc, indent=2)`` piece by piece (a list of ints, such
 as one matrix row, is one piece) and ``_write`` writes each piece as it
 comes, so no document is ever held whole in memory.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
-(including an unwritable --out or stdout, a cap variable or --oracle-cap
-that is not a nonnegative integer, --dump-poly without JSON, and requests
-above the memory-guard caps, which can be raised via TWOROW_ENUM_CAP /
-TWOROW_MATRIX_CAP / TWOROW_ORACLE_CAP or, for the oracle, --oracle-cap).
+(including an unwritable --out or stdout, a cap variable that is not a
+nonnegative integer, --dump-poly without JSON, and requests above the
+memory-guard caps, which can be raised via TWOROW_ENUM_CAP /
+TWOROW_MATRIX_CAP / TWOROW_ORACLE_CAP).
 """
 
 from __future__ import annotations
@@ -160,12 +160,6 @@ def _json_key(key) -> str:
     return json.dumps(key) + ": "
 
 
-def _oracle_cap(args) -> int:
-    if args.oracle_cap is not None:
-        return args.oracle_cap
-    return _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP)
-
-
 def _guard(n: int, cap: int, what: str) -> None:
     if n > cap:
         raise _UsageError(
@@ -225,23 +219,15 @@ def cmd_matrix(args) -> int:
 def cmd_verify(args) -> int:
     _guard(args.n, _cap("TWOROW_MATRIX_CAP", DEFAULT_MATRIX_CAP), "matrix")
     if args.with_oracle:
-        _guard(args.n, _oracle_cap(args), "oracle")
+        _guard(args.n, _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP), "oracle")
     report = transition.verify(args.n, with_oracle=args.with_oracle, fault=args.inject_fault)
     _write(_json_chunks(report.to_json_dict()), args.out)
     return 0 if report.all_passed else 1
 
 
-def cmd_oracle_compare(args) -> int:
-    _guard(args.n, _oracle_cap(args), "oracle")
-    computed = transition.transition_matrix(args.n)
-    oracle = transition.intertwiner_oracle(args.n)
-    agrees = computed == oracle
-    _write(_json_chunks({"n": args.n, "agrees": agrees}), args.out)
-    return 0 if agrees else 1
-
-
 def cmd_bench(args) -> int:
     _guard(args.n, _cap("TWOROW_MATRIX_CAP", DEFAULT_MATRIX_CAP), "matrix")
+    oracle_cap = _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP)
     n = args.n
     t_start = time.perf_counter()
     tm = transition.transition_matrix(n)
@@ -277,7 +263,6 @@ def cmd_bench(args) -> int:
     rows["sampleCount"] = args.samples
     rows["sampleRewrites"] = sum(1 for p in sample_memo if first_crossing(p) is not None)
 
-    oracle_cap = _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP)
     if n <= oracle_cap:
         t_start = time.perf_counter()
         transition.intertwiner_oracle(n)
@@ -319,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check nonnegativity and unitriangularity")
     common(p_verify, formats=("json",))
     p_verify.add_argument("--with-oracle", action="store_true")
-    p_verify.add_argument("--oracle-cap", type=_nonnegative_int, default=None)
     p_verify.add_argument(
         "--inject-fault",
         choices=("syzygy-sign-flip", "negative-entry"),
@@ -327,13 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="deliberately break the computation to confirm the checks catch it",
     )
     p_verify.set_defaults(func=cmd_verify)
-
-    p_oracle = sub.add_parser(
-        "oracle-compare", help="compare the matrix against the intertwiner nullspace"
-    )
-    common(p_oracle, formats=("json",))
-    p_oracle.add_argument("--oracle-cap", type=_nonnegative_int, default=None)
-    p_oracle.set_defaults(func=cmd_oracle_compare)
 
     p_bench = sub.add_parser("bench", help="wall times and rewrite counts")
     common(p_bench)

@@ -187,12 +187,10 @@ class Matching:
     partner: tuple[int, ...]
 
     def __post_init__(self):
-        k = len(self.partner)
-        ok = (
-            k % 2 == 0
-            and sorted(self.partner) == list(range(1, k + 1))
-            and all(self.partner[p - 1] == i + 1 != p for i, p in enumerate(self.partner))
-        )
+        partner, k = self.partner, len(self.partner)
+        # in range before it is used as an index; an involution with no
+        # fixed point pairs the letters, so k is even
+        ok = all(0 < p <= k and p != i and partner[p - 1] == i for i, p in enumerate(partner, 1))
         if not ok:
             raise ValueError(f"not a fixed-point-free involution: {self.partner}")
 

@@ -186,24 +186,14 @@ class TestVerify:
         assert code == 0
 
     def test_oracle_cap_from_env_and_flag(self, capsys, monkeypatch):
+        # the variable is the one way to set the oracle cap
         monkeypatch.setenv("TWOROW_ORACLE_CAP", "3")
         code, _, err = run(capsys, "verify", "--n", "4", "--with-oracle")
         assert code == 2 and "oracle cap of 3" in err
-        # the flag takes precedence over the variable
-        code, out, _ = run(capsys, "verify", "--n", "4", "--with-oracle", "--oracle-cap", "4")
+        monkeypatch.setenv("TWOROW_ORACLE_CAP", "4")
+        code, out, _ = run(capsys, "verify", "--n", "4", "--with-oracle")
         assert code == 0
         assert json.loads(out)["oracleAgrees"] is True
-
-
-class TestOracleCompare:
-    def test_n2_agrees(self, capsys):
-        code, out, _ = run(capsys, "oracle-compare", "--n", "2")
-        assert code == 0
-        assert json.loads(out) == {"n": 2, "agrees": True}
-
-    def test_cap(self, capsys):
-        code, _, err = run(capsys, "oracle-compare", "--n", "5")
-        assert code == 2 and "cap" in err
 
 
 class TestBench:
@@ -242,6 +232,15 @@ class TestBench:
         assert code == 0
         assert built == [3]
 
+    def test_bad_oracle_cap_refused_before_the_build(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(transition, "transition_matrix", built.append)
+        monkeypatch.setenv("TWOROW_ORACLE_CAP", "x")
+        code, out, err = run(capsys, "bench", "--n", "3")
+        assert code == 2 and out == ""
+        assert "TWOROW_ORACLE_CAP must be an integer" in err
+        assert built == []
+
 
 class TestUsageErrors:
     def test_missing_command(self, capsys):
@@ -249,7 +248,7 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["enumerate", "matrix", "verify", "oracle-compare"])
+    @pytest.mark.parametrize("command", ["enumerate", "matrix", "verify"])
     def test_seed_is_a_bench_flag(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--n", "2", "--seed", "1"])
@@ -333,13 +332,6 @@ class TestUsageErrors:
         assert code == 2
         assert "TWOROW_MATRIX_CAP must be nonnegative" in err
 
-    @pytest.mark.parametrize("command", ["verify", "oracle-compare"])
-    def test_negative_oracle_cap(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--n", "2", "--oracle-cap", "-5"])
-        assert exc.value.code == 2
-        assert "--oracle-cap" in capsys.readouterr().err
-
 
 # exit code and sha256 of stdout for fixed command lines; any byte change
 # in the enumeration, the matrix, the polynomial rendering, the CSV writer,
@@ -368,9 +360,6 @@ PINNED_OUTPUTS = {
     ),
     ("matrix", "--n", "6", "--format", "csv"): (
         0, "cd94bc4f42b585b3ba620d156e301dcbb6622ee81302919d7d25e494f5637059"
-    ),
-    ("oracle-compare", "--n", "3"): (
-        0, "8356ba256f8afc4c5dfc465f53262bd0069b966e9341740022a6d5ee8e48f7a9"
     ),
 }
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -157,6 +158,35 @@ class TestBaseObjects:
             Matching((1, 2))  # fixed points
         with pytest.raises(ValueError):
             Matching((2, 1, 3, 4))
+
+    @given(
+        st.integers(min_value=0, max_value=7).flatmap(
+            lambda k: st.lists(st.integers(min_value=-2, max_value=k + 2), min_size=k, max_size=k)
+            | st.permutations(range(1, k + 1))
+        )
+        | st.integers(min_value=0, max_value=3).flatmap(matchings).map(lambda m: m.partner)
+    )
+    def test_matching_accepts_exactly_the_fixed_point_free_involutions(self, partner):
+        # odd lengths, zeros, negatives and letters past the end, the
+        # permutations of 1..k, and matchings
+        partner = tuple(partner)
+        try:
+            Matching(partner)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (partner in fixed_point_free_involutions(len(partner)))
+
+
+@functools.cache
+def fixed_point_free_involutions(k):
+    """Every permutation q of 1..k with q(q(i)) = i != q(i), by brute force."""
+    return {
+        q
+        for q in itertools.permutations(range(1, k + 1))
+        if all(q[q[i] - 1] == i + 1 and q[i] != i + 1 for i in range(k))
+    }
 
 
 class TestTableauToWeb:

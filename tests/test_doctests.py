@@ -3,6 +3,7 @@
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +29,9 @@ def test_modules_found():
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0
+
+
+def test_readme_quick_start():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    failures, tried = doctest.testfile(str(readme), module_relative=False)
+    assert failures == 0 and tried > 0
