@@ -4,7 +4,8 @@ Batch front end.
 Subcommands: ``enumerate`` (dump the two indexing sets and their
 pairing), ``matrix`` (the transition matrix), ``verify`` (checks plus
 exit code; ``--with-oracle`` adds the rewrite vs. intertwiner
-comparison), ``bench`` (timings and rewrite counts).  JSON is the
+comparison), ``bench`` (build, write and oracle times, and the rewrite
+counts of the reference construction).  JSON is the
 canonical output format and is byte-stable for a fixed command line; CSV
 is available where tabular output makes sense.  Every output is streamed: ``_json_chunks`` yields the
 text of ``json.dumps(doc, indent=2)`` piece by piece (a list of ints, such
@@ -12,10 +13,10 @@ as one matrix row, is one piece) and ``_write`` writes each piece as it
 comes, so no document is ever held whole in memory.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
-(including an unwritable --out or stdout, a cap variable that is not a
-nonnegative integer, --dump-poly without JSON, and requests above the
-memory-guard caps, which can be raised via TWOROW_ENUM_CAP /
-TWOROW_MATRIX_CAP / TWOROW_ORACLE_CAP).
+(including an unwritable --out, an unwritable or closed stdout, a cap
+variable that is not a nonnegative integer, --dump-poly without JSON,
+and requests above the memory-guard caps, which can be raised via
+TWOROW_ENUM_CAP / TWOROW_MATRIX_CAP / TWOROW_ORACLE_CAP).
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from collections.abc import Iterable, Iterator
 from types import GeneratorType
 
-from . import minors, transition, webs
-from .combinat import Matching, catalan, enumerate_syt, enumerate_webs, first_crossing
+from . import minors, transition
+from .combinat import catalan, enumerate_syt, enumerate_webs, first_crossing
 
 DEFAULT_ENUM_CAP = 10
 DEFAULT_MATRIX_CAP = 6
@@ -61,16 +61,12 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _nonnegative_int(text: str) -> int:
-    k = int(text)
-    if k < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return k
-
-
 def _write(chunks: Iterable[str], out_path: str | None) -> None:
     """Write the pieces to ``out_path``, or to stdout when it is None.  An
-    OSError, also one after part of the output is out, is a usage error."""
+    OSError, also one after part of the output is out, is a usage error,
+    and so is a stdout that was closed before the start (then it is None)."""
+    if out_path is None and sys.stdout is None:
+        raise _UsageError("cannot write stdout: it is closed")
     try:
         if out_path is None:
             sys.stdout.writelines(chunks)
@@ -249,20 +245,6 @@ def cmd_bench(args) -> int:
         "matchingsResolved": len(memo),
         "syzygyRewrites": rewrites,
     }
-
-    rng = random.Random(args.seed)
-    letters = list(range(1, 2 * n + 1))
-    sample_memo: dict = {}
-    t_start = time.perf_counter()
-    for _ in range(args.samples):
-        rng.shuffle(letters)
-        pairs = [(letters[2 * i], letters[2 * i + 1]) for i in range(n)]
-        m = Matching.from_pairs([(min(p), max(p)) for p in pairs])
-        webs.resolve_crossings(m, memo=sample_memo)
-    rows["sampleSeconds"] = round(time.perf_counter() - t_start, 6)
-    rows["sampleCount"] = args.samples
-    rows["sampleRewrites"] = sum(1 for p in sample_memo if first_crossing(p) is not None)
-
     if n <= oracle_cap:
         t_start = time.perf_counter()
         transition.intertwiner_oracle(n)
@@ -314,10 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="wall times and rewrite counts")
     common(p_bench)
-    p_bench.add_argument(
-        "--samples", type=_nonnegative_int, default=5, help="random matchings to resolve"
-    )
-    p_bench.add_argument("--seed", type=int, default=0, help="seed for the random matchings")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -224,8 +224,11 @@ class Matching:
     def from_pairs(cls, pairs) -> "Matching":
         pairs = list(pairs)
         partner = [0] * (2 * len(pairs))
-        for a, b in pairs:
-            partner[a - 1], partner[b - 1] = b, a
+        try:
+            for a, b in pairs:
+                partner[a - 1], partner[b - 1] = b, a
+        except IndexError:
+            raise ValueError(f"letters must lie in 1..{len(partner)}: {pairs}") from None
         return cls(tuple(partner))
 
 

@@ -294,9 +294,15 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> Verif
     counterexamples = bad_nonneg + bad_diag + bad_acyclic
     oracle_agrees: bool | None = None
     if with_oracle:
-        oracle_agrees = intertwiner_oracle(n) == tm
-        if not oracle_agrees:
-            counterexamples.append({"check": "oracleAgrees", "n": n})
+        try:
+            oracle_agrees = intertwiner_oracle(n) == tm
+        except ArithmeticError as exc:
+            # no matrix to compare with: a failed check, not a crash
+            oracle_agrees = False
+            counterexamples.append({"check": "oracleAgrees", "n": n, "reason": str(exc)})
+        else:
+            if not oracle_agrees:
+                counterexamples.append({"check": "oracleAgrees", "n": n})
     return VerificationReport(
         n=n,
         nonnegative=ok_nonneg,

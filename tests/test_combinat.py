@@ -159,6 +159,14 @@ class TestBaseObjects:
         with pytest.raises(ValueError):
             Matching((2, 1, 3, 4))
 
+    @pytest.mark.parametrize(
+        "pairs", [[(1, 5), (2, 3)], [(-4, 1), (2, 3)], [(0, 1)], [(-1, 2)], [(1, 2), (2, 3)]]
+    )
+    def test_from_pairs_rejects_letters_out_of_range(self, pairs):
+        # past 2k or at or below -2k (outside the list), in between, repeated
+        with pytest.raises(ValueError):
+            Matching.from_pairs(pairs)
+
     @given(
         st.integers(min_value=0, max_value=7).flatmap(
             lambda k: st.lists(st.integers(min_value=-2, max_value=k + 2), min_size=k, max_size=k)
