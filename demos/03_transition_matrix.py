@@ -26,11 +26,11 @@ for n in (2, 3, 4):
     for t, row in zip(tm.row_labels, tm.entries):
         print(f"  {t.rows[0]} | {' '.join(f'{e:2d}' for e in row)}")
     # unit diagonal and nothing above it: lower unitriangular
-    unitriangular = check_diagonal_ones(tm)[0] and check_support_acyclic(tm)[0]
-    print("  nonnegative:", check_nonnegative(tm)[0], " unitriangular:", unitriangular)
+    unitriangular = not check_diagonal_ones(tm) and not check_support_acyclic(tm)
+    print("  nonnegative:", not check_nonnegative(tm), " unitriangular:", unitriangular)
 
 # Larger sizes stay exact: the 132 x 132 matrix at n=6.
 tm6 = transition_matrix(6)
 print("n=6 entry range:",
       min(min(r) for r in tm6.entries), "..", max(max(r) for r in tm6.entries),
-      " nonnegative:", check_nonnegative(tm6)[0])
+      " nonnegative:", not check_nonnegative(tm6))

@@ -18,7 +18,7 @@ from tworow.linalg import mat_mul
 for n in (1, 2, 3, 4):
     oracle = intertwiner_oracle(n)
     direct = transition_matrix(n)
-    print(f"n={n}: oracle equals the rewrite computation: {oracle == direct}")
+    print(f"n={n}: oracle equals the transition matrix: {oracle == direct}")
 
 # The commuting condition, spelled out at n=3: X is the transpose of the
 # entry matrix (rows webs, columns tableaux).

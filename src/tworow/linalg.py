@@ -49,6 +49,8 @@ def _echelon(matrix: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
     cols = range(len(matrix[0]) if matrix else 0)
     rows = []
     for dense in matrix:
+        if len(dense) != len(cols):
+            raise ValueError("rows of different lengths")
         row = {c: dense[c] for c in compress(cols, dense)}
         denom = math.lcm(*(x.denominator for x in row.values()))
         rows.append({c: x.numerator * (denom // x.denominator) for c, x in row.items()})

@@ -22,15 +22,15 @@ assumed:
 
 Independently of both constructions, the matrix of the unique intertwiner
 between the two models (normalized to send the interleaved polytabloid to
-the consecutive-pairs web) is recovered from the one-dimensional
-nullspace of the stacked equivariance constraints X A_i = B_i X; the
-computations must agree entry for entry.
+the consecutive-pairs web) is recovered, with the entries as unknowns,
+from the one-dimensional nullspace of the stacked equivariance
+constraints X A_i = B_i X; the computations must agree entry for entry.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
 
@@ -147,7 +147,7 @@ def _build_transition_matrix(n: int, sign_flip: bool = False) -> TransitionMatri
     return TransitionMatrix(n, syt, web_list, tuple(entries))
 
 
-def check_nonnegative(tm: TransitionMatrix) -> tuple[bool, list[dict]]:
+def check_nonnegative(tm: TransitionMatrix) -> list[dict]:
     """Every entry >= 0; counterexamples locate any negative entries.
     Only rows with a negative minimum are walked entry by entry."""
     bad = [
@@ -157,10 +157,10 @@ def check_nonnegative(tm: TransitionMatrix) -> tuple[bool, list[dict]]:
         for c, v in enumerate(row)
         if v < 0
     ]
-    return not bad, bad
+    return bad
 
 
-def check_diagonal_ones(tm: TransitionMatrix) -> tuple[bool, list[dict]]:
+def check_diagonal_ones(tm: TransitionMatrix) -> list[dict]:
     """Entry 1 at (T, web of T) for every row: on the diagonal, because
     the canonical webs are the opener/closer images of the canonical
     tableaux in order."""
@@ -169,10 +169,10 @@ def check_diagonal_ones(tm: TransitionMatrix) -> tuple[bool, list[dict]]:
         for r, row in enumerate(tm.entries)
         if row[r] != 1
     ]
-    return not bad, bad
+    return bad
 
 
-def check_support_acyclic(tm: TransitionMatrix) -> tuple[bool, list[dict]]:
+def check_support_acyclic(tm: TransitionMatrix) -> list[dict]:
     """Every entry above the diagonal is 0: the matrix is lower triangular
     in canonical order, which with check_diagonal_ones makes it
     unitriangular.  This is stronger than the acyclic off-diagonal support
@@ -181,16 +181,17 @@ def check_support_acyclic(tm: TransitionMatrix) -> tuple[bool, list[dict]]:
     for r, row in enumerate(tm.entries):
         if any(row[r + 1 :]):
             c = next(c for c in range(r + 1, len(row)) if row[c])
-            return False, [{"check": "supportAcyclic", "row": r, "col": c, "entry": row[c]}]
-    return True, []
+            return [{"check": "supportAcyclic", "row": r, "col": c, "entry": row[c]}]
+    return []
 
 
 def intertwiner_oracle(n: int) -> TransitionMatrix:
     """Recompute the transition matrix from the equivariance equations
-    alone: stack X A_i - B_i X = 0 over all generators, take the
-    nullspace (it must be one-dimensional: the two models are isomorphic
-    irreducibles), normalize the (interleaved, consecutive) entry to 1,
-    and check that everything is an integer.
+    alone: unknown t * d + m is entry (tableau t, web m) of Y = X^T, so
+    stack X A_i = B_i X, read as A_i^T Y = Y B_i^T, over all generators,
+    take the nullspace (it must be one-dimensional: the two models are
+    isomorphic irreducibles), normalize the (interleaved, consecutive)
+    entry to 1, and check that everything is an integer.
 
     This never touches the crossing rewrite, so agreement with
     transition_matrix is a genuine independent check.
@@ -204,18 +205,12 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     for i in range(1, 2 * n):
         a_mat = specht.action_matrix(i, n)
         b_mat = webs.action_matrix(i, n)
-        for p in range(d):
-            base = p * d
-            for q in range(d):
+        for t in range(d):
+            for m in range(d):
                 row = [0] * (d * d)
                 for k in range(d):
-                    v = a_mat[k][q]
-                    if v:
-                        row[base + k] += v
-                for k in range(d):
-                    v = b_mat[p][k]
-                    if v:
-                        row[k * d + q] -= v
+                    row[k * d + m] += a_mat[k][t]
+                    row[t * d + k] -= b_mat[m][k]
                 if any(row):
                     constraints.append(row)
     basis = nullspace(constraints) if constraints else [[Fraction(1)] * (d * d)]
@@ -224,21 +219,15 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
             f"intertwiner space has dimension {len(basis)}, expected 1: "
             "the two models are not behaving as isomorphic irreducibles"
         )
-    vec = basis[0]
-    x = [vec[p * d : (p + 1) * d] for p in range(d)]  # rows webs, cols tableaux
-    scale = x[0][0]  # (consecutive matching, interleaved tableau) sits at (0, 0)
+    scale = basis[0][0]  # the (interleaved tableau, consecutive matching) entry
     if scale == 0:
         raise ArithmeticError("intertwiner vanishes on the interleaved polytabloid")
-    entries = []
-    for t_idx in range(d):
-        row = []
-        for m_idx in range(d):
-            value = x[m_idx][t_idx] / scale
-            if value.denominator != 1:
-                raise ArithmeticError(f"non-integer oracle entry {value}")
-            row.append(int(value))
-        entries.append(tuple(row))
-    return TransitionMatrix(n, syt, web_list, tuple(entries))
+    values = [v / scale for v in basis[0]]
+    for value in values:
+        if value.denominator != 1:
+            raise ArithmeticError(f"non-integer oracle entry {value}")
+    entries = tuple(tuple(map(int, values[t * d : (t + 1) * d])) for t in range(d))
+    return TransitionMatrix(n, syt, web_list, entries)
 
 
 @dataclass(frozen=True)
@@ -252,10 +241,8 @@ class VerificationReport:
 
     @property
     def all_passed(self) -> bool:
-        checks = [self.nonnegative, self.diagonal_ones, self.support_acyclic]
-        if self.oracle_agrees is not None:
-            checks.append(self.oracle_agrees)
-        return all(checks)
+        """Every failed check, and a failed oracle, adds a counterexample."""
+        return not self.counterexamples
 
     def to_json_dict(self) -> dict:
         return {
@@ -282,15 +269,13 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> Verif
         tm = _build_transition_matrix(n, sign_flip=True)
     elif fault == "negative-entry":
         good = transition_matrix(n)
-        entries = [list(row) for row in good.entries]
-        entries[0][-1] = -1
-        tm = TransitionMatrix(n, good.row_labels, good.col_labels, tuple(tuple(r) for r in entries))
+        tm = replace(good, entries=(good.entries[0][:-1] + (-1,),) + good.entries[1:])
     else:
         raise ValueError(f"unknown fault mode: {fault}")
 
-    ok_nonneg, bad_nonneg = check_nonnegative(tm)
-    ok_diag, bad_diag = check_diagonal_ones(tm)
-    ok_acyclic, bad_acyclic = check_support_acyclic(tm)
+    bad_nonneg = check_nonnegative(tm)
+    bad_diag = check_diagonal_ones(tm)
+    bad_acyclic = check_support_acyclic(tm)
     counterexamples = bad_nonneg + bad_diag + bad_acyclic
     oracle_agrees: bool | None = None
     if with_oracle:
@@ -305,9 +290,9 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> Verif
                 counterexamples.append({"check": "oracleAgrees", "n": n})
     return VerificationReport(
         n=n,
-        nonnegative=ok_nonneg,
-        diagonal_ones=ok_diag,
-        support_acyclic=ok_acyclic,
+        nonnegative=not bad_nonneg,
+        diagonal_ones=not bad_diag,
+        support_acyclic=not bad_acyclic,
         oracle_agrees=oracle_agrees,
         counterexamples=tuple(counterexamples),
     )

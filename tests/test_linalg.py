@@ -123,6 +123,13 @@ class TestNullspace:
         assert len(basis) == 1
         assert basis[0][0] + basis[0][1] == 0
 
+    @pytest.mark.parametrize("matrix", [[[1], [1, 2]], [[1, 2], [1]]], ids=["longer", "shorter"])
+    def test_ragged_rows_rejected(self, matrix):
+        with pytest.raises(ValueError, match="different lengths"):
+            nullspace(matrix)
+        with pytest.raises(ValueError, match="different lengths"):
+            rank(matrix)
+
     @settings(max_examples=60)
     @given(small_matrices())
     def test_rank_nullity(self, matrix):

@@ -189,46 +189,46 @@ class TestChecks:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_clean_matrix_passes(self, n):
         tm = transition_matrix(n)
-        assert check_nonnegative(tm) == (True, [])
-        assert check_diagonal_ones(tm) == (True, [])
-        assert check_support_acyclic(tm) == (True, [])
+        assert check_nonnegative(tm) == []
+        assert check_diagonal_ones(tm) == []
+        assert check_support_acyclic(tm) == []
 
     def test_negative_entry_located(self):
         good = transition_matrix(2)
         entries = ((1, 0), (-1, 1))
         bad = TransitionMatrix(2, good.row_labels, good.col_labels, entries)
-        ok, where = check_nonnegative(bad)
-        assert not ok
-        assert where == [{"check": "nonnegative", "row": 1, "col": 0, "entry": -1}]
+        assert check_nonnegative(bad) == [
+            {"check": "nonnegative", "row": 1, "col": 0, "entry": -1}
+        ]
 
     def test_negative_entries_in_row_major_order(self):
         good = transition_matrix(3)
         entries = [list(row) for row in good.entries]
         entries[1][3], entries[3][0], entries[3][4] = -2, -1, -5
         bad = TransitionMatrix(3, good.row_labels, good.col_labels, tuple(map(tuple, entries)))
-        assert check_nonnegative(bad) == (False, [
+        assert check_nonnegative(bad) == [
             {"check": "nonnegative", "row": 1, "col": 3, "entry": -2},
             {"check": "nonnegative", "row": 3, "col": 0, "entry": -1},
             {"check": "nonnegative", "row": 3, "col": 4, "entry": -5},
-        ])
+        ]
 
     def test_all_ones_has_cycle(self):
         good = transition_matrix(2)
         bad = TransitionMatrix(2, good.row_labels, good.col_labels, ((1, 1), (1, 1)))
-        assert check_diagonal_ones(bad)[0]
-        ok, why = check_support_acyclic(bad)
-        assert not ok
-        assert why == [{"check": "supportAcyclic", "row": 0, "col": 1, "entry": 1}]
+        assert check_diagonal_ones(bad) == []
+        assert check_support_acyclic(bad) == [
+            {"check": "supportAcyclic", "row": 0, "col": 1, "entry": 1}
+        ]
 
     def test_upper_triangular_entry_located(self):
         # unit diagonal and acyclic support (web 1 -> web 0 only), but not
         # lower triangular in canonical order
         good = transition_matrix(2)
         bad = TransitionMatrix(2, good.row_labels, good.col_labels, ((1, 1), (0, 1)))
-        assert check_diagonal_ones(bad)[0]
-        ok, why = check_support_acyclic(bad)
-        assert not ok
-        assert why == [{"check": "supportAcyclic", "row": 0, "col": 1, "entry": 1}]
+        assert check_diagonal_ones(bad) == []
+        assert check_support_acyclic(bad) == [
+            {"check": "supportAcyclic", "row": 0, "col": 1, "entry": 1}
+        ]
 
     def test_first_entry_above_diagonal_reported(self):
         entries = [list(row) for row in transition_matrix(4).entries]
@@ -236,17 +236,16 @@ class TestChecks:
         entries[7][8] = 2
         good = transition_matrix(4)
         bad = TransitionMatrix(4, good.row_labels, good.col_labels, tuple(map(tuple, entries)))
-        assert check_support_acyclic(bad) == (
-            False,
-            [{"check": "supportAcyclic", "row": 5, "col": 9, "entry": 3}],
-        )
+        assert check_support_acyclic(bad) == [
+            {"check": "supportAcyclic", "row": 5, "col": 9, "entry": 3}
+        ]
 
     def test_broken_diagonal_located(self):
         good = transition_matrix(2)
         bad = TransitionMatrix(2, good.row_labels, good.col_labels, ((1, 0), (1, 2)))
-        ok, where = check_diagonal_ones(bad)
-        assert not ok
-        assert where[0]["entry"] == 2
+        assert check_diagonal_ones(bad) == [
+            {"check": "diagonalOnes", "row": 1, "col": 1, "entry": 2}
+        ]
 
 
 class TestIntertwinerOracle:
@@ -275,6 +274,20 @@ class TestIntertwinerOracle:
 
     def test_matrix_intertwines_explicitly(self):
         self._assert_intertwines(3)
+
+    @pytest.mark.parametrize("n, shape", [(2, (12, 4)), (3, (125, 25)), (4, (1372, 196))])
+    def test_system_shape(self, n, shape, monkeypatch):
+        # one unknown per entry, and one row per nonzero equation
+        shapes = []
+        solve = transition.nullspace
+
+        def spy(rows):
+            shapes.append((len(rows), len(rows[0])))
+            return solve(rows)
+
+        monkeypatch.setattr(transition, "nullspace", spy)
+        intertwiner_oracle(n)
+        assert shapes == [shape]
 
 
 class TestVerify:
@@ -305,6 +318,15 @@ class TestVerify:
         report = verify(3, with_oracle=True, fault=fault)
         assert report.oracle_agrees is False
         assert report.counterexamples[-1] == {"check": "oracleAgrees", "n": 3}
+
+    @pytest.mark.parametrize("with_oracle", [False, True])
+    @pytest.mark.parametrize("fault", [None, "syzygy-sign-flip", "negative-entry"])
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_every_failed_check_leaves_a_counterexample(self, n, fault, with_oracle):
+        report = verify(n, with_oracle=with_oracle, fault=fault)
+        checks = [report.nonnegative, report.diagonal_ones, report.support_acyclic]
+        passed = all(checks) and report.oracle_agrees is not False
+        assert report.all_passed == (not report.counterexamples) == passed
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):
