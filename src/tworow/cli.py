@@ -4,13 +4,13 @@ Batch front end.
 Subcommands: ``enumerate`` (dump the two indexing sets and their
 pairing), ``matrix`` (the transition matrix), ``verify`` (checks plus
 exit code; ``--with-oracle`` adds the rewrite vs. intertwiner
-comparison), ``bench`` (build, write and oracle times, and the rewrite
-counts of the reference construction).  JSON is the
-canonical output format and is byte-stable for a fixed command line; CSV
-is available where tabular output makes sense.  Every output is streamed: ``_json_chunks`` yields the
-text of ``json.dumps(doc, indent=2)`` piece by piece (a list of ints, such
-as one matrix row, is one piece) and ``_write`` writes each piece as it
-comes, so no document is ever held whole in memory.
+comparison), ``bench`` (build, write and oracle times).  JSON is the
+canonical output format and is byte-stable for a fixed command line;
+``enumerate`` and ``matrix`` also write CSV (``--format csv``).  Every
+output is streamed: ``_json_chunks`` yields the text of
+``json.dumps(doc, indent=2)`` piece by piece (a list of ints, such as one
+matrix row, is one piece) and ``_write`` writes each piece as it comes, so
+no document is ever held whole in memory.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including an unwritable --out, an unwritable or closed stdout, a cap
@@ -30,7 +30,7 @@ from collections.abc import Iterable, Iterator
 from types import GeneratorType
 
 from . import minors, transition
-from .combinat import catalan, enumerate_syt, enumerate_webs, first_crossing
+from .combinat import catalan, enumerate_syt, enumerate_webs
 
 DEFAULT_ENUM_CAP = 10
 DEFAULT_MATRIX_CAP = 6
@@ -231,29 +231,16 @@ def cmd_bench(args) -> int:
     t_start = time.perf_counter()
     _write(_json_chunks(tm.to_json_dict()), os.devnull)
     write_seconds = time.perf_counter() - t_start
-    del tm
-    # the crossing rewrite of every row, untimed: it is the reference
-    # construction, and its memo gives the rewrite counts
-    memo: dict = {}
-    for t in enumerate_syt(n):
-        transition.transition_row(t, memo=memo)
-    rewrites = sum(1 for p in memo if first_crossing(p) is not None)
     rows = {
         "n": n,
         "matrixSeconds": round(matrix_seconds, 6),
         "writeSeconds": round(write_seconds, 6),
-        "matchingsResolved": len(memo),
-        "syzygyRewrites": rewrites,
     }
     if n <= oracle_cap:
         t_start = time.perf_counter()
         transition.intertwiner_oracle(n)
         rows["oracleSeconds"] = round(time.perf_counter() - t_start, 6)
-
-    if args.format == "csv":
-        _write(["metric,value\n"] + [f"{k},{v}\n" for k, v in rows.items()], args.out)
-    else:
-        _write(_json_chunks(rows), args.out)
+    _write(_json_chunks(rows), args.out)
     return 0
 
 
@@ -265,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "csv")):
+    def common(p):
         p.add_argument("--n", type=_positive_int, required=True, help="half the number of letters")
-        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
     p_enum = sub.add_parser("enumerate", help="dump standard tableaux, webs and their pairing")
     common(p_enum)
+    p_enum.add_argument("--format", choices=("json", "csv"), default="json")
     p_enum.add_argument(
         "--dump-poly",
         action="store_true",
@@ -281,10 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_matrix = sub.add_parser("matrix", help="compute the transition matrix")
     common(p_matrix)
+    p_matrix.add_argument("--format", choices=("json", "csv"), default="json")
     p_matrix.set_defaults(func=cmd_matrix)
 
     p_verify = sub.add_parser("verify", help="check nonnegativity and unitriangularity")
-    common(p_verify, formats=("json",))
+    common(p_verify)
     p_verify.add_argument("--with-oracle", action="store_true")
     p_verify.add_argument(
         "--inject-fault",
@@ -294,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="wall times and rewrite counts")
+    p_bench = sub.add_parser("bench", help="build, write and oracle times")
     common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

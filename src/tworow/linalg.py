@@ -29,6 +29,8 @@ def identity_matrix(k: int) -> list[list[int]]:
 
 
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    if any(len(row) != len(m[0]) for m in (a, b) for row in m):
+        raise ValueError("rows of different lengths")
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
     bt = list(zip(*b))

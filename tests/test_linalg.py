@@ -161,6 +161,13 @@ class TestExactArithmetic:
 
         assert gcd(abs(left.numerator), left.denominator) == 1
 
+    @pytest.mark.parametrize(
+        "a, b", [([[1, 2], [1]], [[1], [1]]), ([[1, 2]], [[1, 5], [1]])], ids=["left", "right"]
+    )
+    def test_mat_mul_ragged_rows_rejected(self, a, b):
+        with pytest.raises(ValueError, match="different lengths"):
+            mat_mul(a, b)
+
     @settings(max_examples=60)
     @given(small_matrices(4), small_matrices(4))
     def test_mat_mul_shapes_guarded(self, a, b):

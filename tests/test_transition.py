@@ -11,6 +11,7 @@ from tworow.combinat import (
     consecutive_matching,
     enumerate_syt,
     enumerate_webs,
+    first_crossing,
     interleaved_tableau,
     tableau_to_web,
 )
@@ -69,6 +70,15 @@ class TestTransitionRow:
     def test_rejects_nonstandard(self):
         with pytest.raises(ValueError):
             transition_row(Tableau(((2, 1), (3, 4))))
+
+    def test_rewrite_counts_n6(self):
+        # every row of n = 6 through one shared memo: the matchings the
+        # rewrite resolved, and those of them that cross
+        memo = {}
+        for t in enumerate_syt(6):
+            transition_row(t, memo=memo)
+        assert len(memo) == 1500
+        assert sum(1 for m in memo if first_crossing(m) is not None) == 1368
 
 
 class TestTransitionMatrix:
