@@ -232,6 +232,19 @@ class Matching:
         return cls(tuple(partner))
 
 
+# the slot itself, which the frozen dataclass's __setattr__ would refuse
+_SET_PARTNER = Matching.partner.__set__
+
+
+def _trusted_matching(partner: tuple[int, ...]) -> Matching:
+    """A ``Matching`` built without the check of ``__post_init__``, for a
+    partner tuple the caller has already proved to be a fixed-point-free
+    involution; anything else gives a ``Matching`` that is not one."""
+    m = object.__new__(Matching)
+    _SET_PARTNER(m, partner)
+    return m
+
+
 def crossing_pairs(m: Matching) -> list[tuple[int, int, int, int]]:
     """All quadruples a < b < c < d with a~c and b~d in m, sorted.
 
@@ -249,20 +262,30 @@ def crossing_pairs(m: Matching) -> list[tuple[int, int, int, int]]:
     return sorted(quads)
 
 
-def first_crossing(partner: tuple[int, ...]) -> tuple[int, int, int, int] | None:
+def first_crossing(partner: tuple[int, ...], start: int = 1) -> tuple[int, int, int, int] | None:
     """The lexicographically smallest quadruple a < b < c < d with a ~ c
     and b ~ d in a partner array, or None when it is noncrossing; the
     same as ``crossing_pairs(Matching(partner))[0]``, found by a direct
     scan that stops at the first crossing.
 
+    The scan looks only at openers a >= ``start``.  The caller promises
+    that no crossing starts below ``start``; under that promise the
+    answer is the same as with the default ``start=1``.  The rewrite
+    keeps the promise by passing its parent's a down to both children
+    (see ``webs``).
+
     >>> first_crossing((3, 4, 1, 2)), first_crossing((2, 1, 4, 3))
     ((1, 2, 3, 4), None)
+    >>> first_crossing((2, 1, 5, 6, 3, 4), 3)
+    (3, 4, 5, 6)
     """
-    for a, c in enumerate(partner, 1):
-        for b in range(a + 1, c):
-            d = partner[b - 1]
-            if d > c:
-                return a, b, c, d
+    for a, c in enumerate(partner[start - 1 :], start):
+        # letters a+1..c-1 sit at partner[a : c - 1]; a chord from one of
+        # them crosses a ~ c exactly when its partner lies beyond c
+        if c > a + 1 and max(partner[a : c - 1]) > c:
+            for b, d in enumerate(partner[a : c - 1], a + 1):
+                if d > c:
+                    return a, b, c, d
     return None
 
 

@@ -19,8 +19,7 @@ have strictly fewer crossings, so the rewrite terminates.
 integer) coefficients; the minors module has an independent check.
 Inside, the rewrite works on bare partner tuples: ``first_crossing``
 scans for the lexicographically smallest crossing, the reconnections are
-built by swapping partners, and the memo is keyed by those tuples.  Only
-the returned keys are validated ``Matching`` objects.
+built by swapping partners, and the memo is keyed by those tuples.
 
 The rewrite is the recursion itself, ``_expand``: the expansion of a
 crossing matching is that of its first reconnection plus that of its
@@ -31,11 +30,32 @@ until the cycle collector runs.  Each child has fewer crossings than its
 parent, so the depth is at most n(n-1)/2 + 1 (37 at n = 9), far below
 Python's recursion limit at every n the rewrite can finish.  The one
 knob, ``sign_flip``, negates the second reconnection to inject a fault.
+
+Three things keep the rewrite cheap.
+
+- The scan starts at the parent's crossing.  If (a, b, c, d) is the
+  smallest crossing of p, no crossing of either reconnection starts
+  below a.  Such a crossing would pair an old chord a' ~ c' with a' < a
+  and a new chord (two old chords that cross already crossed in p).
+  The new chord's ends are two of a, b, c, d, so c' lies strictly
+  between a and d, and a' ~ c' already crossed a ~ c or b ~ d in p.
+  So each child is scanned from a.
+- The merge touches only the keys the two expansions share: the sum
+  starts as a copy of the first and takes the second with one
+  ``update``.  Only when the union is shorter than the two together
+  does it look for the shared keys, fixing their sums and deleting
+  those that sum to zero.  Updating a key does not move it, so the
+  order of every expansion is the one a walk over all the second's
+  keys gives.
+- The returned keys are built without ``Matching``'s check.  Each comes
+  from partner swaps of the validated input, and each swap turns two
+  pairs into two pairs, so each is a fixed-point-free involution; the
+  test suite rebuilds them through the public constructor.
 """
 
 from __future__ import annotations
 
-from .combinat import Matching, enumerate_webs, first_crossing
+from .combinat import Matching, _trusted_matching, enumerate_webs, first_crossing
 
 WebVector = dict[Matching, int]
 # the partner array of a matching, bare: the rewrite's internal key
@@ -64,27 +84,33 @@ def _syzygy_children(p: Partner, quad: tuple[int, int, int, int]) -> tuple[Partn
 
 
 def _expand(
-    p: Partner, memo: dict[Partner, dict[Partner, int]], sign: int
+    p: Partner, start: int, memo: dict[Partner, dict[Partner, int]], sign: int
 ) -> dict[Partner, int]:
     """The expansion of p, keyed by partner tuples and stored in ``memo``:
     p itself when noncrossing, else the expansion of the first
     reconnection of its first crossing plus ``sign`` times that of the
-    second, zeros dropped.  The value in ``memo`` is returned, not a copy."""
+    second, zeros dropped.  No crossing of p starts below ``start``.
+    The value in ``memo`` is returned, not a copy."""
     known = memo.get(p)
     if known is not None:
         return known
-    quad = first_crossing(p)
+    quad = first_crossing(p, start)
     if quad is None:
         out = {p: 1}
     else:
         first, second = _syzygy_children(p, quad)
-        out = dict(_expand(first, memo, sign))
-        for key, coeff in _expand(second, memo, sign).items():
-            total = out.get(key, 0) + sign * coeff
-            if total:
-                out[key] = total
-            else:
-                del out[key]
+        x = _expand(first, quad[0], memo, sign)
+        y = _expand(second, quad[0], memo, sign)
+        out = dict(x)
+        out.update(y if sign > 0 else {key: -coeff for key, coeff in y.items()})
+        # a short union means shared keys, whose sums are fixed in place
+        if len(out) < len(x) + len(y):
+            for key in x.keys() & y.keys():
+                total = x[key] + sign * y[key]
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
     memo[p] = out
     return out
 
@@ -113,15 +139,18 @@ def resolve_crossings(
     benchmark reads it to count rewrites); by default each call uses a
     fresh one.  Memo tables map a partner tuple to its expansion, itself
     keyed by partner tuples; only the returned dict, a fresh one, is
-    keyed by ``Matching``.
+    keyed by ``Matching``.  Those keys are trusted: each comes from
+    partner swaps of a checked ``Matching`` (``m``, or an earlier input
+    that filled a shared memo), so they skip the public constructor's
+    check.
 
     >>> resolve_crossings(Matching.from_pairs([(1, 3), (2, 4)]))
     {Matching(partner=(2, 1, 4, 3)): 1, Matching(partner=(4, 3, 2, 1)): 1}
     """
     if memo is None:
         memo = {}
-    expansion = _expand(m.partner, memo, -1 if sign_flip else 1)
-    return {Matching(key): coeff for key, coeff in expansion.items()}
+    expansion = _expand(m.partner, 1, memo, -1 if sign_flip else 1)
+    return {_trusted_matching(key): coeff for key, coeff in expansion.items()}
 
 
 def action_table(i: int, n: int) -> tuple[int, ...]:

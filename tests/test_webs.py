@@ -96,8 +96,9 @@ class TestResolveCrossings:
         lexicographic = resolve_crossings(m)
         scanned = []
 
-        def random_crossing(p):
-            # rewrite a random crossing at each step in place of the smallest
+        def random_crossing(p, start=1):
+            # rewrite a random crossing at each step in place of the smallest;
+            # the start hint only holds for the smallest, so it is ignored
             scanned.append(p)
             return rng.choice(crossing_pairs(Matching(p)) or [None])
 
@@ -115,6 +116,37 @@ class TestResolveCrossings:
         }
 
 
+def reference_expand(p, memo, sign):
+    """A reference for ``webs._expand``: the smallest crossing from
+    ``crossing_pairs`` and a merge that walks every key of the second
+    expansion, with no start hint."""
+    known = memo.get(p)
+    if known is not None:
+        return known
+    quads = crossing_pairs(Matching(p))
+    if not quads:
+        out = {p: 1}
+    else:
+        a, b, c, d = quads[0]
+        first, second = list(p), list(p)
+        first[a - 1], first[b - 1], first[c - 1], first[d - 1] = b, a, d, c
+        second[a - 1], second[b - 1], second[c - 1], second[d - 1] = d, c, b, a
+        out = dict(reference_expand(tuple(first), memo, sign))
+        for key, coeff in reference_expand(tuple(second), memo, sign).items():
+            total = out.get(key, 0) + sign * coeff
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    memo[p] = out
+    return out
+
+
+def memo_items(memo):
+    """A memo's keys and each value's items, in insertion order."""
+    return [(k, list(v.items())) for k, v in memo.items()]
+
+
 class TestTupleRewrite:
     """The rewrite runs on partner tuples; these pin it to the rewrite on
     ``Matching`` objects it replaced."""
@@ -123,6 +155,51 @@ class TestTupleRewrite:
     def test_first_crossing_is_smallest_quadruple(self, n):
         for m in enumerate_perfect_matchings(n):
             assert first_crossing(m.partner) == (crossing_pairs(m) or [None])[0]
+
+    def test_no_child_crossing_starts_before_its_parents(self):
+        # the lemma behind the start hint: rewriting the smallest crossing
+        # (a, b, c, d) leaves no crossing that starts below a
+        children = 0
+        for n in range(2, 7):
+            for m in enumerate_perfect_matchings(n):
+                quad = first_crossing(m.partner)
+                if quad is None:
+                    continue
+                for child in webs._syzygy_children(m.partner, quad):
+                    children += 1
+                    smallest = (crossing_pairs(Matching(child)) or [None])[0]
+                    assert smallest is None or smallest[0] >= quad[0]
+                    assert first_crossing(child, quad[0]) == smallest
+        assert children == 22536
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6).flatmap(matchings), st.booleans())
+    def test_same_memo_and_order_as_the_reference(self, m, sign_flip):
+        memo, expected_memo = {}, {}
+        out = resolve_crossings(m, sign_flip=sign_flip, memo=memo)
+        expected = reference_expand(m.partner, expected_memo, -1 if sign_flip else 1)
+        assert [(k.partner, c) for k, c in out.items()] == list(expected.items())
+        assert memo_items(memo) == memo_items(expected_memo)
+
+    def test_flipped_sign_cancels_like_the_reference(self):
+        # under sign_flip shared keys of the full twist on 8 letters sum
+        # to zero (84 terms against 87 unflipped); the merge must delete
+        # the same ones as the reference
+        twist = Matching.from_pairs([(i, i + 4) for i in range(1, 5)])
+        memo, expected_memo = {}, {}
+        resolve_crossings(twist, sign_flip=True, memo=memo)
+        reference_expand(twist.partner, expected_memo, -1)
+        assert sum(map(len, memo.values())) == 84
+        assert memo_items(memo) == memo_items(expected_memo)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6).flatmap(matchings), st.booleans())
+    def test_returned_keys_pass_the_public_check(self, m, sign_flip):
+        # the keys are built without Matching's check; the public
+        # constructor raises ValueError on any that is not a matching
+        for key in resolve_crossings(m, sign_flip=sign_flip):
+            rebuilt = Matching(key.partner)
+            assert rebuilt == key and rebuilt.is_noncrossing
 
     def test_returns_matching_keys(self):
         out = resolve_crossings(Matching.from_pairs([(1, 4), (2, 6), (3, 5)]), memo={})
