@@ -11,8 +11,8 @@ agrees with an exact expansion of products of 2x2 minors, written as
 tabloid vectors.
 """
 
-from tworow import Matching, crossing_pairs
-from tworow.minors import expand_in_web_basis, web_vector
+from tworow import Matching, crossing_pairs, enumerate_webs, specht
+from tworow.minors import web_vector
 from tworow.webs import resolve_crossings
 
 crossed = Matching.from_pairs([(1, 4), (2, 5), (3, 6)])
@@ -34,5 +34,7 @@ for m, c in sorted(expansion.items(), key=lambda kv: kv[0].partner):
 # product is multilinear, so a monomial is fixed by its row-1 columns (a
 # tabloid), and the noncrossing products are unitriangular over the
 # tabloids, so the expansion peels them off by their leading tabloids.
-oracle = expand_in_web_basis(web_vector(crossed), 3)
-print("minor-product expansion agrees:", oracle == expansion)
+web_list = enumerate_webs(3)
+basis = specht.triangular_basis([web_vector(w) for w in web_list])
+oracle = specht.coordinates(basis, web_vector(crossed), 3)
+print("minor-product expansion agrees:", oracle == [expansion.get(w, 0) for w in web_list])

@@ -13,7 +13,11 @@ the transition matrix entry for entry.  It does.
 
 from tworow import intertwiner_oracle, transition_matrix
 from tworow import specht, webs
-from tworow.linalg import mat_mul
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
 
 for n in (1, 2, 3, 4):
     oracle = intertwiner_oracle(n)

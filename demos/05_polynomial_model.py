@@ -11,16 +11,16 @@ set of columns it takes from row 1, a tabloid: D(M) is a signed tabloid
 vector, in the same space as the polytabloids.
 """
 
-from tworow import Matching, Permutation, consecutive_matching, permute_matching
+from tworow import Matching, Permutation, consecutive_matching, enumerate_webs, specht
 from tworow.combinat import adjacent_transposition
-from tworow.minors import (
-    serialize_polynomial,
-    sign_rule_holds,
-    syzygy_holds,
-    web_polynomials_independent,
-    web_vector,
-)
+from tworow.minors import serialize_polynomial, web_vector
 from tworow.specht import act_on_tabloid_vector
+
+
+def inversion_sign(sigma, m):
+    """(-1) to the number of pairs a < b of m with sigma(a) > sigma(b)."""
+    return (-1) ** sum(1 for a, b in m.pairs() if sigma(a) > sigma(b))
+
 
 m0 = consecutive_matching(2)
 print("D(1,2):", web_vector(consecutive_matching(1)))
@@ -30,23 +30,32 @@ for term in serialize_polynomial(web_vector(m0)):
     print(f"  {term['coeff']:+d} *", " ".join(f"x[{r},{j}]" for r, j, _ in term["exponents"]))
 
 # The identity that powers the crossing rewrite.
-print("\nD(1,3)D(2,4) = D(1,2)D(3,4) + D(1,4)D(2,3):", syzygy_holds(1, 2, 3, 4))
+rhs = web_vector(m0)
+for tab, c in web_vector(Matching.from_pairs([(1, 4), (2, 3)])).items():
+    rhs[tab] = rhs.get(tab, 0) + c
+lhs = web_vector(Matching.from_pairs([(1, 3), (2, 4)]))
+print("\nD(1,3)D(2,4) = D(1,2)D(3,4) + D(1,4)D(2,3):",
+      lhs == {tab: c for tab, c in rhs.items() if c})
 
 # Column permutation picks up a sign counting the inverted pairs.
 s1 = adjacent_transposition(4, 1)
 moved = act_on_tabloid_vector(s1, web_vector(m0))
 print("\npermuting columns 1,2 of D(1,2)D(3,4) negates it:",
       moved == {tab: -c for tab, c in web_vector(m0).items()})
-sign, _ = permute_matching(s1, m0)
-print("inversion-pair sign:", sign)
+print("inversion-pair sign:", inversion_sign(s1, m0))
 
 sigma = Permutation((3, 1, 4, 2))
 crossed = Matching.from_pairs([(1, 3), (2, 4)])
-print("sign rule for a full permutation:", sign_rule_holds(sigma, crossed))
+image = Matching.from_pairs(sorted((sigma(a), sigma(b))) for a, b in crossed.pairs())
+sign = inversion_sign(sigma, crossed)
+print("sign rule for a full permutation:",
+      act_on_tabloid_vector(sigma, web_vector(crossed))
+      == {tab: sign * c for tab, c in web_vector(image).items()})
 
 # The minor product of a noncrossing matching has coefficient 1 at its
 # openers, and every other tabloid in it is dominated by them: the
 # products are unitriangular over the tabloids, hence independent, and
 # expanding in them is an integer peel, most dominant lead first.
 for n in (1, 2, 3, 4):
-    print(f"unitriangular at n={n}:", web_polynomials_independent(n))
+    print(f"unitriangular at n={n}:",
+          specht.is_unitriangular([web_vector(w) for w in enumerate_webs(n)]))

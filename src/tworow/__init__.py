@@ -17,11 +17,9 @@ from .combinat import (
     catalan,
     consecutive_matching,
     crossing_pairs,
-    enumerate_perfect_matchings,
     enumerate_syt,
     enumerate_webs,
     interleaved_tableau,
-    permute_matching,
     tableau_to_web,
 )
 from .transition import (
@@ -42,12 +40,10 @@ __all__ = [
     "catalan",
     "consecutive_matching",
     "crossing_pairs",
-    "enumerate_perfect_matchings",
     "enumerate_syt",
     "enumerate_webs",
     "interleaved_tableau",
     "intertwiner_oracle",
-    "permute_matching",
     "tableau_to_web",
     "transition_matrix",
     "transition_row",

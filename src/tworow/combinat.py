@@ -1,6 +1,9 @@
 """
 Indexing combinatorics for the two-row world: permutations of the letters
-1..2n, fillings of the 2 x n rectangle, and perfect matchings on 1..2n.
+1..2n (only as much as the generator action needs: applying one, and the
+transpositions), fillings of the 2 x n rectangle, and perfect matchings
+on 1..2n.  The permutation algebra the tests check against (products,
+inverses, signs, reduced words) is in the test suite's model.
 
 Conventions used throughout the package:
 
@@ -51,85 +54,14 @@ class Permutation:
         if sorted(self.images) != list(range(1, k + 1)):
             raise ValueError(f"not a permutation of 1..{k}: {self.images}")
 
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
     def __call__(self, letter: int) -> int:
         return self.images[letter - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (self * other)(x) = self(other(x)).
-
-        >>> s1 = Permutation.transposition(3, 1, 2)
-        >>> s2 = Permutation.transposition(3, 2, 3)
-        >>> (s1 * s2).images
-        (2, 3, 1)
-        """
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, img in enumerate(self.images):
-            inv[img - 1] = i + 1
-        return Permutation(tuple(inv))
-
-    @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        return cls(tuple(range(1, size + 1)))
 
     @classmethod
     def transposition(cls, size: int, a: int, b: int) -> "Permutation":
         images = list(range(1, size + 1))
         images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
         return cls(tuple(images))
-
-    @classmethod
-    def from_cycles(cls, size: int, cycles) -> "Permutation":
-        """Build a permutation from disjoint cycles given in letter form.
-
-        >>> Permutation.from_cycles(4, [(1, 2, 3)]).images
-        (2, 3, 1, 4)
-        """
-        images = list(range(1, size + 1))
-        for cycle in cycles:
-            for pos, letter in enumerate(cycle):
-                images[letter - 1] = cycle[(pos + 1) % len(cycle)]
-        return cls(tuple(images))
-
-    def sign(self) -> int:
-        inversions = sum(
-            1
-            for i in range(self.size)
-            for j in range(i + 1, self.size)
-            if self.images[i] > self.images[j]
-        )
-        return -1 if inversions % 2 else 1
-
-    def reduced_word(self) -> tuple[int, ...]:
-        """A word (j1, ..., jk) of adjacent-transposition indices with
-        self = s_{jk} ... s_{j1}: acting with self means acting with
-        s_{j1} first and s_{jk} last.
-
-        Found by bubble-sorting the one-line notation; the word length is
-        the inversion number of the permutation.
-
-        >>> Permutation((3, 1, 2)).reduced_word()
-        (1, 2)
-        """
-        a = list(self.images)
-        word = []
-        i = 0
-        while i < len(a) - 1:
-            if a[i] > a[i + 1]:
-                word.append(i + 1)
-                a[i], a[i + 1] = a[i + 1], a[i]
-                i = max(i - 1, 0)
-            else:
-                i += 1
-        return tuple(word)
 
 
 def adjacent_transposition(size: int, i: int) -> Permutation:
@@ -167,10 +99,6 @@ class Tableau:
     def columns(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.rows[0], self.rows[1]))
 
-    @classmethod
-    def from_lists(cls, rows) -> "Tableau":
-        return cls((tuple(rows[0]), tuple(rows[1])))
-
     def to_lists(self) -> list[list[int]]:
         return [list(self.rows[0]), list(self.rows[1])]
 
@@ -194,11 +122,6 @@ class Matching:
         if not ok:
             raise ValueError(f"not a fixed-point-free involution: {self.partner}")
 
-    @property
-    def size(self) -> int:
-        """Number of letters 2n."""
-        return len(self.partner)
-
     def of(self, letter: int) -> int:
         return self.partner[letter - 1]
 
@@ -211,10 +134,6 @@ class Matching:
         return tuple(
             (i + 1, p) for i, p in enumerate(self.partner) if i + 1 < p
         )
-
-    def openers(self) -> tuple[int, ...]:
-        """The minima of the pairs, ascending."""
-        return tuple(a for a, _ in self.pairs())
 
     @property
     def is_noncrossing(self) -> bool:
@@ -335,25 +254,6 @@ def enumerate_syt(n: int) -> tuple[Tableau, ...]:
     return tuple(tableaux)
 
 
-def enumerate_perfect_matchings(n: int):
-    """Iterate over all (2n - 1)!! perfect matchings on 1..2n, crossing or
-    not, smallest free letter matched to each larger partner in turn."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-    def rec(letters):
-        if not letters:
-            yield []
-            return
-        first, rest = letters[0], letters[1:]
-        for k, mate in enumerate(rest):
-            for tail in rec(rest[:k] + rest[k + 1 :]):
-                yield [(first, mate)] + tail
-
-    for ps in rec(tuple(range(1, 2 * n + 1))):
-        yield Matching.from_pairs(ps)
-
-
 def tableau_to_web(t: Tableau) -> Matching:
     """The opener/closer bijection from standard tableaux to noncrossing
     matchings: first-row entries open, second-row entries close, and each
@@ -388,59 +288,3 @@ def enumerate_webs(n: int) -> tuple[Matching, ...]:
     """
     return tuple(tableau_to_web(t) for t in enumerate_syt(n))
 
-
-def permute_matching(sigma: Permutation, m: Matching) -> tuple[int, Matching]:
-    """Apply sigma to the endpoints of m, returning (sign, sigma(m)).
-
-    The sign is (-1)^k where k counts pairs {a < b} of m that sigma
-    inverts (sigma(a) > sigma(b)); it is the sign picked up by the
-    corresponding product of column minors under column permutation.
-
-    >>> permute_matching(Permutation((2, 1, 3, 4)), consecutive_matching(2))
-    (-1, Matching(partner=(2, 1, 4, 3)))
-    """
-    if sigma.size != m.size:
-        raise ValueError("size mismatch")
-    inverted = 0
-    new_pairs = []
-    for a, b in m.pairs():
-        sa, sb = sigma(a), sigma(b)
-        if sa > sb:
-            inverted += 1
-        new_pairs.append((min(sa, sb), max(sa, sb)))
-    sign = -1 if inverted % 2 else 1
-    return sign, Matching.from_pairs(new_pairs)
-
-
-def partitions(m: int):
-    """All integer partitions of m in decreasing part order.
-
-    >>> list(partitions(4))
-    [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    """
-
-    def rec(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            for tail in rec(remaining - part, part):
-                yield (part,) + tail
-
-    yield from rec(m, m)
-
-
-def cycle_type_representative(cycle_type, size: int) -> Permutation:
-    """A permutation with the given cycle type, cycles on consecutive blocks.
-
-    >>> cycle_type_representative((3, 2), 5).images
-    (2, 3, 1, 5, 4)
-    """
-    if sum(cycle_type) != size:
-        raise ValueError("cycle type must sum to the number of letters")
-    cycles = []
-    start = 1
-    for length in cycle_type:
-        cycles.append(tuple(range(start, start + length)))
-        start += length
-    return Permutation.from_cycles(size, cycles)

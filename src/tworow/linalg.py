@@ -1,10 +1,10 @@
 """
-Exact linear algebra over the rationals: products, rank and the
-nullspace the intertwiner oracle is read from.
+Exact linear algebra over the rationals: the nullspace the intertwiner
+oracle is read from.
 
 Matrices are plain lists of rows whose entries are ints or
 ``fractions.Fraction``; everything here is exact, there is no floating
-point anywhere.  ``rank`` and ``nullspace`` read one sparse row echelon
+point anywhere.  ``nullspace`` reads one sparse row echelon
 (``_echelon``): each row is kept as {column: int} over its nonzeros,
 scaled to integers with its content divided out, and reduced
 fraction-free against a pivot column -> pivot row dict.  The oracle's
@@ -22,19 +22,6 @@ from itertools import compress
 from typing import Sequence
 
 Scalar = int | Fraction
-
-
-def identity_matrix(k: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    if any(len(row) != len(m[0]) for m in (a, b) for row in m):
-        raise ValueError("rows of different lengths")
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions do not match")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def _echelon(matrix: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
@@ -80,15 +67,6 @@ def _echelon(matrix: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
                 pivots[c] = row
                 break
     return pivots
-
-
-def rank(matrix: Sequence[Sequence[Scalar]]) -> int:
-    """Rank over the rationals.
-
-    >>> rank([[1, 2], [2, 4], [0, 1]])
-    2
-    """
-    return len(_echelon(matrix))
 
 
 def nullspace(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:

@@ -24,16 +24,17 @@ products is an integer peel over the tabloids (``specht.coordinates``)
 and gives an independent check of that rewrite.  Permuting the columns
 sends D(M) to +/- D(sigma(M)), the sign counting the pairs of M that
 sigma inverts.
+
+The package needs only D(M) itself and its rendering for
+``enumerate --dump-poly``.  The identities above, the expansion over the
+noncrossing products and the agreement of the column action with the web
+action are checked in the test suite's model (``tests/model.py``).
 """
 
 from __future__ import annotations
 
-from functools import cache
-
-from . import specht
-from .combinat import Matching, Permutation, adjacent_transposition, enumerate_webs, permute_matching
-from .specht import Tabloid, act_on_tabloid_vector, pair_vector
-from .webs import action_table
+from .combinat import Matching
+from .specht import Tabloid, pair_vector
 
 
 def web_vector(m: Matching) -> dict[Tabloid, int]:
@@ -44,70 +45,6 @@ def web_vector(m: Matching) -> dict[Tabloid, int]:
     {(1,): 1, (2,): -1}
     """
     return pair_vector(m.pairs())
-
-
-def syzygy_holds(a: int, b: int, c: int, d: int) -> bool:
-    """Whether D(a,c) D(b,d) = D(a,b) D(c,d) + D(a,d) D(b,c), exactly."""
-    if not a < b < c < d:
-        raise ValueError("columns must satisfy a < b < c < d")
-    rhs = pair_vector([(a, b), (c, d)])
-    for tab, v in pair_vector([(a, d), (b, c)]).items():
-        rhs[tab] = rhs.get(tab, 0) + v
-    return pair_vector([(a, c), (b, d)]) == {tab: v for tab, v in rhs.items() if v}
-
-
-def sign_rule_holds(sigma: Permutation, m: Matching) -> bool:
-    """Whether permuting columns of D(m) equals sign * D(sigma(m)) with the
-    inversion-pair sign computed by combinat.permute_matching."""
-    sign, moved = permute_matching(sigma, m)
-    expected = {tab: sign * c for tab, c in web_vector(moved).items()}
-    return act_on_tabloid_vector(sigma, web_vector(m)) == expected
-
-
-@cache
-def _web_basis(n: int):
-    """The minor products of the noncrossing matchings as a
-    specht.triangular_basis, cached per n."""
-    return specht.triangular_basis([web_vector(w) for w in enumerate_webs(n)])
-
-
-def web_polynomials_independent(n: int) -> bool:
-    """Whether the minor products of the Catalan(n) noncrossing matchings
-    are unitriangular over the tabloids, which makes them independent."""
-    return specht.is_unitriangular([web_vector(w) for w in enumerate_webs(n)])
-
-
-def expand_in_web_basis(vec: dict[Tabloid, int], n: int) -> dict[Matching, int]:
-    """Exact coordinates of a tabloid vector in the span of the
-    noncrossing minor products; the independent check for the crossing
-    rewrite.
-
-    Raises ValueError when vec is outside the span.
-
-    >>> from .combinat import consecutive_matching
-    >>> m0 = consecutive_matching(2)
-    >>> expand_in_web_basis(web_vector(m0), 2) == {m0: 1}
-    True
-    """
-    coords = specht.coordinates(_web_basis(n), vec, n)
-    return {w: c for w, c in zip(enumerate_webs(n), coords) if c}
-
-
-def column_action_matches_web_action(n: int) -> bool:
-    """Whether, for every generator s_i and every noncrossing matching M,
-    permuting the columns of D(M) expands to exactly the web-model action
-    of s_i on M, as ``webs.action_table`` codes it: -w_M, or w_M plus the
-    web its entry names.  This is the compatibility that makes the two
-    models the same representation."""
-    web_list = enumerate_webs(n)
-    for i in range(1, 2 * n):
-        sigma = adjacent_transposition(2 * n, i)
-        for m, target in zip(web_list, action_table(i, n)):
-            moved = act_on_tabloid_vector(sigma, web_vector(m))
-            expected = {m: -1} if target < 0 else {m: 1, web_list[target]: 1}
-            if expand_in_web_basis(moved, n) != expected:
-                return False
-    return True
 
 
 def serialize_polynomial(vec: dict[Tabloid, int]) -> list[dict]:

@@ -31,17 +31,6 @@ from .combinat import Permutation, Tableau, adjacent_transposition, enumerate_sy
 Tabloid = tuple[int, ...]
 
 
-def tabloid_of(t: Tableau) -> Tabloid:
-    """The tabloid of a tableau: its first-row entries as a sorted tuple.
-
-    Row-equivalent tableaux give the same tabloid.
-
-    >>> tabloid_of(Tableau(((3, 1), (4, 2))))
-    (1, 3)
-    """
-    return tuple(sorted(t.rows[0]))
-
-
 def act_on_tabloid(sigma: Permutation, tab: Tabloid) -> Tabloid:
     return tuple(sorted(sigma(x) for x in tab))
 

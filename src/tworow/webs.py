@@ -16,7 +16,8 @@ rewriting one crossing pair a < b < c < d (a ~ c, b ~ d) as the sum of
 the two uncrossed reconnections (a ~ b, c ~ d) and (a ~ d, b ~ c); both
 have strictly fewer crossings, so the rewrite terminates.
 ``resolve_crossings`` carries this out and returns the (nonnegative,
-integer) coefficients; the minors module has an independent check.
+integer) coefficients; the test suite checks them against an
+independent expansion of the minor products (see ``minors``).
 Inside, the rewrite works on bare partner tuples: ``first_crossing``
 scans for the lexicographically smallest crossing, the reconnections are
 built by swapping partners, and the memo is keyed by those tuples.
@@ -135,14 +136,14 @@ def resolve_crossings(
     verifier can inject a sign fault and prove the downstream checks
     catch it.
     ``memo`` supplies a memo table to share across calls with the same
-    ``sign_flip`` (the reference build passes one for all rows; the
-    benchmark reads it to count rewrites); by default each call uses a
-    fresh one.  Memo tables map a partner tuple to its expansion, itself
-    keyed by partner tuples; only the returned dict, a fresh one, is
-    keyed by ``Matching``.  Those keys are trusted: each comes from
-    partner swaps of a checked ``Matching`` (``m``, or an earlier input
-    that filled a shared memo), so they skip the public constructor's
-    check.
+    ``sign_flip``; the one caller in the package that shares a memo is
+    ``transition._build_transition_matrix``, which passes one for all
+    rows.  By default each call uses a fresh one.  Memo tables map a
+    partner tuple to its expansion, itself keyed by partner tuples; only
+    the returned dict, a fresh one, is keyed by ``Matching``.  Those keys
+    are trusted: each comes from partner swaps of a checked ``Matching``
+    (``m``, or an earlier input that filled a shared memo), so they skip
+    the public constructor's check.
 
     >>> resolve_crossings(Matching.from_pairs([(1, 3), (2, 4)]))
     {Matching(partner=(2, 1, 4, 3)): 1, Matching(partner=(4, 3, 2, 1)): 1}

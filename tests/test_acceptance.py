@@ -8,6 +8,17 @@ tune anywhere.
 import random
 from fractions import Fraction
 
+from model import (
+    column_action_matches_web_action,
+    cycle_type_representative,
+    enumerate_perfect_matchings,
+    expand_in_web_basis,
+    identity_matrix,
+    mat_mul,
+    partitions,
+    reduced_word,
+    sign_rule_holds,
+)
 from tworow import minors, specht, webs
 from tworow.cli import main
 from tworow.combinat import (
@@ -15,15 +26,11 @@ from tworow.combinat import (
     adjacent_transposition,
     catalan,
     consecutive_matching,
-    cycle_type_representative,
-    enumerate_perfect_matchings,
     enumerate_syt,
     enumerate_webs,
     interleaved_tableau,
-    partitions,
     tableau_to_web,
 )
-from tworow.linalg import identity_matrix, mat_mul
 from tworow.transition import (
     check_diagonal_ones,
     check_nonnegative,
@@ -65,13 +72,13 @@ def test_criterion_02_positive_expansion():
                 if m.is_noncrossing:
                     assert out == {m: 1}
                 if n <= 4:
-                    expanded = minors.expand_in_web_basis(minors.web_vector(m), n)
+                    expanded = expand_in_web_basis(minors.web_vector(m), n)
                     assert expanded == {k: Fraction(v) for k, v in out.items()}
         # sampled at n=5
         rng = random.Random(0)
         pool = list(enumerate_perfect_matchings(5))
         for m in rng.sample(pool, 100):
-            expanded = minors.expand_in_web_basis(minors.web_vector(m), 5)
+            expanded = expand_in_web_basis(minors.web_vector(m), 5)
             resolved = webs.resolve_crossings(m)
             assert expanded == {k: Fraction(v) for k, v in resolved.items()}
 
@@ -161,7 +168,7 @@ def test_criterion_06_coxeter_relations():
 def test_criterion_07_column_action_matches_web_action():
     def body():
         for n in range(1, 5):
-            assert minors.column_action_matches_web_action(n)
+            assert column_action_matches_web_action(n)
 
     _check(
         7,
@@ -177,7 +184,7 @@ def test_criterion_08_sign_rule():
             for i in range(1, 2 * n):
                 sigma = adjacent_transposition(2 * n, i)
                 for m in enumerate_perfect_matchings(n):
-                    assert minors.sign_rule_holds(sigma, m)
+                    assert sign_rule_holds(sigma, m)
         rng = random.Random(0)
         pool = list(enumerate_perfect_matchings(5))
         for _ in range(200):
@@ -187,7 +194,7 @@ def test_criterion_08_sign_rule():
 
             sigma = Permutation(tuple(images))
             m = rng.choice(pool)
-            assert minors.sign_rule_holds(sigma, m)
+            assert sign_rule_holds(sigma, m)
 
     _check(
         8,
@@ -205,7 +212,7 @@ def test_criterion_09_characters_agree():
             b_mats = {i: webs.action_matrix(i, n) for i in range(1, 2 * n)}
             for cycle_type in partitions(2 * n):
                 sigma = cycle_type_representative(cycle_type, 2 * n)
-                word = sigma.reduced_word()
+                word = reduced_word(sigma)
                 trace = []
                 for mats in (a_mats, b_mats):
                     total = identity_matrix(d)

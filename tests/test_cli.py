@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from model import tableau_from_lists
 from tworow import transition, webs
 from tworow.cli import _json_chunks, main
-from tworow.combinat import Matching, Tableau, catalan
+from tworow.combinat import Matching, catalan
 from tworow.minors import web_vector
 from tworow.transition import transition_matrix
 
@@ -36,7 +37,7 @@ class TestEnumerate:
         doc = json.loads(out)
         assert doc["n"] == 3 and doc["catalan"] == 5
         assert len(doc["tableaux"]) == 5 and len(doc["webs"]) == 5
-        tableaux = [Tableau.from_lists(rows) for rows in doc["tableaux"]]
+        tableaux = [tableau_from_lists(rows) for rows in doc["tableaux"]]
         webs = [Matching(tuple(p)) for p in doc["webs"]]
         assert all(t.is_standard for t in tableaux)
         assert all(w.is_noncrossing for w in webs)

@@ -5,6 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model import (
+    compose,
+    cycle_type_representative,
+    enumerate_perfect_matchings,
+    from_cycles,
+    identity_permutation,
+    inverse,
+    openers,
+    permutation_sign,
+    permute_matching,
+    reduced_word,
+)
 from strategies import matchings, permutations
 from tworow.combinat import (
     Matching,
@@ -14,11 +26,9 @@ from tworow.combinat import (
     catalan,
     consecutive_matching,
     crossing_pairs,
-    enumerate_perfect_matchings,
     enumerate_syt,
     enumerate_webs,
     interleaved_tableau,
-    permute_matching,
     tableau_to_web,
 )
 
@@ -119,7 +129,7 @@ class TestEnumerateWebs:
         # matching, then sort by the tuple of pair minima, descending
         expected = sorted(
             (m for m in enumerate_perfect_matchings(n) if m.is_noncrossing),
-            key=lambda m: m.openers(),
+            key=openers,
             reverse=True,
         )
         assert enumerate_webs(n) == tuple(expected)
@@ -219,7 +229,7 @@ class TestTableauToWeb:
 class TestPermuteMatching:
     def test_identity(self):
         m = Matching.from_pairs([(1, 3), (2, 4)])
-        assert permute_matching(Permutation.identity(4), m) == (1, m)
+        assert permute_matching(identity_permutation(4), m) == (1, m)
 
     def test_s1_flips_consecutive(self):
         m0 = consecutive_matching(2)
@@ -242,9 +252,13 @@ class TestPermuteMatching:
         m = data.draw(matchings(n))
         s_tau, m_tau = permute_matching(tau, m)
         s_sigma, m_final = permute_matching(sigma, m_tau)
-        s_both, m_both = permute_matching(sigma * tau, m)
+        s_both, m_both = permute_matching(compose(sigma, tau), m)
         assert m_both == m_final
         assert s_both == s_sigma * s_tau
+
+    def test_rejects_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            permute_matching(identity_permutation(6), consecutive_matching(2))
 
 
 class TestCrossingPairs:
@@ -271,23 +285,28 @@ class TestPermutation:
     def test_compose_and_inverse(self):
         s1 = adjacent_transposition(3, 1)
         s2 = adjacent_transposition(3, 2)
-        assert (s1 * s2).images == (2, 3, 1)
-        assert (s1 * s2) * (s1 * s2).inverse() == Permutation.identity(3)
+        assert compose(s1, s2).images == (2, 3, 1)
+        assert compose(compose(s1, s2), inverse(compose(s1, s2))) == identity_permutation(3)
 
     @settings(max_examples=60)
     @given(st.data())
     def test_reduced_word_reconstructs(self, data):
         k = data.draw(st.integers(2, 8))
         sigma = data.draw(permutations(k))
-        word = sigma.reduced_word()
-        prod = Permutation.identity(k)
+        word = reduced_word(sigma)
+        prod = identity_permutation(k)
         for i in word:
-            prod = adjacent_transposition(k, i) * prod
+            prod = compose(adjacent_transposition(k, i), prod)
         assert prod == sigma
-        assert sigma.sign() == (-1) ** len(word)
+        assert permutation_sign(sigma) == (-1) ** len(word)
 
     def test_from_cycles(self):
-        assert Permutation.from_cycles(4, [(1, 2, 3)]).images == (2, 3, 1, 4)
+        assert from_cycles(4, [(1, 2, 3)]).images == (2, 3, 1, 4)
+
+    def test_cycle_type_must_sum_to_size(self):
+        assert cycle_type_representative((2, 1), 3).images == (2, 1, 3)
+        with pytest.raises(ValueError, match="sum to the number of letters"):
+            cycle_type_representative((2, 2), 5)
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):

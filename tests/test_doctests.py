@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import model
 import tworow
 
 # every module of the package; __main__ exits on import
@@ -29,6 +30,11 @@ def test_modules_found():
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0
+
+
+def test_model_doctests():
+    failures, tried = doctest.testmod(model)
+    assert failures == 0 and tried > 0
 
 
 def test_readme_quick_start():

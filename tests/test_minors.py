@@ -6,26 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model import (
+    column_action_matches_web_action,
+    enumerate_perfect_matchings,
+    expand_in_web_basis,
+    identity_permutation,
+    sign_rule_holds,
+    syzygy_holds,
+    tabloid_of,
+    web_polynomials_independent,
+)
 from strategies import matchings, permutations
 from tworow.combinat import (
     Matching,
-    Permutation,
     adjacent_transposition,
     consecutive_matching,
-    enumerate_perfect_matchings,
     enumerate_syt,
     enumerate_webs,
 )
-from tworow.minors import (
-    column_action_matches_web_action,
-    expand_in_web_basis,
-    serialize_polynomial,
-    sign_rule_holds,
-    syzygy_holds,
-    web_polynomials_independent,
-    web_vector,
-)
-from tworow.specht import act_on_tabloid_vector, pair_vector, tabloid_of
+from tworow.minors import serialize_polynomial, web_vector
+from tworow.specht import act_on_tabloid_vector, pair_vector
 from tworow.webs import resolve_crossings
 
 
@@ -101,7 +101,7 @@ class TestSyzygy:
 class TestColumnPermute:
     def test_identity(self):
         p = web_vector(consecutive_matching(2))
-        assert act_on_tabloid_vector(Permutation.identity(4), p) == p
+        assert act_on_tabloid_vector(identity_permutation(4), p) == p
 
     def test_s1_negates_first_minor(self):
         s1 = adjacent_transposition(4, 1)
@@ -121,7 +121,7 @@ class TestColumnPermute:
 class TestSignRule:
     def test_identity(self):
         for m in enumerate_webs(2):
-            assert sign_rule_holds(Permutation.identity(4), m)
+            assert sign_rule_holds(identity_permutation(4), m)
 
     def test_s1_on_consecutive(self):
         s1 = adjacent_transposition(4, 1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model import identity_matrix, identity_permutation, inverse, mat_mul, tabloid_of
 from strategies import permutations
 from tworow.combinat import (
     Permutation,
@@ -13,7 +14,6 @@ from tworow.combinat import (
     enumerate_syt,
     interleaved_tableau,
 )
-from tworow.linalg import identity_matrix, mat_mul
 from tworow.specht import (
     act_on_tabloid,
     act_on_tabloid_vector,
@@ -23,7 +23,6 @@ from tworow.specht import (
     is_unitriangular,
     pair_vector,
     polytabloid,
-    tabloid_of,
     triangular_basis,
 )
 
@@ -50,7 +49,7 @@ class TestTabloid:
         s3 = adjacent_transposition(4, 3)
         assert act_on_tabloid(s1, (1, 3)) == (2, 3)
         assert act_on_tabloid(s3, (1, 3)) == (1, 4)
-        assert act_on_tabloid(Permutation.identity(4), (1, 3)) == (1, 3)
+        assert act_on_tabloid(identity_permutation(4), (1, 3)) == (1, 3)
 
 
 class TestPolytabloid:
@@ -86,7 +85,7 @@ class TestPolytabloid:
         sigma = Permutation((3, 1, 5, 2, 6, 4))
         vec = polytabloid(t)
         there = act_on_tabloid_vector(sigma, vec)
-        back = act_on_tabloid_vector(sigma.inverse(), there)
+        back = act_on_tabloid_vector(inverse(sigma), there)
         assert back == vec
 
 

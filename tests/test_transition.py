@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from model import mat_mul, tableau_from_lists
 from tworow.combinat import (
     Matching,
     Tableau,
@@ -15,7 +16,6 @@ from tworow.combinat import (
     interleaved_tableau,
     tableau_to_web,
 )
-from tworow.linalg import mat_mul
 from tworow import specht, transition, webs
 from tworow.minors import web_vector
 from tworow.transition import (
@@ -362,7 +362,7 @@ class TestSerialization:
         tm = transition_matrix(n)
         doc = json.loads(json.dumps(tm.to_json_dict()))
         assert doc == {**tm.to_json_dict(), "entries": [list(row) for row in tm.entries]}
-        assert tuple(Tableau.from_lists(rows) for rows in doc["rowLabels"]) == tm.row_labels
+        assert tuple(tableau_from_lists(rows) for rows in doc["rowLabels"]) == tm.row_labels
         assert tuple(Matching(tuple(p)) for p in doc["colLabels"]) == tm.col_labels
 
     def test_csv_shape(self):

@@ -6,6 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model import (
+    compose,
+    cycle_type_representative,
+    enumerate_perfect_matchings,
+    identity_matrix,
+    identity_permutation,
+    mat_mul,
+    partitions,
+    reduced_word,
+)
 from strategies import matchings, permutations
 from tworow.combinat import (
     Matching,
@@ -13,14 +23,10 @@ from tworow.combinat import (
     catalan,
     consecutive_matching,
     crossing_pairs,
-    enumerate_perfect_matchings,
     enumerate_syt,
     enumerate_webs,
     first_crossing,
-    partitions,
-    cycle_type_representative,
 )
-from tworow.linalg import identity_matrix, mat_mul
 from tworow import webs
 from tworow.webs import action_matrix, action_table, resolve_crossings
 from tworow import specht
@@ -283,7 +289,7 @@ class TestActionMatrix:
 def act_by_permutation(sigma, vec, n):
     """Act with sigma on a coordinate column letter by letter along its
     bubble-sort word."""
-    for i in sigma.reduced_word():
+    for i in reduced_word(sigma):
         vec = mat_mul(action_matrix(i, n), vec)
     return vec
 
@@ -293,10 +299,8 @@ class TestActByPermutation:
     symmetric group: the result does not depend on the word."""
 
     def test_identity(self):
-        from tworow.combinat import Permutation
-
         vec = column({consecutive_matching(2): 3}, 2)
-        assert act_by_permutation(Permutation.identity(4), vec, 2) == vec
+        assert act_by_permutation(identity_permutation(4), vec, 2) == vec
 
     def test_single_generator(self):
         vec = column({consecutive_matching(2): 1}, 2)
@@ -311,7 +315,7 @@ class TestActByPermutation:
         sigma = data.draw(permutations(2 * n))
         tau = data.draw(permutations(2 * n))
         vec = column({data.draw(st.sampled_from(enumerate_webs(n))): 1}, n)
-        combined = act_by_permutation(sigma * tau, vec, n)
+        combined = act_by_permutation(compose(sigma, tau), vec, n)
         stepwise = act_by_permutation(sigma, act_by_permutation(tau, vec, n), n)
         assert combined == stepwise
 
@@ -320,7 +324,7 @@ def model_trace(n: int, cycle_type, matrices) -> int:
     sigma = cycle_type_representative(cycle_type, 2 * n)
     d = catalan(n)
     total = identity_matrix(d)
-    for i in sigma.reduced_word():
+    for i in reduced_word(sigma):
         total = mat_mul(matrices[i], total)
     return sum(total[k][k] for k in range(d))
 
