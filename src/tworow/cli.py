@@ -8,9 +8,9 @@ comparison), ``bench`` (build, write and oracle times).  JSON is the
 canonical output format and is byte-stable for a fixed command line;
 ``enumerate`` and ``matrix`` also write CSV (``--format csv``).  Every
 output is streamed: ``_json_chunks`` yields the text of
-``json.dumps(doc, indent=2)`` piece by piece (a list of ints, such as one
-matrix row, is one piece) and ``_write`` writes each piece as it comes, so
-no document is ever held whole in memory.
+``json.dumps(doc, indent=2)`` one piece per item of the document or of one
+of its arrays (one matrix row, one web's term list), and ``_write`` writes
+each piece as it comes, so no document is ever held whole in memory.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including an unwritable --out, an unwritable or closed stdout, a cap
@@ -96,57 +96,62 @@ def _discard_stdout() -> None:
 
 def _json_chunks(obj) -> Iterator[str]:
     """The text of ``json.dumps(obj, indent=2) + "\\n"``, in pieces, where
-    a generator stands for a list of the items it yields.
+    a generator stands for a list of the items it yields.  A piece is one
+    item of the document or of one of its arrays, such as one matrix row or
+    one web's term list, made whole by ``_json_text``.
 
     >>> "".join(_json_chunks({"a": [1, 2], "b": []}))
     '{\\n  "a": [\\n    1,\\n    2\\n  ],\\n  "b": []\\n}\\n'
     """
-    text = _json_leaf(obj, "")
-    if text is None:
-        yield from _json_pieces(obj, "")
-    else:
-        yield text
+    yield from _json_stream("", obj, "", 2)
     yield "\n"
 
 
-def _json_pieces(obj, pad: str) -> Iterator[str]:
-    """A dict, list, tuple or generator that is not a leaf, at indentation
-    ``pad``: one piece per leaf item, and the pieces of every other item.
-    A generator is an array whose items are made as they are written."""
+def _json_stream(head: str, obj, pad: str, depth: int) -> Iterator[str]:
+    """``head``, then ``obj`` at indentation ``pad``: a dict, list, tuple or
+    generator one piece per item ``depth`` levels down, the rest whole."""
+    if type(obj) not in (dict, list, tuple, GeneratorType):
+        yield head + _json_text(obj, pad)
+        return
+    yield head
     inner = pad + "  "
-    if isinstance(obj, dict):
-        start, end = "{", "}"
-        items = ((_json_key(key), value) for key, value in obj.items())
-    else:
-        start, end = "[", "]"
-        items = (("", value) for value in obj)
+    start, end = "{}" if type(obj) is dict else "[]"
+    items = ((_json_key(k), v) for k, v in obj.items()) if end == "}" else (("", v) for v in obj)
     opening = sep = start + "\n" + inner
     for label, value in items:
-        text = _json_leaf(value, inner)
-        if text is None:
-            yield sep + label
-            yield from _json_pieces(value, inner)
+        if depth > 1:
+            yield from _json_stream(sep + label, value, inner, depth - 1)
         else:
-            yield sep + label + text
+            yield sep + label + _json_text(value, inner)
         sep = ",\n" + inner
-    # only a generator can be empty here; the leaf case takes the others
     yield start + end if sep is opening else "\n" + pad + end
 
 
-def _json_leaf(obj, pad: str) -> str | None:
-    """The text of a scalar, an empty container or a list of exact ints
-    (not bools), at indentation ``pad``; None for any other container and
-    for a generator."""
-    if not isinstance(obj, (dict, list, tuple)):
-        return None if isinstance(obj, GeneratorType) else json.dumps(obj)
+def _json_text(obj, pad: str) -> str:
+    """The whole text of ``obj`` at indentation ``pad``.  A generator is
+    read as a list, and json lays out a subclass of a container itself."""
+    kind = type(obj)
+    if kind is int:
+        return str(obj)
+    if kind is GeneratorType:
+        return _json_text(list(obj), pad)
+    if kind is not dict and kind is not list and kind is not tuple:
+        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    start, end = "{}" if kind is dict else "[]"
     if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    if isinstance(obj, dict) or set(map(type, obj)) != {int}:
-        return None
-    # a matrix row repeats a few values: str each of them once
-    text = {x: str(x) for x in set(obj)}
-    sep = ",\n" + pad + "  "
-    return f"[\n{pad}  {sep.join(map(text.__getitem__, obj))}\n{pad}]"
+        return start + end
+    inner = pad + "  "
+    if kind is dict:
+        parts = [_json_key(key) + _json_text(value, inner) for key, value in obj.items()]
+    elif set(map(type, obj)) != {int}:
+        parts = [_json_text(value, inner) for value in obj]
+    elif 2 * len(values := set(obj)) <= len(obj):
+        # a matrix row repeats a few values: str each of them once
+        parts = map({x: str(x) for x in values}.__getitem__, obj)
+    else:
+        parts = map(str, obj)
+    sep = ",\n" + inner
+    return f"{start}\n{inner}{sep.join(parts)}\n{pad}{end}"
 
 
 def _json_key(key) -> str:
@@ -179,8 +184,8 @@ def cmd_enumerate(args) -> int:
     doc = {
         "n": n,
         "catalan": catalan(n),
-        "tableaux": [t.to_lists() for t in tableaux],
-        "webs": [list(w.partner) for w in web_list],
+        "tableaux": [t.rows for t in tableaux],
+        "webs": [w.partner for w in web_list],
         "pairing": pairing,
     }
     if args.dump_poly:

@@ -99,9 +99,6 @@ class Tableau:
     def columns(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.rows[0], self.rows[1]))
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(self.rows[0]), list(self.rows[1])]
-
 
 @dataclass(frozen=True, slots=True)
 class Matching:
@@ -224,15 +221,6 @@ def consecutive_matching(n: int) -> Matching:
     return Matching.from_pairs((2 * i - 1, 2 * i) for i in range(1, n + 1))
 
 
-def _ballot_first_rows(n: int):
-    """First-row sets of standard tableaux: n-subsets whose k-th smallest
-    element is at most 2k - 1 (each prefix has at least as many first-row
-    entries as second-row entries)."""
-    for combo in itertools.combinations(range(1, 2 * n + 1), n):
-        if all(combo[k] <= 2 * k + 1 for k in range(n)):
-            yield combo
-
-
 @cache
 def enumerate_syt(n: int) -> tuple[Tableau, ...]:
     """All standard tableaux on the 2 x n rectangle, canonically ordered.
@@ -242,16 +230,17 @@ def enumerate_syt(n: int) -> tuple[Tableau, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    # the first rows, descending: the increasing tuples whose k-th entry
+    # (from 0) is at most 2k + 1.  Every such prefix extends, so they grow
+    # an entry at a time, each prefix's children largest entry first.
+    rows = [(1,)]
+    for k in range(1, n):
+        rows = [row + (v,) for row in rows for v in range(2 * k + 1, row[-1], -1)]
     letters = set(range(1, 2 * n + 1))
-    tableaux = []
-    for first in sorted(_ballot_first_rows(n), reverse=True):
-        second = tuple(sorted(letters - set(first)))
-        tableaux.append(Tableau((first, second)))
+    tableaux = tuple(Tableau((first, tuple(sorted(letters.difference(first))))) for first in rows)
     if len(tableaux) != catalan(n):
-        raise RuntimeError(
-            f"found {len(tableaux)} tableaux, expected Catalan({n}) = {catalan(n)}"
-        )
-    return tuple(tableaux)
+        raise RuntimeError(f"found {len(tableaux)} tableaux, expected Catalan({n}) = {catalan(n)}")
+    return tableaux
 
 
 def tableau_to_web(t: Tableau) -> Matching:
@@ -264,27 +253,35 @@ def tableau_to_web(t: Tableau) -> Matching:
     """
     if not t.is_standard:
         raise ValueError("tableau is not standard")
-    openers = set(t.rows[0])
-    stack: list[int] = []
-    pairs = []
-    for letter in range(1, 2 * t.n + 1):
-        if letter in openers:
-            stack.append(letter)
-        else:
-            pairs.append((stack.pop(), letter))
-    m = Matching.from_pairs(pairs)
+    m = Matching(_opener_closer_partner(t.rows[0]))
     if not m.is_noncrossing:
         raise RuntimeError(f"opener/closer bijection gave the crossing {m.partner}")
     return m
 
 
+def _opener_closer_partner(first_row: tuple[int, ...]) -> tuple[int, ...]:
+    """tableau_to_web's partner tuple, unchecked: for a ballot first row
+    every closer finds an opener, and the stack nests the pairs."""
+    openers = set(first_row)
+    partner = [0] * (2 * len(first_row))
+    stack: list[int] = []
+    for letter in range(1, len(partner) + 1):
+        if letter in openers:
+            stack.append(letter)
+        else:
+            partner[letter - 1] = opener = stack.pop()
+            partner[opener - 1] = letter
+    return tuple(partner)
+
+
 @cache
 def enumerate_webs(n: int) -> tuple[Matching, ...]:
     """All noncrossing perfect matchings on 1..2n, canonically ordered:
-    the opener/closer images of enumerate_syt(n), in order.
+    the opener/closer images of enumerate_syt(n), in order, unchecked:
+    the first rows of standard tableaux are ballot.
 
     >>> [w.pairs() for w in enumerate_webs(2)]
     [((1, 2), (3, 4)), ((1, 4), (2, 3))]
     """
-    return tuple(tableau_to_web(t) for t in enumerate_syt(n))
+    return tuple(_trusted_matching(_opener_closer_partner(t.rows[0])) for t in enumerate_syt(n))
 

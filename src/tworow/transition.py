@@ -61,7 +61,7 @@ class TransitionMatrix:
         copy, so a streamed write of it holds no second matrix."""
         return {
             "n": self.n,
-            "rowLabels": [t.to_lists() for t in self.row_labels],
+            "rowLabels": [list(map(list, t.rows)) for t in self.row_labels],
             "colLabels": [list(m.partner) for m in self.col_labels],
             "entries": self.entries,
         }
@@ -150,26 +150,24 @@ def _build_transition_matrix(n: int, sign_flip: bool = False) -> TransitionMatri
 def check_nonnegative(tm: TransitionMatrix) -> list[dict]:
     """Every entry >= 0; counterexamples locate any negative entries.
     Only rows with a negative minimum are walked entry by entry."""
-    bad = [
+    return [
         {"check": "nonnegative", "row": r, "col": c, "entry": v}
         for r, row in enumerate(tm.entries)
         if min(row, default=0) < 0
         for c, v in enumerate(row)
         if v < 0
     ]
-    return bad
 
 
 def check_diagonal_ones(tm: TransitionMatrix) -> list[dict]:
     """Entry 1 at (T, web of T) for every row: on the diagonal, because
     the canonical webs are the opener/closer images of the canonical
     tableaux in order."""
-    bad = [
+    return [
         {"check": "diagonalOnes", "row": r, "col": r, "entry": row[r]}
         for r, row in enumerate(tm.entries)
         if row[r] != 1
     ]
-    return bad
 
 
 def check_support_acyclic(tm: TransitionMatrix) -> list[dict]:

@@ -12,9 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from model import tableau_from_lists
-from tworow import transition, webs
+from tworow import minors, transition, webs
 from tworow.cli import _json_chunks, main
-from tworow.combinat import Matching, catalan
+from tworow.combinat import Matching, catalan, enumerate_webs
 from tworow.minors import web_vector
 from tworow.transition import transition_matrix
 
@@ -394,6 +394,10 @@ PINNED_OUTPUTS = {
     ("matrix", "--n", "6", "--format", "csv"): (
         0, "cd94bc4f42b585b3ba620d156e301dcbb6622ee81302919d7d25e494f5637059"
     ),
+    # the benchmark's poly-n6 output, whose digest its reference also holds
+    ("enumerate", "--n", "6", "--dump-poly"): (
+        0, "68abf4c2183cc5eb5fd940d06daf83e6e3529abcfe3ac9ccdf9f2fc64eabe95e"
+    ),
 }
 
 
@@ -473,6 +477,40 @@ class TestJsonWriter:
         assert max(sink.sizes) <= row_text
         digest = PINNED_OUTPUTS[("matrix", "--n", "6")][1]
         assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == digest
+
+    def test_dump_poly_is_written_a_web_at_a_time(self, monkeypatch):
+        pieces = []
+        made = []  # how many pieces were written when each web's D(M) was made
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                pieces.append(text)
+                return super().write(text)
+
+        web_vector = minors.web_vector
+
+        def spy(m):
+            made.append(len(pieces))
+            return web_vector(m)
+
+        monkeypatch.setattr(minors, "web_vector", spy)
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["enumerate", "--n", "6", "--dump-poly"]) == 0
+        # a web's term list in the document: the separator before it, then
+        # the list indented to its depth under "webPolynomials"
+        texts = [
+            textwrap.indent(json.dumps(minors.serialize_polynomial(web_vector(w)), indent=2), "    ")
+            for w in enumerate_webs(6)
+        ]
+        assert max(map(len, pieces)) <= max(len(",\n" + text) for text in texts)
+        # web k is piece first + k, and web k + 1 is made only after it is
+        # written: the generator is never more than one web ahead
+        first = pieces.index(',\n  "webPolynomials": ') + 1
+        assert made == [first + k for k in range(len(texts))]
+        for k, text in enumerate(texts):
+            assert pieces[first + k] == ("[\n" if k == 0 else ",\n") + text
+        digest = PINNED_OUTPUTS[("enumerate", "--n", "6", "--dump-poly")][1]
+        assert hashlib.sha256("".join(pieces).encode()).hexdigest() == digest
 
 
 def test_module_entry_point():

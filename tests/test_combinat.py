@@ -78,10 +78,10 @@ class TestCatalan:
 
 class TestEnumerateSyt:
     def test_n3_matches_display(self):
-        assert [t.to_lists() for t in enumerate_syt(3)] == SYT33
+        assert [list(map(list, t.rows)) for t in enumerate_syt(3)] == SYT33
 
     def test_n1(self):
-        assert [t.to_lists() for t in enumerate_syt(1)] == [[[1], [2]]]
+        assert [t.rows for t in enumerate_syt(1)] == [((1,), (2,))]
 
     def test_n5_against_bruteforce_filter(self):
         # oracle: assemble a tableau from every 5-subset as first row and
@@ -106,6 +106,20 @@ class TestEnumerateSyt:
     def test_interleaved_first(self):
         for n in range(1, 7):
             assert enumerate_syt(n)[0] == interleaved_tableau(n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_first_rows_are_the_ballot_filter_descending(self, n):
+        # the enumeration the ballot recursion replaced: every n-subset of
+        # 1..2n whose k-th entry is at most 2k + 1, sorted descending
+        expected = sorted(
+            (
+                combo
+                for combo in itertools.combinations(range(1, 2 * n + 1), n)
+                if all(combo[k] <= 2 * k + 1 for k in range(n))
+            ),
+            reverse=True,
+        )
+        assert [t.rows[0] for t in enumerate_syt(n)] == expected
 
 
 class TestEnumerateWebs:
@@ -144,10 +158,19 @@ class TestEnumerateWebs:
         for n in range(1, 7):
             assert enumerate_webs(n)[0] == consecutive_matching(n)
 
+    def test_unchecked_webs_pass_the_public_checks(self):
+        # enumerate_webs skips Matching's check: rebuild every web through
+        # the public constructor, which validates it
+        for n in range(1, 9):
+            for t, w in zip(enumerate_syt(n), enumerate_webs(n)):
+                rebuilt = Matching(w.partner)
+                assert rebuilt.is_noncrossing
+                assert rebuilt == w == tableau_to_web(t)
+
 
 class TestBaseObjects:
     def test_interleaved_tableau(self):
-        assert interleaved_tableau(1).to_lists() == [[1], [2]]
+        assert interleaved_tableau(1).rows == ((1,), (2,))
         assert interleaved_tableau(6).rows == (
             (1, 3, 5, 7, 9, 11),
             (2, 4, 6, 8, 10, 12),

@@ -15,8 +15,16 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "tworow"
 
 # named only from outside the package: the console script, the library
-# entry points, and crossing_pairs, which perfbench imports
-ALLOWED = {"main", "transition_matrix", "verify", "intertwiner_oracle", "crossing_pairs"}
+# entry points, crossing_pairs, which perfbench imports, and the checked
+# bijection tableau_to_web, whose unchecked twin builds enumerate_webs
+ALLOWED = {
+    "main",
+    "transition_matrix",
+    "verify",
+    "intertwiner_oracle",
+    "crossing_pairs",
+    "tableau_to_web",
+}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
