@@ -11,15 +11,21 @@ set of columns it takes from row 1, a tabloid: D(M) is a signed tabloid
 vector, in the same space as the polytabloids.
 """
 
-from tworow import Matching, Permutation, consecutive_matching, enumerate_webs, specht
-from tworow.combinat import adjacent_transposition
+from tworow import Matching, consecutive_matching, enumerate_webs, specht
 from tworow.minors import serialize_polynomial, web_vector
-from tworow.specht import act_on_tabloid_vector
+
+# A permutation is written in one-line notation: sigma[a - 1] is the
+# image of column a.
+
+
+def permute_columns(sigma, vec):
+    """Send every column a of each tabloid of vec to sigma[a - 1]."""
+    return {tuple(sorted(sigma[a - 1] for a in tab)): c for tab, c in vec.items()}
 
 
 def inversion_sign(sigma, m):
     """(-1) to the number of pairs a < b of m with sigma(a) > sigma(b)."""
-    return (-1) ** sum(1 for a, b in m.pairs() if sigma(a) > sigma(b))
+    return (-1) ** sum(1 for a, b in m.pairs() if sigma[a - 1] > sigma[b - 1])
 
 
 m0 = consecutive_matching(2)
@@ -38,18 +44,18 @@ print("\nD(1,3)D(2,4) = D(1,2)D(3,4) + D(1,4)D(2,3):",
       lhs == {tab: c for tab, c in rhs.items() if c})
 
 # Column permutation picks up a sign counting the inverted pairs.
-s1 = adjacent_transposition(4, 1)
-moved = act_on_tabloid_vector(s1, web_vector(m0))
+s1 = (2, 1, 3, 4)
+moved = permute_columns(s1, web_vector(m0))
 print("\npermuting columns 1,2 of D(1,2)D(3,4) negates it:",
       moved == {tab: -c for tab, c in web_vector(m0).items()})
 print("inversion-pair sign:", inversion_sign(s1, m0))
 
-sigma = Permutation((3, 1, 4, 2))
+sigma = (3, 1, 4, 2)
 crossed = Matching.from_pairs([(1, 3), (2, 4)])
-image = Matching.from_pairs(sorted((sigma(a), sigma(b))) for a, b in crossed.pairs())
+image = Matching.from_pairs(sorted((sigma[a - 1], sigma[b - 1])) for a, b in crossed.pairs())
 sign = inversion_sign(sigma, crossed)
 print("sign rule for a full permutation:",
-      act_on_tabloid_vector(sigma, web_vector(crossed))
+      permute_columns(sigma, web_vector(crossed))
       == {tab: sign * c for tab, c in web_vector(image).items()})
 
 # The minor product of a noncrossing matching has coefficient 1 at its

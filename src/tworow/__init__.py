@@ -12,7 +12,6 @@ arithmetic, with an independent intertwiner computation as a cross-check
 
 from .combinat import (
     Matching,
-    Permutation,
     Tableau,
     catalan,
     consecutive_matching,
@@ -33,7 +32,6 @@ from .transition import (
 
 __all__ = [
     "Matching",
-    "Permutation",
     "Tableau",
     "TransitionMatrix",
     "VerificationReport",

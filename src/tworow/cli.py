@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-fault",
         choices=("syzygy-sign-flip", "negative-entry"),
         default=None,
-        help="deliberately break the computation to confirm the checks catch it",
+        help="deliberately break the computation to confirm the checks catch it "
+        "(syzygy-sign-flip changes nothing at n=1, where no columns cross)",
     )
     p_verify.set_defaults(func=cmd_verify)
 

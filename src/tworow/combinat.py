@@ -1,16 +1,18 @@
 """
-Indexing combinatorics for the two-row world: permutations of the letters
-1..2n (only as much as the generator action needs: applying one, and the
-transpositions), fillings of the 2 x n rectangle, and perfect matchings
-on 1..2n.  The permutation algebra the tests check against (products,
-inverses, signs, reduced words) is in the test suite's model.
+Indexing combinatorics for the two-row world: fillings of the 2 x n
+rectangle and perfect matchings on 1..2n, their canonical enumerations
+and the crossing scan.  The package needs no permutation type: each
+generator s_i acts by one elementary move per model (``specht`` swaps
+two letters, ``webs`` reconnects two chords).  The permutation algebra
+the tests check against (products, inverses, signs, reduced words) is
+in the test suite's model.
 
 Conventions used throughout the package:
 
-- Letters are 1-based: permutations, tableau entries and matching endpoints
-  all live in {1, ..., 2n}.  Internal tuples are 0-indexed by position, so
-  ``sigma.images[i - 1]`` is the image of the letter ``i``; use
-  ``sigma(i)`` to stay in letter language.
+- Letters are 1-based: tableau entries and matching endpoints all live
+  in {1, ..., 2n}.  Internal tuples are 0-indexed by position, so
+  ``m.partner[i - 1]`` is the partner of the letter ``i``; use
+  ``m.of(i)`` to stay in letter language.
 - The canonical enumeration order on standard tableaux is descending
   lexicographic on the first-row tuple.  Noncrossing matchings are
   enumerated as the opener/closer images of the tableaux in that order;
@@ -38,37 +40,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return math.comb(2 * n, n) // (n + 1)
-
-
-@dataclass(frozen=True, slots=True)
-class Permutation:
-    """A permutation of {1, ..., k} stored in one-line notation.
-
-    ``images[i - 1]`` is the image of the letter ``i``.
-    """
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        k = len(self.images)
-        if sorted(self.images) != list(range(1, k + 1)):
-            raise ValueError(f"not a permutation of 1..{k}: {self.images}")
-
-    def __call__(self, letter: int) -> int:
-        return self.images[letter - 1]
-
-    @classmethod
-    def transposition(cls, size: int, a: int, b: int) -> "Permutation":
-        images = list(range(1, size + 1))
-        images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
-        return cls(tuple(images))
-
-
-def adjacent_transposition(size: int, i: int) -> Permutation:
-    """The simple transposition s_i = (i, i+1) in the symmetric group."""
-    if not 1 <= i <= size - 1:
-        raise ValueError(f"generator index {i} out of range 1..{size - 1}")
-    return Permutation.transposition(size, i, i + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,9 +99,7 @@ class Matching:
         >>> consecutive_matching(2).pairs()
         ((1, 2), (3, 4))
         """
-        return tuple(
-            (i + 1, p) for i, p in enumerate(self.partner) if i + 1 < p
-        )
+        return tuple((i, p) for i, p in enumerate(self.partner, 1) if i < p)
 
     @property
     def is_noncrossing(self) -> bool:
@@ -148,17 +117,13 @@ class Matching:
         return cls(tuple(partner))
 
 
-# the slot itself, which the frozen dataclass's __setattr__ would refuse
-_SET_PARTNER = Matching.partner.__set__
-
-
-def _trusted_matching(partner: tuple[int, ...]) -> Matching:
-    """A ``Matching`` built without the check of ``__post_init__``, for a
-    partner tuple the caller has already proved to be a fixed-point-free
-    involution; anything else gives a ``Matching`` that is not one."""
-    m = object.__new__(Matching)
-    _SET_PARTNER(m, partner)
-    return m
+def _trusted(cls, value):
+    """A ``cls`` (``Tableau`` or ``Matching``, frozen, one slot) holding
+    ``value``, built without the check of ``__post_init__``: only for a
+    value the caller has already proved valid."""
+    obj = object.__new__(cls)
+    getattr(cls, cls.__slots__[0]).__set__(obj, value)  # past the frozen __setattr__
+    return obj
 
 
 def crossing_pairs(m: Matching) -> list[tuple[int, int, int, int]]:
@@ -169,13 +134,9 @@ def crossing_pairs(m: Matching) -> list[tuple[int, int, int, int]]:
     >>> crossing_pairs(Matching.from_pairs([(1, 3), (2, 4)]))
     [(1, 2, 3, 4)]
     """
-    quads = []
-    ps = m.pairs()
-    for (a, c), (b, d) in itertools.combinations(ps, 2):
-        # pairs() is sorted by opener, so a < b always holds here
-        if a < b < c < d:
-            quads.append((a, b, c, d))
-    return sorted(quads)
+    # pairs() is sorted by opener, so a < b always holds here
+    two_pairs = itertools.combinations(m.pairs(), 2)
+    return sorted((a, b, c, d) for (a, c), (b, d) in two_pairs if a < b < c < d)
 
 
 def first_crossing(partner: tuple[int, ...], start: int = 1) -> tuple[int, int, int, int] | None:
@@ -232,12 +193,13 @@ def enumerate_syt(n: int) -> tuple[Tableau, ...]:
         raise ValueError("n must be >= 1")
     # the first rows, descending: the increasing tuples whose k-th entry
     # (from 0) is at most 2k + 1.  Every such prefix extends, so they grow
-    # an entry at a time, each prefix's children largest entry first.
+    # an entry at a time, each prefix's children largest entry first.  With
+    # the sorted complement below, each holds 1..2n once: no check needed.
     rows = [(1,)]
     for k in range(1, n):
         rows = [row + (v,) for row in rows for v in range(2 * k + 1, row[-1], -1)]
     letters = set(range(1, 2 * n + 1))
-    tableaux = tuple(Tableau((first, tuple(sorted(letters.difference(first))))) for first in rows)
+    tableaux = tuple(_trusted(Tableau, (r, tuple(sorted(letters.difference(r))))) for r in rows)
     if len(tableaux) != catalan(n):
         raise RuntimeError(f"found {len(tableaux)} tableaux, expected Catalan({n}) = {catalan(n)}")
     return tableaux
@@ -283,5 +245,5 @@ def enumerate_webs(n: int) -> tuple[Matching, ...]:
     >>> [w.pairs() for w in enumerate_webs(2)]
     [((1, 2), (3, 4)), ((1, 4), (2, 3))]
     """
-    return tuple(_trusted_matching(_opener_closer_partner(t.rows[0])) for t in enumerate_syt(n))
+    return tuple(_trusted(Matching, _opener_closer_partner(t.rows[0])) for t in enumerate_syt(n))
 

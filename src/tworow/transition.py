@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import compress
 
 from . import specht, webs
@@ -209,9 +208,8 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
                 for k in range(d):
                     row[k * d + m] += a_mat[k][t]
                     row[t * d + k] -= b_mat[m][k]
-                if any(row):
-                    constraints.append(row)
-    basis = nullspace(constraints) if constraints else [[Fraction(1)] * (d * d)]
+                constraints.append(row)
+    basis = nullspace(constraints)
     if len(basis) != 1:
         raise ArithmeticError(
             f"intertwiner space has dimension {len(basis)}, expected 1: "
@@ -259,7 +257,8 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> Verif
     ``fault`` injects a deliberate defect ("syzygy-sign-flip" computes the
     matrix with one rewrite branch negated, "negative-entry" overwrites
     one entry with -1) so that callers can confirm the checks actually
-    detect failures.
+    detect failures.  At n = 1 the one tableau's columns do not cross, so
+    "syzygy-sign-flip" changes nothing and every check passes.
     """
     if fault is None:
         tm = transition_matrix(n)

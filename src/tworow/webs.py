@@ -18,9 +18,10 @@ have strictly fewer crossings, so the rewrite terminates.
 ``resolve_crossings`` carries this out and returns the (nonnegative,
 integer) coefficients; the test suite checks them against an
 independent expansion of the minor products (see ``minors``).
-Inside, the rewrite works on bare partner tuples: ``first_crossing``
-scans for the lexicographically smallest crossing, the reconnections are
-built by swapping partners, and the memo is keyed by those tuples.
+The action and the rewrite work on bare partner tuples through one
+move, ``_reconnect``: the action re-pairs the chords at i and i+1 once,
+and the rewrite re-pairs the lexicographically smallest crossing
+(``first_crossing``) twice.  The rewrite's memo is keyed by the tuples.
 
 The rewrite is the recursion itself, ``_expand``: the expansion of a
 crossing matching is that of its first reconnection plus that of its
@@ -56,32 +57,19 @@ Three things keep the rewrite cheap.
 
 from __future__ import annotations
 
-from .combinat import Matching, _trusted_matching, enumerate_webs, first_crossing
+from .combinat import Matching, _trusted, enumerate_webs, first_crossing
 
 WebVector = dict[Matching, int]
 # the partner array of a matching, bare: the rewrite's internal key
 Partner = tuple[int, ...]
 
 
-def _uncross_at(m: Matching, i: int) -> Partner:
-    """The partner tuple of the matching M' of the action's second branch:
-    repartner the mates of i and i+1 with each other and pair i with i+1.
-    Whether M' is noncrossing is left to the caller."""
-    a, b = m.of(i), m.of(i + 1)
-    partner = list(m.partner)
-    partner[a - 1], partner[b - 1] = b, a
-    partner[i - 1], partner[i] = i + 1, i
-    return tuple(partner)
-
-
-def _syzygy_children(p: Partner, quad: tuple[int, int, int, int]) -> tuple[Partner, Partner]:
-    """Reconnect the crossing a ~ c, b ~ d as (a ~ b, c ~ d) and (a ~ d, b ~ c)."""
-    a, b, c, d = quad
-    first = list(p)
-    first[a - 1], first[b - 1], first[c - 1], first[d - 1] = b, a, d, c
-    second = list(p)
-    second[a - 1], second[d - 1], second[b - 1], second[c - 1] = d, a, c, b
-    return tuple(first), tuple(second)
+def _reconnect(p: Partner, a: int, b: int, c: int, d: int) -> Partner:
+    """p with its two chords on a, b, c, d re-paired as a ~ b and c ~ d,
+    the move of both the action and the rewrite; it may cross."""
+    q = list(p)
+    q[a - 1], q[b - 1], q[c - 1], q[d - 1] = b, a, d, c
+    return tuple(q)
 
 
 def _expand(
@@ -99,9 +87,9 @@ def _expand(
     if quad is None:
         out = {p: 1}
     else:
-        first, second = _syzygy_children(p, quad)
-        x = _expand(first, quad[0], memo, sign)
-        y = _expand(second, quad[0], memo, sign)
+        a, b, c, d = quad
+        x = _expand(_reconnect(p, a, b, c, d), a, memo, sign)
+        y = _expand(_reconnect(p, a, d, b, c), a, memo, sign)
         out = dict(x)
         out.update(y if sign > 0 else {key: -coeff for key, coeff in y.items()})
         # a short union means shared keys, whose sums are fixed in place
@@ -151,7 +139,7 @@ def resolve_crossings(
     if memo is None:
         memo = {}
     expansion = _expand(m.partner, 1, memo, -1 if sign_flip else 1)
-    return {_trusted_matching(key): coeff for key, coeff in expansion.items()}
+    return {_trusted(Matching, key): coeff for key, coeff in expansion.items()}
 
 
 def action_table(i: int, n: int) -> tuple[int, ...]:
@@ -173,7 +161,7 @@ def action_table(i: int, n: int) -> tuple[int, ...]:
             continue
         # the index holds every noncrossing matching, so a miss is a
         # crossing image: no scan for one is needed
-        k = index.get(_uncross_at(w, i))
+        k = index.get(_reconnect(w.partner, w.of(i), w.of(i + 1), i, i + 1))
         if k is None:
             raise RuntimeError(f"s_{i} took the noncrossing {w.partner} to a crossing matching")
         table.append(k)

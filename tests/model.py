@@ -2,8 +2,10 @@
 The model the test suite checks tworow against, kept out of the package
 because no command of ``tworow`` runs it:
 
-- the permutation algebra on ``Permutation``: composition, inverse,
-  sign, reduced words and cycle-type representatives;
+- ``Permutation`` and its algebra: transpositions, composition,
+  inverse, sign, reduced words and cycle-type representatives;
+- the action of any permutation on tabloids and tabloid vectors, the
+  general reference for the letter swap of ``specht.action_matrix``;
 - every perfect matching, crossing or not, and the inversion-pair sign
   of permuting one;
 - dense matrix products and rank;
@@ -20,16 +22,49 @@ raises ``ValueError``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 
 from tworow import specht
-from tworow.combinat import Matching, Permutation, Tableau, adjacent_transposition, enumerate_webs
+from tworow.combinat import Matching, Tableau, enumerate_webs
 from tworow.linalg import _echelon
 from tworow.minors import web_vector
-from tworow.specht import Tabloid, act_on_tabloid_vector, pair_vector
+from tworow.specht import Tabloid, pair_vector
 from tworow.webs import action_table
 
 # permutations of 1..k
+
+
+@dataclass(frozen=True, slots=True)
+class Permutation:
+    """A permutation of {1, ..., k} stored in one-line notation.
+
+    ``images[i - 1]`` is the image of the letter ``i``; ``sigma(i)``
+    reads it in letter language.
+    """
+
+    images: tuple[int, ...]
+
+    def __post_init__(self):
+        k = len(self.images)
+        if sorted(self.images) != list(range(1, k + 1)):
+            raise ValueError(f"not a permutation of 1..{k}: {self.images}")
+
+    def __call__(self, letter: int) -> int:
+        return self.images[letter - 1]
+
+    @classmethod
+    def transposition(cls, size: int, a: int, b: int) -> "Permutation":
+        images = list(range(1, size + 1))
+        images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
+        return cls(tuple(images))
+
+
+def adjacent_transposition(size: int, i: int) -> Permutation:
+    """The simple transposition s_i = (i, i+1) in the symmetric group."""
+    if not 1 <= i <= size - 1:
+        raise ValueError(f"generator index {i} out of range 1..{size - 1}")
+    return Permutation.transposition(size, i, i + 1)
 
 
 def identity_permutation(size: int) -> Permutation:
@@ -133,7 +168,7 @@ def cycle_type_representative(cycle_type, size: int) -> Permutation:
     return from_cycles(size, cycles)
 
 
-# tableaux and matchings
+# tableaux, tabloids and matchings
 
 
 def tableau_from_lists(rows) -> Tableau:
@@ -149,6 +184,16 @@ def tabloid_of(t: Tableau) -> Tabloid:
     (1, 3)
     """
     return tuple(sorted(t.rows[0]))
+
+
+def act_on_tabloid(sigma: Permutation, tab: Tabloid) -> Tabloid:
+    return tuple(sorted(sigma(x) for x in tab))
+
+
+def act_on_tabloid_vector(sigma: Permutation, vec: dict[Tabloid, int]) -> dict[Tabloid, int]:
+    """Linear extension of the letter action; keys never collide because
+    the action on tabloids is a bijection."""
+    return {act_on_tabloid(sigma, tab): c for tab, c in vec.items()}
 
 
 def openers(m: Matching) -> tuple[int, ...]:

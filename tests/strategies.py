@@ -2,7 +2,8 @@
 
 from hypothesis import strategies as st
 
-from tworow.combinat import Matching, Permutation
+from model import Permutation
+from tworow.combinat import Matching
 
 
 def permutations(size: int):

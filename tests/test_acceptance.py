@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 from model import (
+    Permutation,
+    adjacent_transposition,
     column_action_matches_web_action,
     cycle_type_representative,
     enumerate_perfect_matchings,
@@ -23,7 +25,6 @@ from tworow import minors, specht, webs
 from tworow.cli import main
 from tworow.combinat import (
     Matching,
-    adjacent_transposition,
     catalan,
     consecutive_matching,
     enumerate_syt,
@@ -190,8 +191,6 @@ def test_criterion_08_sign_rule():
         for _ in range(200):
             images = list(range(1, 11))
             rng.shuffle(images)
-            from tworow.combinat import Permutation
-
             sigma = Permutation(tuple(images))
             m = rng.choice(pool)
             assert sign_rule_holds(sigma, m)

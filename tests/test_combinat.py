@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model import (
+    Permutation,
+    adjacent_transposition,
     compose,
     cycle_type_representative,
     enumerate_perfect_matchings,
@@ -20,9 +22,7 @@ from model import (
 from strategies import matchings, permutations
 from tworow.combinat import (
     Matching,
-    Permutation,
     Tableau,
-    adjacent_transposition,
     catalan,
     consecutive_matching,
     crossing_pairs,
@@ -106,6 +106,14 @@ class TestEnumerateSyt:
     def test_interleaved_first(self):
         for n in range(1, 7):
             assert enumerate_syt(n)[0] == interleaved_tableau(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_unchecked_tableaux_pass_the_public_check(self, n):
+        # enumerate_syt builds its tableaux without Tableau's check
+        for t in enumerate_syt(n):
+            rebuilt = Tableau(t.rows)
+            assert rebuilt == t
+            assert rebuilt.is_standard
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_first_rows_are_the_ballot_filter_descending(self, n):

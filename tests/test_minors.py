@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model import (
+    act_on_tabloid_vector,
+    adjacent_transposition,
     column_action_matches_web_action,
     enumerate_perfect_matchings,
     expand_in_web_basis,
@@ -19,13 +21,12 @@ from model import (
 from strategies import matchings, permutations
 from tworow.combinat import (
     Matching,
-    adjacent_transposition,
     consecutive_matching,
     enumerate_syt,
     enumerate_webs,
 )
 from tworow.minors import serialize_polynomial, web_vector
-from tworow.specht import act_on_tabloid_vector, pair_vector
+from tworow.specht import pair_vector
 from tworow.webs import resolve_crossings
 
 

@@ -4,19 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model import identity_matrix, identity_permutation, inverse, mat_mul, tabloid_of
-from strategies import permutations
-from tworow.combinat import (
+from model import (
     Permutation,
-    Tableau,
-    adjacent_transposition,
-    catalan,
-    enumerate_syt,
-    interleaved_tableau,
-)
-from tworow.specht import (
     act_on_tabloid,
     act_on_tabloid_vector,
+    adjacent_transposition,
+    identity_matrix,
+    identity_permutation,
+    inverse,
+    mat_mul,
+    tabloid_of,
+)
+from strategies import permutations
+from tworow.combinat import Tableau, catalan, enumerate_syt, interleaved_tableau
+from tworow.specht import (
     action_matrix,
     coordinates,
     express_in_standard_polytabloids,
@@ -201,6 +202,12 @@ class TestActionMatrix:
     def test_n1_sign(self):
         assert action_matrix(1, 1) == [[-1]]
 
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_rejects_bad_index(self, n):
+        for i in (0, 2 * n):
+            with pytest.raises(ValueError, match="out of range"):
+                action_matrix(i, n)
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_involution(self, n):
         d = catalan(n)
@@ -216,7 +223,7 @@ class TestActionMatrix:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_tabloid_action(self, n):
-        # the matrix columns must agree with acting on the tabloid level
+        # the letter swap must agree with the general action of the model
         tableaux = enumerate_syt(n)
         for i in range(1, 2 * n):
             a = action_matrix(i, n)

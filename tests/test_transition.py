@@ -287,7 +287,7 @@ class TestIntertwinerOracle:
 
     @pytest.mark.parametrize("n, shape", [(2, (12, 4)), (3, (125, 25)), (4, (1372, 196))])
     def test_system_shape(self, n, shape, monkeypatch):
-        # one unknown per entry, and one row per nonzero equation
+        # one unknown per entry, and one row per equation: (2n - 1) d^2
         shapes = []
         solve = transition.nullspace
 
@@ -337,6 +337,18 @@ class TestVerify:
         checks = [report.nonnegative, report.diagonal_ones, report.support_acyclic]
         passed = all(checks) and report.oracle_agrees is not False
         assert report.all_passed == (not report.counterexamples) == passed
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_which_checks_each_fault_fails(self, n):
+        # at n = 1 the one tableau's columns do not cross, so the sign
+        # flip changes nothing and that negative control passes
+        expected = {
+            "syzygy-sign-flip": set() if n == 1 else {"nonnegative", "diagonalOnes"},
+            "negative-entry": {"nonnegative", "diagonalOnes" if n == 1 else "supportAcyclic"},
+        }
+        for fault, failed in expected.items():
+            report = verify(n, fault=fault).to_json_dict()
+            assert {key for key, value in report.items() if value is False} == failed
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model import (
+    adjacent_transposition,
     compose,
     cycle_type_representative,
     enumerate_perfect_matchings,
@@ -19,7 +20,6 @@ from model import (
 from strategies import matchings, permutations
 from tworow.combinat import (
     Matching,
-    adjacent_transposition,
     catalan,
     consecutive_matching,
     crossing_pairs,
@@ -171,7 +171,11 @@ class TestTupleRewrite:
                 quad = first_crossing(m.partner)
                 if quad is None:
                     continue
-                for child in webs._syzygy_children(m.partner, quad):
+                a, b, c, d = quad
+                for child in (
+                    webs._reconnect(m.partner, a, b, c, d),
+                    webs._reconnect(m.partner, a, d, b, c),
+                ):
                     children += 1
                     smallest = (crossing_pairs(Matching(child)) or [None])[0]
                     assert smallest is None or smallest[0] >= quad[0]
