@@ -11,6 +11,12 @@ output is streamed: ``_json_chunks`` yields the text of
 ``json.dumps(doc, indent=2)`` one piece per item of the document or of one
 of its arrays (one matrix row, one web's term list), and ``_write`` writes
 each piece as it comes, so no document is ever held whole in memory.
+Within one piece, an array of ints that the piece holds many times (an
+exponent triple of ``--dump-poly``) is rendered once: the memo of
+``_json_text`` is keyed by the array's identity, because equal values can
+be written differently (``1``, ``1.0``, ``true``), and it is dropped with
+its piece, because one memo for the whole stream would keep the text of
+every matrix row.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including an unwritable --out, an unwritable or closed stdout, a cap
@@ -22,6 +28,7 @@ TWOROW_ENUM_CAP / TWOROW_MATRIX_CAP / TWOROW_ORACLE_CAP).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -111,7 +118,7 @@ def _json_stream(head: str, obj, pad: str, depth: int) -> Iterator[str]:
     """``head``, then ``obj`` at indentation ``pad``: a dict, list, tuple or
     generator one piece per item ``depth`` levels down, the rest whole."""
     if type(obj) not in (dict, list, tuple, GeneratorType):
-        yield head + _json_text(obj, pad)
+        yield head + _json_text(obj, pad, {})
         return
     yield head
     inner = pad + "  "
@@ -122,39 +129,58 @@ def _json_stream(head: str, obj, pad: str, depth: int) -> Iterator[str]:
         if depth > 1:
             yield from _json_stream(sep + label, value, inner, depth - 1)
         else:
-            yield sep + label + _json_text(value, inner)
+            yield sep + label + _json_text(value, inner, {})
         sep = ",\n" + inner
     yield start + end if sep is opening else "\n" + pad + end
 
 
-def _json_text(obj, pad: str) -> str:
+def _json_text(obj, pad: str, memo: dict) -> str:
     """The whole text of ``obj`` at indentation ``pad``.  A generator is
-    read as a list, and json lays out a subclass of a container itself."""
+    read as a list, and json lays out a subclass of a container itself.
+
+    ``memo`` belongs to one piece, so it is freed with it.  It maps
+    ``(id(a), pad)`` to ``(a, text)`` for each array ``a`` of exact ints
+    met in the piece, so an array held many times, such as an exponent
+    triple of ``minors.serialize_polynomial``, is rendered once at each
+    depth.  The key is the identity, since ``[True]`` and ``[1.0]`` equal
+    ``[1]`` and hash alike but are written differently; keeping ``a`` in
+    the entry keeps it alive, so no later object can take its id."""
     kind = type(obj)
     if kind is int:
         return str(obj)
+    if (seen := memo.get((id(obj), pad))) is not None:
+        return seen[1]
     if kind is GeneratorType:
-        return _json_text(list(obj), pad)
+        return _json_text(list(obj), pad, memo)
     if kind is not dict and kind is not list and kind is not tuple:
         return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
     start, end = "{}" if kind is dict else "[]"
     if not obj:
         return start + end
     inner = pad + "  "
+    ints = False
     if kind is dict:
-        parts = [_json_key(key) + _json_text(value, inner) for key, value in obj.items()]
+        parts = [_json_key(key) + _json_text(value, inner, memo) for key, value in obj.items()]
     elif set(map(type, obj)) != {int}:
-        parts = [_json_text(value, inner) for value in obj]
+        parts = [_json_text(value, inner, memo) for value in obj]
     elif 2 * len(values := set(obj)) <= len(obj):
         # a matrix row repeats a few values: str each of them once
         parts = map({x: str(x) for x in values}.__getitem__, obj)
+        ints = True
     else:
         parts = map(str, obj)
+        ints = True
     sep = ",\n" + inner
-    return f"{start}\n{inner}{sep.join(parts)}\n{pad}{end}"
+    text = f"{start}\n{inner}{sep.join(parts)}\n{pad}{end}"
+    if ints:
+        memo[id(obj), pad] = obj, text
+    return text
 
 
+@functools.lru_cache(maxsize=256)
 def _json_key(key) -> str:
+    """The text of a dict key and its colon.  The cache holds only str keys:
+    any other key raises before it is stored."""
     # json.dumps would turn an int, float, bool or None key into a string
     if not isinstance(key, str):
         raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")

@@ -51,14 +51,21 @@ def serialize_polynomial(vec: dict[Tabloid, int]) -> list[dict]:
     """A tabloid vector as the JSON-ready term list of its polynomial,
     [{"exponents": [[r, j, e], ...], "coeff": c}]: the row-1 columns (the
     tabloid), then the row-2 columns (its complement in 1..2n), each with
-    exponent 1; terms in ascending tabloid order.
+    exponent 1; terms in ascending tabloid order.  The tabloids all have
+    the same n letters, and each triple [r, j, 1] is one list shared by
+    every term that holds it (4n lists in all), so callers must not
+    mutate them.
 
     >>> serialize_polynomial({(2,): -1})
     [{'exponents': [[1, 2, 1], [2, 1, 1]], 'coeff': -1}]
     """
-    terms = []
-    for tab in sorted(vec):
-        row2 = sorted(set(range(1, 2 * len(tab) + 1)).difference(tab))
-        exponents = [[1, j, 1] for j in tab] + [[2, k, 1] for k in row2]
-        terms.append({"exponents": exponents, "coeff": vec[tab]})
-    return terms
+    letters = range(1, 2 * len(next(iter(vec), ())) + 1)
+    row1 = {j: [1, j, 1] for j in letters}
+    row2 = {j: [2, j, 1] for j in letters}
+    return [
+        {
+            "exponents": [row1[j] for j in tab] + [row2[k] for k in sorted(row2.keys() - tab)],
+            "coeff": vec[tab],
+        }
+        for tab in sorted(vec)
+    ]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from model import tableau_from_lists
 from tworow import minors, transition, webs
-from tworow.cli import _json_chunks, main
+from tworow.cli import _json_chunks, _write, main
 from tworow.combinat import Matching, catalan, enumerate_webs
 from tworow.minors import web_vector
 from tworow.transition import transition_matrix
@@ -453,6 +454,39 @@ class TestJsonWriter:
     def test_non_str_key_refused(self):
         with pytest.raises(TypeError, match="keys must be str"):
             "".join(_json_chunks({"n": {1: 2}}))
+
+    def test_shared_objects(self):
+        # the memo is keyed by identity and depth, and lives for one piece
+        row = [3, 1, 4]
+        in_one_piece = {"a": [[row, [row], {"b": row}]]}
+        in_two_pieces = {"a": [row, [row], row]}
+        # fresh lists that die as soon as they are written: a memo that did
+        # not keep its arrays alive would see their ids again
+        def column(k):
+            for i in range(40):
+                yield [k, i]
+
+        fresh = {"a": [[column(k) for k in range(20)]], "b": ([k, k + 1] for k in range(200))}
+        expected_fresh = {
+            "a": [[[[k, i] for i in range(40)] for k in range(20)]],
+            "b": [[k, k + 1] for k in range(200)],
+        }
+        # equal and hashed alike, but written differently
+        lookalikes = {"a": [[[1, 1], [True, True], [1.0, 1.0], [1, 1]]]}
+        for doc in (in_one_piece, in_two_pieces, lookalikes):
+            assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2) + "\n"
+        assert "".join(_json_chunks(fresh)) == json.dumps(expected_fresh, indent=2) + "\n"
+
+    def test_stream_holds_no_document(self):
+        doc = transition_matrix(6).to_json_dict()
+        size = len(json.dumps(doc, indent=2)) + 1
+        tracemalloc.start()
+        try:
+            _write(_json_chunks(doc), os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size
 
     def test_matrix_is_written_a_row_at_a_time(self, monkeypatch):
         class Sink(io.StringIO):

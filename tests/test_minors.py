@@ -225,6 +225,23 @@ class TestPolynomialRing:
             }
             assert decoded == p
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_serialization_shares_triples(self, n):
+        for m in enumerate_webs(n):
+            vec = web_vector(m)
+            terms = serialize_polynomial(vec)
+            # one list per (row, letter), 4n in all, each shared by its terms
+            assert len({id(e) for t in terms for e in t["exponents"]}) == 4 * n
+            fresh = [
+                {
+                    "exponents": [[1, j, 1] for j in tab]
+                    + [[2, k, 1] for k in range(1, 2 * n + 1) if k not in tab],
+                    "coeff": vec[tab],
+                }
+                for tab in sorted(vec)
+            ]
+            assert terms == fresh
+
     def test_serialization_order_stable(self):
         terms = serialize_polynomial(web_vector(consecutive_matching(2)))
         # ascending row-1 sets, each term row-1 columns first
