@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--with-oracle", action="store_true")
     p_verify.add_argument(
         "--inject-fault",
-        choices=("syzygy-sign-flip", "negative-entry"),
+        choices=tuple(transition.FAULTS),
         default=None,
         help="deliberately break the computation to confirm the checks catch it "
         "(syzygy-sign-flip changes nothing at n=1, where no columns cross)",

@@ -11,8 +11,9 @@ consecutive-pairs web, and every later row is one generator step, through
 
 The paper's construction is kept as the reference the tests compare
 against: resolve the crossings of the matching whose pairs are the
-columns of T (``transition_row``).  Two facts are checked rather than
-assumed:
+columns of T (``transition_row``; every row: ``_build_transition_matrix``).
+``FAULTS`` maps each injected fault to the build of its broken matrix.
+Two facts are checked rather than assumed:
 
 - every entry is a nonnegative integer, and
 - the matrix is lower unitriangular: the webs are enumerated as the
@@ -77,21 +78,27 @@ class TransitionMatrix:
             yield ",".join([label] + [str(e) for e in row]) + "\n"
 
 
-def transition_row(t: Tableau, *, sign_flip=False, memo=None) -> webs.WebVector:
+def transition_row(t: Tableau) -> webs.WebVector:
     """Web coordinates of the polytabloid of t, the product of its column
-    minors: the crossing rewrite of the matching of the columns of t.
-
-    ``sign_flip`` and ``memo`` are passed to ``webs.resolve_crossings``,
-    so that rows built with the same ``sign_flip`` can share one memo.
+    minors: the crossing rewrite of the matching of the columns of t, with
+    a fresh memo.
 
     >>> transition_row(interleaved_tableau(2)) == {consecutive_matching(2): 1}
     True
     """
     if not t.is_standard:
         raise ValueError("tableau is not standard")
-    return webs.resolve_crossings(
-        Matching.from_pairs(t.columns()), sign_flip=sign_flip, memo=memo
-    )
+    return webs.resolve_crossings(Matching.from_pairs(t.columns()))
+
+
+def _canonical_bases(n: int) -> tuple[tuple[Tableau, ...], tuple[Matching, ...]]:
+    """Both bases in canonical order, checked to start with the interleaved
+    tableau and the consecutive-pairs web, which every build pins together."""
+    syt = enumerate_syt(n)
+    web_list = enumerate_webs(n)
+    if syt[0] != interleaved_tableau(n) or web_list[0] != consecutive_matching(n):
+        raise RuntimeError("row 0 must be the indicator of web 0: canonical orders moved")
+    return syt, web_list
 
 
 def transition_matrix(n: int) -> TransitionMatrix:
@@ -102,10 +109,7 @@ def transition_matrix(n: int) -> TransitionMatrix:
     column.  P has i + 1 in place of i in its first row, so it comes
     earlier in canonical order and its row is already built.
     """
-    syt = enumerate_syt(n)
-    web_list = enumerate_webs(n)
-    if syt[0] != interleaved_tableau(n) or web_list[0] != consecutive_matching(n):
-        raise RuntimeError("row 0 must be the indicator of web 0: canonical orders moved")
+    syt, web_list = _canonical_bases(n)
     d = len(web_list)
     tables = [None] + [webs.action_table(i, n) for i in range(1, 2 * n)]
     slot = {t.rows[0]: r for r, t in enumerate(syt)}
@@ -130,20 +134,33 @@ def transition_matrix(n: int) -> TransitionMatrix:
     return TransitionMatrix(n, syt, web_list, tuple(rows))
 
 
-def _build_transition_matrix(n: int, sign_flip: bool = False) -> TransitionMatrix:
-    """Every row by the crossing rewrite: the reference construction, and
-    with ``sign_flip`` the injected sign fault."""
-    syt = enumerate_syt(n)
-    web_list = enumerate_webs(n)
-    col = {m: k for k, m in enumerate(web_list)}
+def _build_transition_matrix(n: int, sign: int = 1) -> TransitionMatrix:
+    """Every row by the crossing rewrite, the paper's construction, on
+    partner tuples through one memo; ``sign=-1`` negates the second
+    reconnection, the ``syzygy-sign-flip`` fault."""
+    syt, web_list = _canonical_bases(n)
+    col = {m.partner: k for k, m in enumerate(web_list)}
     memo: dict = {}
     entries = []
     for t in syt:
         row = [0] * len(web_list)
-        for m, c in transition_row(t, sign_flip=sign_flip, memo=memo).items():
-            row[col[m]] = c
+        for p, c in webs._expand(Matching.from_pairs(t.columns()).partner, 1, memo, sign).items():
+            row[col[p]] = c
         entries.append(tuple(row))
     return TransitionMatrix(n, syt, web_list, tuple(entries))
+
+
+def _negative_entry(n: int) -> TransitionMatrix:
+    """The matrix with -1 for the last entry of row 0, above the diagonal if n > 1."""
+    good = transition_matrix(n)
+    return replace(good, entries=(good.entries[0][:-1] + (-1,),) + good.entries[1:])
+
+
+# each --inject-fault name and the build of its broken matrix
+FAULTS = {
+    "syzygy-sign-flip": lambda n: _build_transition_matrix(n, sign=-1),
+    "negative-entry": _negative_entry,
+}
 
 
 def check_nonnegative(tm: TransitionMatrix) -> list[dict]:
@@ -193,10 +210,7 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     This never touches the crossing rewrite, so agreement with
     transition_matrix is a genuine independent check.
     """
-    syt = enumerate_syt(n)
-    web_list = enumerate_webs(n)
-    if syt[0] != interleaved_tableau(n) or web_list[0] != consecutive_matching(n):
-        raise RuntimeError("the interleaved tableau and consecutive web must come first")
+    syt, web_list = _canonical_bases(n)
     d = len(syt)
     constraints: list[list[int]] = []
     for i in range(1, 2 * n):
@@ -254,21 +268,14 @@ class VerificationReport:
 def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> VerificationReport:
     """Run the checks on the transition matrix and aggregate a report.
 
-    ``fault`` injects a deliberate defect ("syzygy-sign-flip" computes the
-    matrix with one rewrite branch negated, "negative-entry" overwrites
-    one entry with -1) so that callers can confirm the checks actually
-    detect failures.  At n = 1 the one tableau's columns do not cross, so
-    "syzygy-sign-flip" changes nothing and every check passes.
+    ``fault`` names an entry of ``FAULTS``, whose matrix is checked in
+    place of the good one, so that callers can confirm the checks detect
+    a deliberate defect.  At n = 1 the one tableau's columns do not
+    cross, so "syzygy-sign-flip" changes nothing and every check passes.
     """
-    if fault is None:
-        tm = transition_matrix(n)
-    elif fault == "syzygy-sign-flip":
-        tm = _build_transition_matrix(n, sign_flip=True)
-    elif fault == "negative-entry":
-        good = transition_matrix(n)
-        tm = replace(good, entries=(good.entries[0][:-1] + (-1,),) + good.entries[1:])
-    else:
+    if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault mode: {fault}")
+    tm = transition_matrix(n) if fault is None else FAULTS[fault](n)
 
     bad_nonneg = check_nonnegative(tm)
     bad_diag = check_diagonal_ones(tm)

@@ -30,8 +30,8 @@ not a closure inside ``resolve_crossings``: a nested function that calls
 itself is a reference cycle, which would keep each call's memo alive
 until the cycle collector runs.  Each child has fewer crossings than its
 parent, so the depth is at most n(n-1)/2 + 1 (37 at n = 9), far below
-Python's recursion limit at every n the rewrite can finish.  The one
-knob, ``sign_flip``, negates the second reconnection to inject a fault.
+Python's recursion limit at every n the rewrite can finish.  Its
+``sign`` is -1 only in the ``syzygy-sign-flip`` fault (``transition.FAULTS``).
 
 Three things keep the rewrite cheap.
 
@@ -105,40 +105,31 @@ def _expand(
 
 
 def resolve_crossings(
-    m: Matching,
-    *,
-    sign_flip: bool = False,
-    memo: dict[Partner, dict[Partner, int]] | None = None,
+    m: Matching, *, memo: dict[Partner, dict[Partner, int]] | None = None
 ) -> WebVector:
     """Expand an arbitrary perfect matching into noncrossing matchings.
 
-    Returns a dict keyed by noncrossing matchings; with the default
-    arguments every coefficient is a nonnegative integer and a noncrossing
-    input returns {m: 1}.
+    Returns a dict keyed by noncrossing matchings; every coefficient is a
+    nonnegative integer and a noncrossing input returns {m: 1}.
 
     The expansion is the memoised recursion ``_expand``: each step
     rewrites the lexicographically smallest crossing and sums the
     expansions of its two reconnections.  The result does not depend on
     that choice, which the test suite checks with a random one.
-    ``sign_flip`` negates the second reconnection; it exists so the
-    verifier can inject a sign fault and prove the downstream checks
-    catch it.
-    ``memo`` supplies a memo table to share across calls with the same
-    ``sign_flip``; the one caller in the package that shares a memo is
-    ``transition._build_transition_matrix``, which passes one for all
-    rows.  By default each call uses a fresh one.  Memo tables map a
-    partner tuple to its expansion, itself keyed by partner tuples; only
-    the returned dict, a fresh one, is keyed by ``Matching``.  Those keys
-    are trusted: each comes from partner swaps of a checked ``Matching``
-    (``m``, or an earlier input that filled a shared memo), so they skip
-    the public constructor's check.
+    ``memo`` supplies a memo table to share across calls; by default each
+    call uses a fresh one.  Memo tables map a partner tuple to its
+    expansion, itself keyed by partner tuples; only the returned dict, a
+    fresh one, is keyed by ``Matching``.  Those keys are trusted: each
+    comes from partner swaps of a checked ``Matching`` (``m``, or an
+    earlier input that filled a shared memo), so they skip the public
+    constructor's check.
 
     >>> resolve_crossings(Matching.from_pairs([(1, 3), (2, 4)]))
     {Matching(partner=(2, 1, 4, 3)): 1, Matching(partner=(4, 3, 2, 1)): 1}
     """
     if memo is None:
         memo = {}
-    expansion = _expand(m.partner, 1, memo, -1 if sign_flip else 1)
+    expansion = _expand(m.partner, 1, memo, 1)
     return {_trusted(Matching, key): coeff for key, coeff in expansion.items()}
 
 

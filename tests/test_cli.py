@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from model import tableau_from_lists
 from tworow import minors, transition, webs
-from tworow.cli import _json_chunks, _write, main
+from tworow.cli import _json_chunks, _write, build_parser, main
 from tworow.combinat import Matching, catalan, enumerate_webs
 from tworow.minors import web_vector
 from tworow.transition import transition_matrix
@@ -241,6 +242,7 @@ class TestBench:
     def test_never_calls_rewrite(self, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(webs, "resolve_crossings", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(webs, "_expand", lambda *a, **k: calls.append(a))
         code, _, _ = run(capsys, "bench", "--n", "4")
         assert code == 0
         assert calls == []
@@ -292,6 +294,11 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "2", "--inject-fault", "nope"])
         assert exc.value.code == 2
+
+    def test_fault_choices_are_the_fault_table(self):
+        [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        [fault] = [a for a in sub.choices["verify"]._actions if a.dest == "inject_fault"]
+        assert fault.choices == tuple(transition.FAULTS)
 
     def test_unwritable_out(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.json"
@@ -369,7 +376,7 @@ class TestUsageErrors:
 
 # exit code and sha256 of stdout for fixed command lines; any byte change
 # in the enumeration, the matrix, the polynomial rendering, the CSV writer,
-# the verify report or the sign-fault path shows here
+# the verify report or either fault path shows here
 PINNED_OUTPUTS = {
     ("matrix", "--n", "5"): (
         0, "4039813e75aed1cfd935ea6c1a5e2d79fb24fb9346333133fcef52dd01d2f206"
@@ -388,6 +395,9 @@ PINNED_OUTPUTS = {
     ),
     ("verify", "--n", "3", "--inject-fault", "syzygy-sign-flip"): (
         1, "c113ca4ba1e54b7e6e6687636de1bd50b1378349b4a68c46be24369848b49a79"
+    ),
+    ("verify", "--n", "3", "--inject-fault", "negative-entry"): (
+        1, "0311549765bcb661b4685ff174bdff598b4720fcdcf21abda764b843d76a5885"
     ),
     ("matrix", "--n", "6"): (
         0, "9c2dd696b9fb8f14d50a9afcea0cc420a10ec187c2617d70e7bd9e4d2c8bd37f"

@@ -14,14 +14,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tworow"
 
-# named only from outside the package: the console script, the library
-# entry points, crossing_pairs, which perfbench imports, and the checked
+# named only from outside the package: the library entry point
+# transition_row, crossing_pairs, which perfbench imports, and the checked
 # bijection tableau_to_web, whose unchecked twin builds enumerate_webs
 ALLOWED = {
-    "main",
-    "transition_matrix",
-    "verify",
-    "intertwiner_oracle",
+    "transition_row",
     "crossing_pairs",
     "tableau_to_web",
 }

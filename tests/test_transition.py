@@ -76,7 +76,7 @@ class TestTransitionRow:
         # rewrite resolved, and those of them that cross
         memo = {}
         for t in enumerate_syt(6):
-            transition_row(t, memo=memo)
+            webs.resolve_crossings(Matching.from_pairs(t.columns()), memo=memo)
         assert len(memo) == 1500
         assert sum(1 for m in memo if first_crossing(m) is not None) == 1368
 
@@ -113,40 +113,50 @@ class TestGeneratorRecurrence:
         reference = _build_transition_matrix(5)
         calls = []
         monkeypatch.setattr(webs, "resolve_crossings", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(webs, "_expand", lambda *a, **k: calls.append(a))
         assert transition_matrix(5) == reference
         assert calls == []
 
+    @staticmethod
+    def spy_on_rewrite(monkeypatch):
+        """The (memo, sign) of each outermost ``webs._expand`` call; the
+        recursion looks ``_expand`` up in the module too, so the calls
+        it makes itself are passed through unrecorded."""
+        calls, depth = [], []
+        expand = webs._expand
+
+        def spy(p, start, memo, sign):
+            if not depth:
+                calls.append((memo, sign))
+            depth.append(p)
+            try:
+                return expand(p, start, memo, sign)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(webs, "_expand", spy)
+        return calls
+
     def test_reference_build_shares_one_memo(self, monkeypatch):
-        memos = []
-        resolve = webs.resolve_crossings
-
-        def spy(m, **kwargs):
-            memos.append(kwargs["memo"])
-            return resolve(m, **kwargs)
-
-        monkeypatch.setattr(webs, "resolve_crossings", spy)
+        calls = self.spy_on_rewrite(monkeypatch)
         _build_transition_matrix(4)
+        memos = [memo for memo, _ in calls]
         assert len(memos) == len(enumerate_syt(4))
         assert all(memo is memos[0] for memo in memos) and memos[0]
 
     def test_sign_fault_goes_through_rewrite(self, monkeypatch):
-        calls = []
-        resolve = webs.resolve_crossings
-
-        def counting(m, **kwargs):
-            calls.append(kwargs.get("sign_flip"))
-            return resolve(m, **kwargs)
-
-        monkeypatch.setattr(webs, "resolve_crossings", counting)
+        calls = self.spy_on_rewrite(monkeypatch)
         report = verify(3, fault="syzygy-sign-flip")
         assert not report.all_passed
-        assert calls == [True] * len(enumerate_syt(3))
+        assert [sign for _, sign in calls] == [-1] * len(enumerate_syt(3))
 
     def test_moved_canonical_order_raises(self, monkeypatch):
+        # the build and the oracle share one guard, and its message
         syt = enumerate_syt(3)
         monkeypatch.setattr(transition, "enumerate_syt", lambda n: syt[::-1])
-        with pytest.raises(RuntimeError, match="row 0"):
-            transition_matrix(3)
+        for build in (transition_matrix, intertwiner_oracle):
+            with pytest.raises(RuntimeError, match="row 0"):
+                build(3)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_row_has_an_earlier_parent(self, n):
@@ -346,6 +356,8 @@ class TestVerify:
             "syzygy-sign-flip": set() if n == 1 else {"nonnegative", "diagonalOnes"},
             "negative-entry": {"nonnegative", "diagonalOnes" if n == 1 else "supportAcyclic"},
         }
+        # a fault added to the table needs its expected checks here
+        assert expected.keys() == set(transition.FAULTS)
         for fault, failed in expected.items():
             report = verify(n, fault=fault).to_json_dict()
             assert {key for key, value in report.items() if value is False} == failed

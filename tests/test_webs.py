@@ -114,11 +114,12 @@ class TestResolveCrossings:
         assert scanned and randomized == lexicographic
 
     def test_fault_signs_change_result(self):
+        # the syzygy-sign-flip fault: sign -1 negates the second reconnection
         crossed = Matching.from_pairs([(1, 3), (2, 4)])
-        flipped = resolve_crossings(crossed, sign_flip=True)
+        flipped = webs._expand(crossed.partner, 1, {}, -1)
         assert flipped == {
-            consecutive_matching(2): 1,
-            Matching.from_pairs([(1, 4), (2, 3)]): -1,
+            consecutive_matching(2).partner: 1,
+            Matching.from_pairs([(1, 4), (2, 3)]).partner: -1,
         }
 
 
@@ -185,10 +186,15 @@ class TestTupleRewrite:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 6).flatmap(matchings), st.booleans())
     def test_same_memo_and_order_as_the_reference(self, m, sign_flip):
+        # the flipped sign is the syzygy-sign-flip fault, which only the
+        # private recursion takes
         memo, expected_memo = {}, {}
-        out = resolve_crossings(m, sign_flip=sign_flip, memo=memo)
+        if sign_flip:
+            out = webs._expand(m.partner, 1, memo, -1)
+        else:
+            out = {k.partner: c for k, c in resolve_crossings(m, memo=memo).items()}
         expected = reference_expand(m.partner, expected_memo, -1 if sign_flip else 1)
-        assert [(k.partner, c) for k, c in out.items()] == list(expected.items())
+        assert list(out.items()) == list(expected.items())
         assert memo_items(memo) == memo_items(expected_memo)
 
     def test_flipped_sign_cancels_like_the_reference(self):
@@ -197,7 +203,7 @@ class TestTupleRewrite:
         # the same ones as the reference
         twist = Matching.from_pairs([(i, i + 4) for i in range(1, 5)])
         memo, expected_memo = {}, {}
-        resolve_crossings(twist, sign_flip=True, memo=memo)
+        webs._expand(twist.partner, 1, memo, -1)
         reference_expand(twist.partner, expected_memo, -1)
         assert sum(map(len, memo.values())) == 84
         assert memo_items(memo) == memo_items(expected_memo)
@@ -207,9 +213,13 @@ class TestTupleRewrite:
     def test_returned_keys_pass_the_public_check(self, m, sign_flip):
         # the keys are built without Matching's check; the public
         # constructor raises ValueError on any that is not a matching
-        for key in resolve_crossings(m, sign_flip=sign_flip):
-            rebuilt = Matching(key.partner)
-            assert rebuilt == key and rebuilt.is_noncrossing
+        if sign_flip:
+            partners = list(webs._expand(m.partner, 1, {}, -1))
+        else:
+            partners = [key.partner for key in resolve_crossings(m)]
+        for partner in partners:
+            rebuilt = Matching(partner)
+            assert rebuilt.partner == partner and rebuilt.is_noncrossing
 
     def test_returns_matching_keys(self):
         out = resolve_crossings(Matching.from_pairs([(1, 4), (2, 6), (3, 5)]), memo={})
