@@ -17,8 +17,7 @@ interleaved tableau.  The test suite checks that both constructions
 agree entry for entry.
 """
 
-from tworow import transition_matrix
-from tworow.transition import check_diagonal_ones, check_nonnegative, check_support_acyclic
+from tworow import transition_matrix, verify
 
 for n in (2, 3, 4):
     tm = transition_matrix(n)
@@ -26,11 +25,13 @@ for n in (2, 3, 4):
     for t, row in zip(tm.row_labels, tm.entries):
         print(f"  {t.rows[0]} | {' '.join(f'{e:2d}' for e in row)}")
     # unit diagonal and nothing above it: lower unitriangular
-    unitriangular = not check_diagonal_ones(tm) and not check_support_acyclic(tm)
-    print("  nonnegative:", not check_nonnegative(tm), " unitriangular:", unitriangular)
+    report = verify(n)
+    unitriangular = report.diagonal_ones and report.support_acyclic
+    print("  nonnegative:", report.nonnegative, " unitriangular:", unitriangular)
 
-# Larger sizes stay exact: the 132 x 132 matrix at n=6.
+# Larger sizes stay exact: the 132 x 132 matrix at n=6.  verify reads the
+# rows as a stream, holding a few of them, not the matrix.
 tm6 = transition_matrix(6)
 print("n=6 entry range:",
       min(min(r) for r in tm6.entries), "..", max(max(r) for r in tm6.entries),
-      " nonnegative:", not check_nonnegative(tm6))
+      " nonnegative:", verify(6).nonnegative)

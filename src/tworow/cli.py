@@ -11,6 +11,10 @@ output is streamed: ``_json_chunks`` yields the text of
 ``json.dumps(doc, indent=2)`` one piece per item of the document or of one
 of its arrays (one matrix row, one web's term list), and ``_write`` writes
 each piece as it comes, so no document is ever held whole in memory.
+``matrix`` and ``verify`` read the rows from the stream
+``transition.rows``, which holds at most n - 2 of them, so neither holds
+the matrix either (``verify --with-oracle`` and ``--inject-fault`` do:
+they compare or corrupt a whole matrix).
 Within one piece, an array of ints that the piece holds many times (an
 exponent triple of ``--dump-poly``) is rendered once: the memo of
 ``_json_text`` is keyed by the array's identity, because equal values can
@@ -235,7 +239,10 @@ def _enumerate_csv_lines(tableaux, web_list, pairing) -> Iterator[str]:
 
 def cmd_matrix(args) -> int:
     _guard(args.n, _cap("TWOROW_MATRIX_CAP", DEFAULT_MATRIX_CAP), "matrix")
-    tm = transition.transition_matrix(args.n)
+    n = args.n
+    # the rows are built as they are written: at most n - 2 are held
+    stream = (row for _, row in transition.rows(n))
+    tm = transition.TransitionMatrix(n, enumerate_syt(n), enumerate_webs(n), stream)
     if args.format == "csv":
         _write(tm.csv_lines(), args.out)
     else:

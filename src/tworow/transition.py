@@ -4,10 +4,13 @@ The change of basis from standard polytabloids to webs.
 Row T of the matrix is the web expansion of the polytabloid of T, the
 product of the column minors of T.  The map is equivariant, and the
 polytabloid of s_i T is s_i times the polytabloid of T, so
-row(s_i T) = s_i . row(T) in the web model.  ``transition_matrix`` builds
-the rows in canonical order: row 0, of the interleaved tableau, is the
+row(s_i T) = s_i . row(T) in the web model.  ``rows`` streams the rows
+in canonical order: row 0, of the interleaved tableau, is the
 consecutive-pairs web, and every later row is one generator step, through
-``webs.action_table``, from a row built before it.
+``webs.action_table``, from its latest parent built before it.  A parent
+is dropped after its last child, so at most n - 2 rows (one at n = 2, 3)
+are held at once.  ``transition_matrix`` collects the stream, ``matrix``
+writes it row by row, and ``verify`` checks it row by row.
 
 The paper's construction is kept as the reference the tests compare
 against: resolve the crossings of the matching whose pairs are the
@@ -49,7 +52,9 @@ from .linalg import nullspace
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Square integer matrix with rows labeled by standard tableaux and
-    columns by noncrossing matchings, both in canonical order."""
+    columns by noncrossing matchings, both in canonical order.  ``entries``
+    is a tuple of rows, except in a matrix made only to be written once
+    (``tworow matrix``), where it is a generator over ``rows(n)``."""
 
     n: int
     row_labels: tuple[Tableau, ...]
@@ -101,26 +106,37 @@ def _canonical_bases(n: int) -> tuple[tuple[Tableau, ...], tuple[Matching, ...]]
     return syt, web_list
 
 
-def transition_matrix(n: int) -> TransitionMatrix:
-    """The full change-of-basis matrix, rows tableaux, columns webs.
+def rows(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(index, row) for every row of the matrix, in canonical order.
 
-    Row T is s_i . row(P) for P = s_i T, where i is the smallest letter in
-    the first row of T whose i + 1 sits in the second row in another
-    column.  P has i + 1 in place of i in its first row, so it comes
-    earlier in canonical order and its row is already built.
+    Row T is s_i . row(P) for its latest parent P = s_i T: i is the
+    largest letter in the first row of T whose i + 1 sits in the second
+    row in another column.  P has i + 1 in place of i in its first row, so
+    it comes earlier in canonical order; the largest i changes the furthest
+    right, so P is the latest candidate.  A row is held only until its last
+    child is built.
+
+    >>> list(rows(2))
+    [(0, (1, 0)), (1, (1, 1))]
     """
     syt, web_list = _canonical_bases(n)
     d = len(web_list)
     tables = [None] + [webs.action_table(i, n) for i in range(1, 2 * n)]
     slot = {t.rows[0]: r for r, t in enumerate(syt)}
-    rows = [(1,) + (0,) * (d - 1)]
-    all_columns = range(d)
+    steps = []  # (parent index, letter i) of rows 1, 2, ...
     for t in syt[1:]:
         first, second = t.rows
-        j, i = next(
+        j, i = max(
             (j, a) for j, a in enumerate(first) if a + 1 in second and second[j] != a + 1
         )
-        parent = rows[slot[first[:j] + (i + 1,) + first[j + 1 :]]]
+        steps.append((slot[first[:j] + (i + 1,) + first[j + 1 :]], i))
+    last_child = {p: r for r, (p, _) in enumerate(steps, 1)}
+    row = (1,) + (0,) * (d - 1)
+    held = {0: row} if 0 in last_child else {}
+    yield 0, row
+    all_columns = range(d)
+    for r, (p, i) in enumerate(steps, 1):
+        parent = held.pop(p) if last_child[p] == r else held[p]
         # s_i keeps each w_k and adds w_target, or turns w_k into -w_k
         table = tables[i]
         row = list(parent)
@@ -130,8 +146,17 @@ def transition_matrix(n: int) -> TransitionMatrix:
                 row[k] -= 2 * parent[k]
             else:
                 row[target] += parent[k]
-        rows.append(tuple(row))
-    return TransitionMatrix(n, syt, web_list, tuple(rows))
+        row = tuple(row)
+        if r in last_child:
+            held[r] = row
+        yield r, row
+
+
+def transition_matrix(n: int) -> TransitionMatrix:
+    """The full change-of-basis matrix, rows tableaux, columns webs: the
+    rows of ``rows(n)`` collected."""
+    syt, web_list = _canonical_bases(n)
+    return TransitionMatrix(n, syt, web_list, tuple(row for _, row in rows(n)))
 
 
 def _build_transition_matrix(n: int, sign: int = 1) -> TransitionMatrix:
@@ -163,40 +188,34 @@ FAULTS = {
 }
 
 
-def check_nonnegative(tm: TransitionMatrix) -> list[dict]:
-    """Every entry >= 0; counterexamples locate any negative entries.
-    Only rows with a negative minimum are walked entry by entry."""
+def check_nonnegative(r: int, row: tuple[int, ...]) -> list[dict]:
+    """Every entry of row r >= 0; counterexamples locate any negative
+    entries.  Only a row with a negative minimum is walked entry by entry."""
+    if min(row, default=0) >= 0:
+        return []
     return [
-        {"check": "nonnegative", "row": r, "col": c, "entry": v}
-        for r, row in enumerate(tm.entries)
-        if min(row, default=0) < 0
-        for c, v in enumerate(row)
-        if v < 0
+        {"check": "nonnegative", "row": r, "col": c, "entry": v} for c, v in enumerate(row) if v < 0
     ]
 
 
-def check_diagonal_ones(tm: TransitionMatrix) -> list[dict]:
-    """Entry 1 at (T, web of T) for every row: on the diagonal, because
-    the canonical webs are the opener/closer images of the canonical
-    tableaux in order."""
-    return [
-        {"check": "diagonalOnes", "row": r, "col": r, "entry": row[r]}
-        for r, row in enumerate(tm.entries)
-        if row[r] != 1
-    ]
+def check_diagonal_ones(r: int, row: tuple[int, ...]) -> list[dict]:
+    """Entry 1 at (T, web of T) in row r: on the diagonal, because the
+    canonical webs are the opener/closer images of the canonical tableaux
+    in order."""
+    return [] if row[r] == 1 else [{"check": "diagonalOnes", "row": r, "col": r, "entry": row[r]}]
 
 
-def check_support_acyclic(tm: TransitionMatrix) -> list[dict]:
-    """Every entry above the diagonal is 0: the matrix is lower triangular
-    in canonical order, which with check_diagonal_ones makes it
-    unitriangular.  This is stronger than the acyclic off-diagonal support
-    the check is named for; the counterexample is the first nonzero entry
-    above the diagonal in row-major order."""
-    for r, row in enumerate(tm.entries):
-        if any(row[r + 1 :]):
-            c = next(c for c in range(r + 1, len(row)) if row[c])
-            return [{"check": "supportAcyclic", "row": r, "col": c, "entry": row[c]}]
-    return []
+def check_support_acyclic(r: int, row: tuple[int, ...]) -> list[dict]:
+    """Every entry of row r after the diagonal is 0: over all rows, the
+    matrix is lower triangular in canonical order, which with
+    check_diagonal_ones makes it unitriangular.  This is stronger than the
+    acyclic off-diagonal support the check is named for; the counterexample
+    is the row's first nonzero entry after the diagonal, and ``verify``
+    reports only the first row's, the first in row-major order."""
+    if not any(row[r + 1 :]):
+        return []
+    c = next(c for c in range(r + 1, len(row)) if row[c])
+    return [{"check": "supportAcyclic", "row": r, "col": c, "entry": row[c]}]
 
 
 def intertwiner_oracle(n: int) -> TransitionMatrix:
@@ -268,6 +287,11 @@ class VerificationReport:
 def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> VerificationReport:
     """Run the checks on the transition matrix and aggregate a report.
 
+    The checks run in one pass over the rows, with the counterexamples in
+    row-major order.  Without the oracle or a fault the pass reads the
+    stream ``rows(n)``, so only the rows it holds are in memory; the
+    oracle compares a whole matrix, so with it the matrix is built first.
+
     ``fault`` names an entry of ``FAULTS``, whose matrix is checked in
     place of the good one, so that callers can confirm the checks detect
     a deliberate defect.  At n = 1 the one tableau's columns do not
@@ -275,11 +299,20 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> Verif
     """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault mode: {fault}")
-    tm = transition_matrix(n) if fault is None else FAULTS[fault](n)
+    tm = None
+    if fault is not None:
+        tm = FAULTS[fault](n)
+    elif with_oracle:
+        tm = transition_matrix(n)
 
-    bad_nonneg = check_nonnegative(tm)
-    bad_diag = check_diagonal_ones(tm)
-    bad_acyclic = check_support_acyclic(tm)
+    bad_nonneg: list[dict] = []
+    bad_diag: list[dict] = []
+    bad_acyclic: list[dict] = []
+    for r, row in rows(n) if tm is None else enumerate(tm.entries):
+        bad_nonneg += check_nonnegative(r, row)
+        bad_diag += check_diagonal_ones(r, row)
+        if not bad_acyclic:
+            bad_acyclic = check_support_acyclic(r, row)
     counterexamples = bad_nonneg + bad_diag + bad_acyclic
     oracle_agrees: bool | None = None
     if with_oracle:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from model import tableau_from_lists
 from tworow import minors, transition, webs
 from tworow.cli import _json_chunks, _write, build_parser, main
-from tworow.combinat import Matching, catalan, enumerate_webs
+from tworow.combinat import Matching, catalan, enumerate_syt, enumerate_webs
 from tworow.minors import web_vector
 from tworow.transition import transition_matrix
 
@@ -142,6 +142,27 @@ class TestMatrix:
     def test_cap(self, capsys):
         code, _, err = run(capsys, "matrix", "--n", "7")
         assert code == 2 and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["matrix"], ["matrix", "--format", "csv"], ["verify"]],
+    ids=["matrix-json", "matrix-csv", "verify"],
+)
+def test_row_stream_holds_no_matrix(argv, monkeypatch):
+    # the n = 7 matrix is 429 rows of 429 entries, about 1.5 MB of tuples;
+    # each command reads the rows from transition.rows, built as it goes.
+    # The JSON document's labels and the text of a row stay below the bound
+    monkeypatch.setenv("TWOROW_MATRIX_CAP", "7")
+    monkeypatch.setattr(transition, "transition_matrix", None)
+    enumerate_syt(7), enumerate_webs(7)  # the cached enumerations
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--n", "7", "--out", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800 * 1024
 
 
 class TestVerify:

@@ -9,6 +9,7 @@ from model import mat_mul, tableau_from_lists
 from tworow.combinat import (
     Matching,
     Tableau,
+    catalan,
     consecutive_matching,
     enumerate_syt,
     enumerate_webs,
@@ -160,19 +161,31 @@ class TestGeneratorRecurrence:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_row_has_an_earlier_parent(self, n):
+        # the latest parent: the largest letter i of the first row whose
+        # i + 1 sits in the second row in another column
         syt = enumerate_syt(n)
         slot = {t: r for r, t in enumerate(syt)}
+        last_child = {}
         for r, t in enumerate(syt):
             first, second = t.rows
             letters = [a for j, a in enumerate(first) if a + 1 in second and second[j] != a + 1]
             assert bool(letters) == (r > 0)  # only the interleaved tableau has none
             if r == 0:
                 continue
-            i = min(letters)
-            swap = {i: i + 1, i + 1: i}
-            parent = Tableau(tuple(tuple(swap.get(x, x) for x in row) for row in t.rows))
-            assert parent.is_standard
-            assert slot[parent] < r
+            parents = []
+            for i in letters:
+                swap = {i: i + 1, i + 1: i}
+                parent = Tableau(tuple(tuple(swap.get(x, x) for x in row) for row in t.rows))
+                assert parent.is_standard
+                assert slot[parent] < r
+                parents.append(slot[parent])
+            # the largest letter gives the latest parent
+            assert parents[-1] == max(parents)
+            last_child[parents[-1]] = r
+        # a row is held from when it is built until its last child is
+        held = [sum(1 for p, last in last_child.items() if p <= r < last) for r in range(len(syt))]
+        assert max(held, default=0) <= max(n - 2, 1)
+        assert n < 4 or max(held) == n - 2
 
     def test_results_are_not_cached(self):
         built = weakref.ref(transition_matrix(6))
@@ -205,19 +218,88 @@ class TestGeneratorRecurrence:
         assert grown < 64 * 1024
 
 
+def euler_zigzag(m):
+    """E_m, the number of alternating permutations of m letters, by the
+    Seidel-Entringer triangle (boustrophedon): each row is the running sum
+    of the previous one read backwards, starting from 0."""
+    row = [1]
+    for _ in range(m):
+        sums = [0]
+        for x in reversed(row):
+            sums.append(sums[-1] + x)
+        row = sums
+    return row[-1]
+
+
+class TestRowStream:
+    """``rows(n)``: the matrix one row at a time, in canonical order."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_collected_matrix(self, n):
+        entries = transition_matrix(n).entries
+        streamed = list(transition.rows(n))
+        assert [r for r, _ in streamed] == list(range(len(entries)))
+        assert tuple(row for _, row in streamed) == entries
+
+    def test_holds_a_few_rows_not_the_matrix(self):
+        n = 8
+        enumerate_syt(n), enumerate_webs(n)  # the cached enumerations
+        gc.collect()
+
+        def peak(consume):
+            tracemalloc.start()
+            try:
+                consume()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def stream():
+            for _ in transition.rows(n):
+                pass
+
+        held = peak(lambda: transition_matrix(n))
+        # the matrix is 1430 rows of 1430 entries, about 16 MB of tuples
+        assert held > 16 * 10**6
+        assert peak(stream) < held / 10
+
+    def test_euler_zigzag_numbers(self):
+        expected = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]  # OEIS A000111
+        assert [euler_zigzag(m) for m in range(11)] == expected
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_nonzero_count_is_the_catalan_hankel_determinant(self, n):
+        # nested pairs of Dyck paths (Lindstrom-Gessel-Viennot), OEIS A005700
+        nonzeros = sum(len(row) - row.count(0) for _, row in transition.rows(n))
+        assert nonzeros == catalan(n) * catalan(n + 2) - catalan(n + 1) ** 2
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_last_row_sums_to_an_euler_number(self, n):
+        # the last tableau's columns pairwise cross; its row sum counts the
+        # leaves of their resolution, the largest row sum of the matrix
+        sums = [sum(row) for _, row in transition.rows(n)]
+        assert sums[-1] == euler_zigzag(n + 1)
+        assert max(sums) == sums[-1]
+
+
+def found(check, tm):
+    """What ``check`` finds in the rows of tm, in row-major order."""
+    return [c for r, row in enumerate(tm.entries) for c in check(r, row)]
+
+
 class TestChecks:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_clean_matrix_passes(self, n):
         tm = transition_matrix(n)
-        assert check_nonnegative(tm) == []
-        assert check_diagonal_ones(tm) == []
-        assert check_support_acyclic(tm) == []
+        assert found(check_nonnegative, tm) == []
+        assert found(check_diagonal_ones, tm) == []
+        assert found(check_support_acyclic, tm) == []
 
     def test_negative_entry_located(self):
         good = transition_matrix(2)
         entries = ((1, 0), (-1, 1))
         bad = TransitionMatrix(2, good.row_labels, good.col_labels, entries)
-        assert check_nonnegative(bad) == [
+        assert found(check_nonnegative, bad) == [
             {"check": "nonnegative", "row": 1, "col": 0, "entry": -1}
         ]
 
@@ -226,7 +308,7 @@ class TestChecks:
         entries = [list(row) for row in good.entries]
         entries[1][3], entries[3][0], entries[3][4] = -2, -1, -5
         bad = TransitionMatrix(3, good.row_labels, good.col_labels, tuple(map(tuple, entries)))
-        assert check_nonnegative(bad) == [
+        assert found(check_nonnegative, bad) == [
             {"check": "nonnegative", "row": 1, "col": 3, "entry": -2},
             {"check": "nonnegative", "row": 3, "col": 0, "entry": -1},
             {"check": "nonnegative", "row": 3, "col": 4, "entry": -5},
@@ -235,8 +317,8 @@ class TestChecks:
     def test_all_ones_has_cycle(self):
         good = transition_matrix(2)
         bad = TransitionMatrix(2, good.row_labels, good.col_labels, ((1, 1), (1, 1)))
-        assert check_diagonal_ones(bad) == []
-        assert check_support_acyclic(bad) == [
+        assert found(check_diagonal_ones, bad) == []
+        assert found(check_support_acyclic, bad) == [
             {"check": "supportAcyclic", "row": 0, "col": 1, "entry": 1}
         ]
 
@@ -245,25 +327,31 @@ class TestChecks:
         # lower triangular in canonical order
         good = transition_matrix(2)
         bad = TransitionMatrix(2, good.row_labels, good.col_labels, ((1, 1), (0, 1)))
-        assert check_diagonal_ones(bad) == []
-        assert check_support_acyclic(bad) == [
+        assert found(check_diagonal_ones, bad) == []
+        assert found(check_support_acyclic, bad) == [
             {"check": "supportAcyclic", "row": 0, "col": 1, "entry": 1}
         ]
 
-    def test_first_entry_above_diagonal_reported(self):
+    def test_first_entry_above_diagonal_reported(self, monkeypatch):
         entries = [list(row) for row in transition_matrix(4).entries]
         entries[5][9] = 3
         entries[7][8] = 2
         good = transition_matrix(4)
         bad = TransitionMatrix(4, good.row_labels, good.col_labels, tuple(map(tuple, entries)))
-        assert check_support_acyclic(bad) == [
-            {"check": "supportAcyclic", "row": 5, "col": 9, "entry": 3}
+        assert found(check_support_acyclic, bad) == [
+            {"check": "supportAcyclic", "row": 5, "col": 9, "entry": 3},
+            {"check": "supportAcyclic", "row": 7, "col": 8, "entry": 2},
         ]
+        # verify reports only the first row's
+        monkeypatch.setitem(transition.FAULTS, "two-above", lambda n: bad)
+        assert verify(4, fault="two-above").counterexamples == (
+            {"check": "supportAcyclic", "row": 5, "col": 9, "entry": 3},
+        )
 
     def test_broken_diagonal_located(self):
         good = transition_matrix(2)
         bad = TransitionMatrix(2, good.row_labels, good.col_labels, ((1, 0), (1, 2)))
-        assert check_diagonal_ones(bad) == [
+        assert found(check_diagonal_ones, bad) == [
             {"check": "diagonalOnes", "row": 1, "col": 1, "entry": 2}
         ]
 
