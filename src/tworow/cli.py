@@ -12,9 +12,9 @@ output is streamed: ``_json_chunks`` yields the text of
 of its arrays (one matrix row, one web's term list), and ``_write`` writes
 each piece as it comes, so no document is ever held whole in memory.
 ``matrix`` and ``verify`` read the rows from the stream
-``transition.rows``, which holds at most n - 2 of them, so neither holds
-the matrix either (``verify --with-oracle`` and ``--inject-fault`` do:
-they compare or corrupt a whole matrix).
+``transition.rows``, which holds at most n - 2 of them, or ``verify
+--inject-fault`` from the fault's row stream, so neither holds the matrix
+either (``verify --with-oracle`` does: it compares a whole matrix).
 Within one piece, an array of ints that the piece holds many times (an
 exponent triple of ``--dump-poly``) is rendered once: the memo of
 ``_json_text`` is keyed by the array's identity, because equal values can

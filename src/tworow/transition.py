@@ -14,9 +14,10 @@ writes it row by row, and ``verify`` checks it row by row.
 
 The paper's construction is kept as the reference the tests compare
 against: resolve the crossings of the matching whose pairs are the
-columns of T (``transition_row``; every row: ``_build_transition_matrix``).
-``FAULTS`` maps each injected fault to the build of its broken matrix.
-Two facts are checked rather than assumed:
+columns of T (``transition_row``; every row: the stream ``_rewrite_rows``).
+``FAULTS`` maps each injected fault to a stream of its broken rows, so a
+fault is checked row by row too.  ``_collect`` is the one place a stream
+becomes a whole matrix.  Two facts are checked rather than assumed:
 
 - every entry is a nonnegative integer, and
 - the matrix is lower unitriangular: the webs are enumerated as the
@@ -34,7 +35,7 @@ constraints X A_i = B_i X; the computations must agree entry for entry.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 from . import specht, webs
@@ -152,39 +153,38 @@ def rows(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         yield r, row
 
 
+def _collect(n: int, stream: Iterator[tuple[int, tuple[int, ...]]]) -> TransitionMatrix:
+    """The matrix of the rows of ``stream``, which yields them in canonical
+    order: the one place a row stream becomes a whole matrix."""
+    syt, web_list = _canonical_bases(n)
+    return TransitionMatrix(n, syt, web_list, tuple(row for _, row in stream))
+
+
 def transition_matrix(n: int) -> TransitionMatrix:
     """The full change-of-basis matrix, rows tableaux, columns webs: the
     rows of ``rows(n)`` collected."""
-    syt, web_list = _canonical_bases(n)
-    return TransitionMatrix(n, syt, web_list, tuple(row for _, row in rows(n)))
+    return _collect(n, rows(n))
 
 
-def _build_transition_matrix(n: int, sign: int = 1) -> TransitionMatrix:
-    """Every row by the crossing rewrite, the paper's construction, on
-    partner tuples through one memo; ``sign=-1`` negates the second
-    reconnection, the ``syzygy-sign-flip`` fault."""
+def _rewrite_rows(n: int, sign: int = 1) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(index, row) for every row by the crossing rewrite, the paper's
+    construction, on partner tuples through one memo; ``sign=-1`` negates
+    the second reconnection, the ``syzygy-sign-flip`` fault."""
     syt, web_list = _canonical_bases(n)
     col = {m.partner: k for k, m in enumerate(web_list)}
     memo: dict = {}
-    entries = []
-    for t in syt:
+    for r, t in enumerate(syt):
         row = [0] * len(web_list)
         for p, c in webs._expand(Matching.from_pairs(t.columns()).partner, 1, memo, sign).items():
             row[col[p]] = c
-        entries.append(tuple(row))
-    return TransitionMatrix(n, syt, web_list, tuple(entries))
+        yield r, tuple(row)
 
 
-def _negative_entry(n: int) -> TransitionMatrix:
-    """The matrix with -1 for the last entry of row 0, above the diagonal if n > 1."""
-    good = transition_matrix(n)
-    return replace(good, entries=(good.entries[0][:-1] + (-1,),) + good.entries[1:])
-
-
-# each --inject-fault name and the build of its broken matrix
+# each --inject-fault name and the stream of its broken rows; negative-entry
+# puts -1 in the last entry of row 0, above the diagonal if n > 1
 FAULTS = {
-    "syzygy-sign-flip": lambda n: _build_transition_matrix(n, sign=-1),
-    "negative-entry": _negative_entry,
+    "syzygy-sign-flip": lambda n: _rewrite_rows(n, sign=-1),
+    "negative-entry": lambda n: ((r, row[:-1] + (-1,) if r == 0 else row) for r, row in rows(n)),
 }
 
 
@@ -287,28 +287,27 @@ class VerificationReport:
 def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> VerificationReport:
     """Run the checks on the transition matrix and aggregate a report.
 
-    The checks run in one pass over the rows, with the counterexamples in
-    row-major order.  Without the oracle or a fault the pass reads the
-    stream ``rows(n)``, so only the rows it holds are in memory; the
-    oracle compares a whole matrix, so with it the matrix is built first.
+    The checks run in one pass over one row stream, with the
+    counterexamples in row-major order, so only the rows the stream holds
+    are in memory.  The oracle compares a whole matrix, so with it the
+    stream is collected first and the pass reads the collected rows.
 
-    ``fault`` names an entry of ``FAULTS``, whose matrix is checked in
-    place of the good one, so that callers can confirm the checks detect
+    ``fault`` names an entry of ``FAULTS``, whose rows are checked in
+    place of ``rows(n)``, so that callers can confirm the checks detect
     a deliberate defect.  At n = 1 the one tableau's columns do not
     cross, so "syzygy-sign-flip" changes nothing and every check passes.
     """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault mode: {fault}")
-    tm = None
-    if fault is not None:
-        tm = FAULTS[fault](n)
-    elif with_oracle:
-        tm = transition_matrix(n)
+    stream = rows(n) if fault is None else FAULTS[fault](n)
+    if with_oracle:
+        tm = transition_matrix(n) if fault is None else _collect(n, stream)
+        stream = enumerate(tm.entries)
 
     bad_nonneg: list[dict] = []
     bad_diag: list[dict] = []
     bad_acyclic: list[dict] = []
-    for r, row in rows(n) if tm is None else enumerate(tm.entries):
+    for r, row in stream:
         bad_nonneg += check_nonnegative(r, row)
         bad_diag += check_diagonal_ones(r, row)
         if not bad_acyclic:

@@ -145,11 +145,16 @@ class TestMatrix:
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["matrix"], ["matrix", "--format", "csv"], ["verify"]],
-    ids=["matrix-json", "matrix-csv", "verify"],
+    "argv, code",
+    [
+        (["matrix"], 0),
+        (["matrix", "--format", "csv"], 0),
+        (["verify"], 0),
+        (["verify", "--inject-fault", "negative-entry"], 1),
+    ],
+    ids=["matrix-json", "matrix-csv", "verify", "verify-negative-entry"],
 )
-def test_row_stream_holds_no_matrix(argv, monkeypatch):
+def test_row_stream_holds_no_matrix(argv, code, monkeypatch):
     # the n = 7 matrix is 429 rows of 429 entries, about 1.5 MB of tuples;
     # each command reads the rows from transition.rows, built as it goes.
     # The JSON document's labels and the text of a row stay below the bound
@@ -158,7 +163,7 @@ def test_row_stream_holds_no_matrix(argv, monkeypatch):
     enumerate_syt(7), enumerate_webs(7)  # the cached enumerations
     tracemalloc.start()
     try:
-        assert main([*argv, "--n", "7", "--out", os.devnull]) == 0
+        assert main([*argv, "--n", "7", "--out", os.devnull]) == code
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

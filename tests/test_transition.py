@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import tracemalloc
 import weakref
 
@@ -21,7 +22,8 @@ from tworow import specht, transition, webs
 from tworow.minors import web_vector
 from tworow.transition import (
     TransitionMatrix,
-    _build_transition_matrix,
+    _collect,
+    _rewrite_rows,
     check_diagonal_ones,
     check_nonnegative,
     check_support_acyclic,
@@ -108,10 +110,10 @@ class TestGeneratorRecurrence:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_rewrite(self, n):
-        assert transition_matrix(n) == _build_transition_matrix(n)
+        assert transition_matrix(n) == _collect(n, _rewrite_rows(n))
 
     def test_never_calls_rewrite(self, monkeypatch):
-        reference = _build_transition_matrix(5)
+        reference = _collect(5, _rewrite_rows(5))
         calls = []
         monkeypatch.setattr(webs, "resolve_crossings", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(webs, "_expand", lambda *a, **k: calls.append(a))
@@ -140,7 +142,7 @@ class TestGeneratorRecurrence:
 
     def test_reference_build_shares_one_memo(self, monkeypatch):
         calls = self.spy_on_rewrite(monkeypatch)
-        _build_transition_matrix(4)
+        _collect(4, _rewrite_rows(4))
         memos = [memo for memo, _ in calls]
         assert len(memos) == len(enumerate_syt(4))
         assert all(memo is memos[0] for memo in memos) and memos[0]
@@ -244,36 +246,33 @@ class TestRowStream:
     def test_holds_a_few_rows_not_the_matrix(self):
         n = 8
         enumerate_syt(n), enumerate_webs(n)  # the cached enumerations
+        # the matrix is 1430 rows of 1430 entries, about 16 MB of tuples,
+        # sized untraced: tracemalloc would slow its build several-fold
+        entries = transition_matrix(n).entries
+        held = sys.getsizeof(entries) + sum(map(sys.getsizeof, entries))
+        del entries
         gc.collect()
-
-        def peak(consume):
-            tracemalloc.start()
-            try:
-                consume()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        def stream():
+        tracemalloc.start()
+        try:
             for _ in transition.rows(n):
                 pass
-
-        held = peak(lambda: transition_matrix(n))
-        # the matrix is 1430 rows of 1430 entries, about 16 MB of tuples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert held > 16 * 10**6
-        assert peak(stream) < held / 10
+        assert peak < held / 10
 
     def test_euler_zigzag_numbers(self):
         expected = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]  # OEIS A000111
         assert [euler_zigzag(m) for m in range(11)] == expected
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_nonzero_count_is_the_catalan_hankel_determinant(self, n):
         # nested pairs of Dyck paths (Lindstrom-Gessel-Viennot), OEIS A005700
         nonzeros = sum(len(row) - row.count(0) for _, row in transition.rows(n))
         assert nonzeros == catalan(n) * catalan(n + 2) - catalan(n + 1) ** 2
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_last_row_sums_to_an_euler_number(self, n):
         # the last tableau's columns pairwise cross; its row sum counts the
         # leaves of their resolution, the largest row sum of the matrix
@@ -343,7 +342,7 @@ class TestChecks:
             {"check": "supportAcyclic", "row": 7, "col": 8, "entry": 2},
         ]
         # verify reports only the first row's
-        monkeypatch.setitem(transition.FAULTS, "two-above", lambda n: bad)
+        monkeypatch.setitem(transition.FAULTS, "two-above", lambda n: enumerate(bad.entries))
         assert verify(4, fault="two-above").counterexamples == (
             {"check": "supportAcyclic", "row": 5, "col": 9, "entry": 3},
         )
@@ -449,6 +448,17 @@ class TestVerify:
         for fault, failed in expected.items():
             report = verify(n, fault=fault).to_json_dict()
             assert {key for key, value in report.items() if value is False} == failed
+
+    @pytest.mark.parametrize("fault", [None, "syzygy-sign-flip", "negative-entry"])
+    def test_without_oracle_builds_no_matrix(self, fault, monkeypatch):
+        # the checks read a row stream; only the oracle compares a matrix
+        def refuse(*args):
+            raise AssertionError("a TransitionMatrix was built")
+
+        monkeypatch.setattr(transition, "TransitionMatrix", refuse)
+        assert verify(4, fault=fault).all_passed == (fault is None)
+        with pytest.raises(AssertionError, match="TransitionMatrix"):
+            verify(2, with_oracle=True, fault=fault)
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):
