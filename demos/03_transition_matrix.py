@@ -17,12 +17,13 @@ interleaved tableau.  The test suite checks that both constructions
 agree entry for entry.
 """
 
-from tworow import transition_matrix, verify
+from tworow import enumerate_syt, transition_matrix, verify
 
 for n in (2, 3, 4):
     tm = transition_matrix(n)
     print(f"\nn={n}  ({len(tm.entries)} x {len(tm.entries)})")
-    for t, row in zip(tm.row_labels, tm.entries):
+    # row r is the r-th standard tableau in canonical order
+    for t, row in zip(enumerate_syt(n), tm.entries):
         print(f"  {t.rows[0]} | {' '.join(f'{e:2d}' for e in row)}")
     # unit diagonal and nothing above it: lower unitriangular
     report = verify(n)

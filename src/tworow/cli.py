@@ -6,21 +6,22 @@ pairing), ``matrix`` (the transition matrix), ``verify`` (checks plus
 exit code; ``--with-oracle`` adds the rewrite vs. intertwiner
 comparison), ``bench`` (build, write and oracle times).  JSON is the
 canonical output format and is byte-stable for a fixed command line;
-``enumerate`` and ``matrix`` also write CSV (``--format csv``).  Every
-output is streamed: ``_json_chunks`` yields the text of
-``json.dumps(doc, indent=2)`` one piece per item of the document or of one
-of its arrays (one matrix row, one web's term list), and ``_write`` writes
-each piece as it comes, so no document is ever held whole in memory.
-``matrix`` and ``verify`` read the rows from the stream
-``transition.rows``, which holds at most n - 2 of them, or ``verify
---inject-fault`` from the fault's row stream, so neither holds the matrix
-either (``verify --with-oracle`` does: it compares a whole matrix).
-Within one piece, an array of ints that the piece holds many times (an
-exponent triple of ``--dump-poly``) is rendered once: the memo of
-``_json_text`` is keyed by the array's identity, because equal values can
-be written differently (``1``, ``1.0``, ``true``), and it is dropped with
-its piece, because one memo for the whole stream would keep the text of
-every matrix row.
+``enumerate`` and ``matrix`` also write CSV (``--format csv``).  One
+function, ``_matrix_pieces``, writes the matrix of ``matrix`` and
+``bench``, its labels read from the enumerations.  Every output is
+streamed: ``_json_chunks`` yields the text of ``json.dumps(doc,
+indent=2)`` one piece per item of the document or of one of its arrays
+(one matrix row, one web's term list), and ``_write`` writes each piece
+as it comes, so no document is ever held whole in memory.  ``matrix``
+and ``verify`` read the rows from the stream ``transition.rows``, which
+holds at most n - 2 of them, or ``verify --inject-fault`` from the
+fault's row stream, so neither holds the matrix either (``verify
+--with-oracle`` does: it compares a whole matrix).  Within one piece, an
+array of ints that the piece holds many times (an exponent triple of
+``--dump-poly``) is rendered once: the memo of ``_json_text`` is keyed
+by the array's identity, because equal values can be written differently
+(``1``, ``1.0``, ``true``), and it is dropped with its piece, because one
+memo for the whole stream would keep the text of every matrix row.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including an unwritable --out, an unwritable or closed stdout, a cap
@@ -66,7 +67,10 @@ def _cap(env: str, default: int) -> int:
 
 
 def _positive_int(text: str) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0  # not an integer: refused with the same message
     if n < 1:
         raise argparse.ArgumentTypeError("n must be a positive integer")
     return n
@@ -227,26 +231,46 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+# the CSV label of a tableau and of a web, one each for enumerate and matrix
+def _tableau_csv(t) -> str:
+    return "|".join(" ".join(map(str, r)) for r in t.rows)
+
+
+def _web_csv(w) -> str:
+    return " ".join(map(str, w.partner))
+
+
 def _enumerate_csv_lines(tableaux, web_list, pairing) -> Iterator[str]:
     yield "kind,index,label\n"
     for k, t in enumerate(tableaux):
-        yield f"tableau,{k},{'|'.join(' '.join(map(str, r)) for r in t.rows)}\n"
+        yield f"tableau,{k},{_tableau_csv(t)}\n"
     for k, w in enumerate(web_list):
-        yield f"web,{k},{' '.join(map(str, w.partner))}\n"
+        yield f"web,{k},{_web_csv(w)}\n"
     for k, p in enumerate(pairing):
         yield f"pair,{k},{p}\n"
 
 
+def _matrix_pieces(n: int, entries: Iterable[tuple[int, ...]], fmt: str) -> Iterator[str]:
+    """The matrix document in ``fmt``, "json" or "csv", piece by piece.  Row
+    r is labeled by tableau r of ``enumerate_syt(n)`` and column c by web c
+    of ``enumerate_webs(n)``; ``entries`` is read once, a row per piece."""
+    tableaux, web_list = enumerate_syt(n), enumerate_webs(n)
+    if fmt == "csv":
+        yield ",".join(["tableau\\web"] + [_web_csv(w) for w in web_list]) + "\n"
+        for t, row in zip(tableaux, entries):
+            yield ",".join([_tableau_csv(t)] + [str(e) for e in row]) + "\n"
+        return
+    row_labels = [t.rows for t in tableaux]
+    col_labels = [w.partner for w in web_list]
+    doc = {"n": n, "rowLabels": row_labels, "colLabels": col_labels, "entries": entries}
+    yield from _json_chunks(doc)
+
+
 def cmd_matrix(args) -> int:
     _guard(args.n, _cap("TWOROW_MATRIX_CAP", DEFAULT_MATRIX_CAP), "matrix")
-    n = args.n
     # the rows are built as they are written: at most n - 2 are held
-    stream = (row for _, row in transition.rows(n))
-    tm = transition.TransitionMatrix(n, enumerate_syt(n), enumerate_webs(n), stream)
-    if args.format == "csv":
-        _write(tm.csv_lines(), args.out)
-    else:
-        _write(_json_chunks(tm.to_json_dict()), args.out)
+    stream = (row for _, row in transition.rows(args.n))
+    _write(_matrix_pieces(args.n, stream, args.format), args.out)
     return 0
 
 
@@ -267,7 +291,7 @@ def cmd_bench(args) -> int:
     tm = transition.transition_matrix(n)
     matrix_seconds = time.perf_counter() - t_start
     t_start = time.perf_counter()
-    _write(_json_chunks(tm.to_json_dict()), os.devnull)
+    _write(_matrix_pieces(n, tm.entries, "json"), os.devnull)
     write_seconds = time.perf_counter() - t_start
     rows = {
         "n": n,

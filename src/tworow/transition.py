@@ -17,7 +17,8 @@ against: resolve the crossings of the matching whose pairs are the
 columns of T (``transition_row``; every row: the stream ``_rewrite_rows``).
 ``FAULTS`` maps each injected fault to a stream of its broken rows, so a
 fault is checked row by row too.  ``_collect`` is the one place a stream
-becomes a whole matrix.  Two facts are checked rather than assumed:
+becomes a whole matrix, which holds n and the rows: ``cli`` labels them
+from the enumerations.  Two facts are checked rather than assumed:
 
 - every entry is a nonnegative integer, and
 - the matrix is lower unitriangular: the webs are enumerated as the
@@ -52,36 +53,12 @@ from .linalg import nullspace
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Square integer matrix with rows labeled by standard tableaux and
-    columns by noncrossing matchings, both in canonical order.  ``entries``
-    is a tuple of rows, except in a matrix made only to be written once
-    (``tworow matrix``), where it is a generator over ``rows(n)``."""
+    """Square integer matrix, a tuple of tuple rows: row r is tableau r of
+    ``enumerate_syt(n)`` and column c is web c of ``enumerate_webs(n)``,
+    both in canonical order."""
 
     n: int
-    row_labels: tuple[Tableau, ...]
-    col_labels: tuple[Matching, ...]
     entries: tuple[tuple[int, ...], ...]
-
-    def to_json_dict(self) -> dict:
-        """The JSON document; "entries" is ``self.entries`` itself, not a
-        copy, so a streamed write of it holds no second matrix."""
-        return {
-            "n": self.n,
-            "rowLabels": [list(map(list, t.rows)) for t in self.row_labels],
-            "colLabels": [list(m.partner) for m in self.col_labels],
-            "entries": self.entries,
-        }
-
-    def csv_lines(self) -> Iterator[str]:
-        """The CSV text line by line: label header row and column, entries
-        as plain integers."""
-        header = ["tableau\\web"] + [
-            " ".join(map(str, m.partner)) for m in self.col_labels
-        ]
-        yield ",".join(header) + "\n"
-        for t, row in zip(self.row_labels, self.entries):
-            label = "|".join(" ".join(map(str, r)) for r in t.rows)
-            yield ",".join([label] + [str(e) for e in row]) + "\n"
 
 
 def transition_row(t: Tableau) -> webs.WebVector:
@@ -154,10 +131,9 @@ def rows(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 
 def _collect(n: int, stream: Iterator[tuple[int, tuple[int, ...]]]) -> TransitionMatrix:
-    """The matrix of the rows of ``stream``, which yields them in canonical
-    order: the one place a row stream becomes a whole matrix."""
-    syt, web_list = _canonical_bases(n)
-    return TransitionMatrix(n, syt, web_list, tuple(row for _, row in stream))
+    """The one place a row stream becomes a whole matrix: the rows of
+    ``stream``, which has checked the canonical orders and yields them in order."""
+    return TransitionMatrix(n, tuple(row for _, row in stream))
 
 
 def transition_matrix(n: int) -> TransitionMatrix:
@@ -229,8 +205,7 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     This never touches the crossing rewrite, so agreement with
     transition_matrix is a genuine independent check.
     """
-    syt, web_list = _canonical_bases(n)
-    d = len(syt)
+    d = len(_canonical_bases(n)[0])
     constraints: list[list[int]] = []
     for i in range(1, 2 * n):
         a_mat = specht.action_matrix(i, n)
@@ -256,7 +231,7 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
         if value.denominator != 1:
             raise ArithmeticError(f"non-integer oracle entry {value}")
     entries = tuple(tuple(map(int, values[t * d : (t + 1) * d])) for t in range(d))
-    return TransitionMatrix(n, syt, web_list, entries)
+    return TransitionMatrix(n, entries)
 
 
 @dataclass(frozen=True)

@@ -109,13 +109,14 @@ def test_criterion_04_unitriangular():
             tm = transition_matrix(n)
             assert not any(check_diagonal_ones(r, row) for r, row in enumerate(tm.entries))
             assert not any(check_support_acyclic(r, row) for r, row in enumerate(tm.entries))
-            # the diagonal is the opener/closer pairing
-            assert tm.col_labels == tuple(map(tableau_to_web, tm.row_labels))
+            # row r is tableau r and column c is web c, so the diagonal is
+            # the opener/closer pairing
+            assert enumerate_webs(n) == tuple(map(tableau_to_web, enumerate_syt(n)))
             # first row is exactly the indicator of the consecutive matching
             indicator = tuple(
-                1 if m == consecutive_matching(n) else 0 for m in tm.col_labels
+                1 if m == consecutive_matching(n) else 0 for m in enumerate_webs(n)
             )
-            assert tm.row_labels[0] == interleaved_tableau(n)
+            assert enumerate_syt(n)[0] == interleaved_tableau(n)
             assert tm.entries[0] == indicator
 
     _check(

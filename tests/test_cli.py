@@ -117,9 +117,12 @@ class TestMatrix:
         code, out, _ = run(capsys, "matrix", "--n", "2")
         assert code == 0
         doc = json.loads(out)
-        assert doc["entries"] == [[1, 0], [1, 1]]
-        tm = transition_matrix(2)
-        assert doc == {**tm.to_json_dict(), "entries": [list(row) for row in tm.entries]}
+        assert doc == {
+            "n": 2,
+            "rowLabels": [[list(r) for r in t.rows] for t in enumerate_syt(2)],
+            "colLabels": [list(w.partner) for w in enumerate_webs(2)],
+            "entries": [[1, 0], [1, 1]],
+        }
 
     def test_n1(self, capsys):
         code, out, _ = run(capsys, "matrix", "--n", "1")
@@ -156,10 +159,15 @@ class TestMatrix:
 )
 def test_row_stream_holds_no_matrix(argv, code, monkeypatch):
     # the n = 7 matrix is 429 rows of 429 entries, about 1.5 MB of tuples;
-    # each command reads the rows from transition.rows, built as it goes.
-    # The JSON document's labels and the text of a row stay below the bound
+    # each command reads the rows from transition.rows, built as it goes,
+    # and builds no TransitionMatrix.  The JSON document's labels and the
+    # text of a row stay below the bound
+    def refuse(*args):
+        raise AssertionError("a TransitionMatrix was built")
+
     monkeypatch.setenv("TWOROW_MATRIX_CAP", "7")
     monkeypatch.setattr(transition, "transition_matrix", None)
+    monkeypatch.setattr(transition, "TransitionMatrix", refuse)
     enumerate_syt(7), enumerate_webs(7)  # the cached enumerations
     tracemalloc.start()
     try:
@@ -311,10 +319,14 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
 
-    def test_bad_n(self, capsys):
+    @pytest.mark.parametrize("n", ["0", "-3", "abc", "2.5"])
+    def test_bad_n(self, n, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["matrix", "--n", "0"])
+            main(["verify", "--n", n])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --n: n must be a positive integer" in err
+        assert "_positive_int" not in err
 
     def test_unknown_fault_choice(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -514,7 +526,12 @@ class TestJsonWriter:
         assert "".join(_json_chunks(fresh)) == json.dumps(expected_fresh, indent=2) + "\n"
 
     def test_stream_holds_no_document(self):
-        doc = transition_matrix(6).to_json_dict()
+        doc = {
+            "n": 6,
+            "rowLabels": [t.rows for t in enumerate_syt(6)],
+            "colLabels": [w.partner for w in enumerate_webs(6)],
+            "entries": transition_matrix(6).entries,
+        }
         size = len(json.dumps(doc, indent=2)) + 1
         tracemalloc.start()
         try:
