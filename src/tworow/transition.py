@@ -18,7 +18,8 @@ columns of T (``transition_row``; every row: the stream ``_rewrite_rows``).
 ``FAULTS`` maps each injected fault to a stream of its broken rows, so a
 fault is checked row by row too.  ``_collect`` is the one place a stream
 becomes a whole matrix, which holds n and the rows: ``cli`` labels them
-from the enumerations.  Two facts are checked rather than assumed:
+from the enumerations.  Two facts are checked rather than assumed, row by
+row, by the table ``CHECKS``:
 
 - every entry is a nonnegative integer, and
 - the matrix is lower unitriangular: the webs are enumerated as the
@@ -164,34 +165,40 @@ FAULTS = {
 }
 
 
-def check_nonnegative(r: int, row: tuple[int, ...]) -> list[dict]:
-    """Every entry of row r >= 0; counterexamples locate any negative
-    entries.  Only a row with a negative minimum is walked entry by entry."""
+def check_nonnegative(r: int, row: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Every entry of row r >= 0: (col, entry) of each negative entry.
+    Only a row with a negative minimum is walked entry by entry."""
     if min(row, default=0) >= 0:
         return []
-    return [
-        {"check": "nonnegative", "row": r, "col": c, "entry": v} for c, v in enumerate(row) if v < 0
-    ]
+    return [(c, v) for c, v in enumerate(row) if v < 0]
 
 
-def check_diagonal_ones(r: int, row: tuple[int, ...]) -> list[dict]:
+def check_diagonal_ones(r: int, row: tuple[int, ...]) -> list[tuple[int, int]]:
     """Entry 1 at (T, web of T) in row r: on the diagonal, because the
     canonical webs are the opener/closer images of the canonical tableaux
     in order."""
-    return [] if row[r] == 1 else [{"check": "diagonalOnes", "row": r, "col": r, "entry": row[r]}]
+    return [] if row[r] == 1 else [(r, row[r])]
 
 
-def check_support_acyclic(r: int, row: tuple[int, ...]) -> list[dict]:
+def check_support_acyclic(r: int, row: tuple[int, ...]) -> list[tuple[int, int]]:
     """Every entry of row r after the diagonal is 0: over all rows, the
     matrix is lower triangular in canonical order, which with
     check_diagonal_ones makes it unitriangular.  This is stronger than the
     acyclic off-diagonal support the check is named for; the counterexample
-    is the row's first nonzero entry after the diagonal, and ``verify``
-    reports only the first row's, the first in row-major order."""
+    is the row's first nonzero entry after the diagonal."""
     if not any(row[r + 1 :]):
         return []
     c = next(c for c in range(r + 1, len(row)) if row[c])
-    return [{"check": "supportAcyclic", "row": r, "col": c, "entry": row[c]}]
+    return [(c, row[c])]
+
+
+# each report key, in report order, with its row check and whether only
+# the first failing row's counterexamples are kept
+CHECKS = (
+    ("nonnegative", check_nonnegative, False),
+    ("diagonalOnes", check_diagonal_ones, False),
+    ("supportAcyclic", check_support_acyclic, True),
+)
 
 
 def intertwiner_oracle(n: int) -> TransitionMatrix:
@@ -237,9 +244,7 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
 @dataclass(frozen=True)
 class VerificationReport:
     n: int
-    nonnegative: bool
-    diagonal_ones: bool
-    support_acyclic: bool
+    checks: dict[str, bool]  # each key of CHECKS, in order: whether it passed
     oracle_agrees: bool | None  # None when the oracle was not run
     counterexamples: tuple[dict, ...]
 
@@ -251,9 +256,7 @@ class VerificationReport:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "nonnegative": self.nonnegative,
-            "diagonalOnes": self.diagonal_ones,
-            "supportAcyclic": self.support_acyclic,
+            **self.checks,
             "oracleAgrees": self.oracle_agrees,
             "counterexamples": list(self.counterexamples),
         }
@@ -262,10 +265,10 @@ class VerificationReport:
 def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> VerificationReport:
     """Run the checks on the transition matrix and aggregate a report.
 
-    The checks run in one pass over one row stream, with the
-    counterexamples in row-major order, so only the rows the stream holds
-    are in memory.  The oracle compares a whole matrix, so with it the
-    stream is collected first and the pass reads the collected rows.
+    The checks of ``CHECKS`` run in one pass over one row stream, so only
+    the rows it holds are in memory; the counterexamples are grouped by
+    check in table order, each group in row-major order.  The oracle
+    compares a whole matrix, so with it the pass reads the collected stream.
 
     ``fault`` names an entry of ``FAULTS``, whose rows are checked in
     place of ``rows(n)``, so that callers can confirm the checks detect
@@ -279,15 +282,14 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> Verif
         tm = transition_matrix(n) if fault is None else _collect(n, stream)
         stream = enumerate(tm.entries)
 
-    bad_nonneg: list[dict] = []
-    bad_diag: list[dict] = []
-    bad_acyclic: list[dict] = []
+    found: dict[str, list[dict]] = {key: [] for key, _, _ in CHECKS}
     for r, row in stream:
-        bad_nonneg += check_nonnegative(r, row)
-        bad_diag += check_diagonal_ones(r, row)
-        if not bad_acyclic:
-            bad_acyclic = check_support_acyclic(r, row)
-    counterexamples = bad_nonneg + bad_diag + bad_acyclic
+        for key, check, first_only in CHECKS:
+            if not (first_only and found[key]):
+                found[key] += [
+                    {"check": key, "row": r, "col": c, "entry": v} for c, v in check(r, row)
+                ]
+    counterexamples = [bad for group in found.values() for bad in group]
     oracle_agrees: bool | None = None
     if with_oracle:
         try:
@@ -301,9 +303,7 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> Verif
                 counterexamples.append({"check": "oracleAgrees", "n": n})
     return VerificationReport(
         n=n,
-        nonnegative=not bad_nonneg,
-        diagonal_ones=not bad_diag,
-        support_acyclic=not bad_acyclic,
+        checks={key: not bad for key, bad in found.items()},
         oracle_agrees=oracle_agrees,
         counterexamples=tuple(counterexamples),
     )

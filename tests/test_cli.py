@@ -431,6 +431,10 @@ PINNED_OUTPUTS = {
     ("verify", "--n", "4", "--with-oracle"): (
         0, "9b252b8490241e1b7eaa8754ccf9c7ab688e08c78c81c5b9161b068367aa0f1f"
     ),
+    # the default report, without the oracle ("oracleAgrees": null)
+    ("verify", "--n", "5"): (
+        0, "fda8540d58c578b77b27a96ae7986d610dd27cabecbd7f1de0ed4d872d1c530b"
+    ),
     ("verify", "--n", "3", "--inject-fault", "syzygy-sign-flip"): (
         1, "c113ca4ba1e54b7e6e6687636de1bd50b1378349b4a68c46be24369848b49a79"
     ),

@@ -21,7 +21,7 @@ from tworow.combinat import (
     tableau_to_web,
 )
 from tworow import specht, transition, webs
-from tworow.cli import _matrix_pieces
+from tworow.cli import _matrix_pieces, main
 from tworow.minors import web_vector
 from tworow.transition import (
     TransitionMatrix,
@@ -304,11 +304,23 @@ def stream_counts(n):
 
 
 def found(check, tm):
-    """What ``check`` finds in the rows of tm, in row-major order."""
-    return [c for r, row in enumerate(tm.entries) for c in check(r, row)]
+    """What ``check`` finds in the rows of tm, in row-major order, as the
+    counterexamples ``verify`` builds from its (col, entry) pairs."""
+    [key] = [key for key, table_check, _ in transition.CHECKS if table_check is check]
+    return [
+        {"check": key, "row": r, "col": c, "entry": v}
+        for r, row in enumerate(tm.entries)
+        for c, v in check(r, row)
+    ]
 
 
 class TestChecks:
+    def test_checks_return_col_entry_pairs(self):
+        row = (-1, 2, 0, -3, 4)
+        assert check_nonnegative(1, row) == [(0, -1), (3, -3)]
+        assert check_diagonal_ones(1, row) == [(1, 2)]
+        assert check_support_acyclic(1, row) == [(3, -3)]
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_clean_matrix_passes(self, n):
         tm = transition_matrix(n)
@@ -429,13 +441,13 @@ class TestVerify:
     def test_syzygy_sign_fault_detected(self):
         report = verify(2, fault="syzygy-sign-flip")
         assert not report.all_passed
-        assert not report.nonnegative
+        assert not report.checks["nonnegative"]
         assert report.counterexamples
 
     def test_negative_entry_fault_detected(self):
         report = verify(3, fault="negative-entry")
         assert not report.all_passed
-        assert not report.nonnegative
+        assert not report.checks["nonnegative"]
 
     @pytest.mark.parametrize("fault", ["syzygy-sign-flip", "negative-entry"])
     def test_oracle_catches_fault(self, fault):
@@ -448,8 +460,7 @@ class TestVerify:
     @pytest.mark.parametrize("n", range(2, 5))
     def test_every_failed_check_leaves_a_counterexample(self, n, fault, with_oracle):
         report = verify(n, with_oracle=with_oracle, fault=fault)
-        checks = [report.nonnegative, report.diagonal_ones, report.support_acyclic]
-        passed = all(checks) and report.oracle_agrees is not False
+        passed = all(report.checks.values()) and report.oracle_agrees is not False
         assert report.all_passed == (not report.counterexamples) == passed
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -465,6 +476,52 @@ class TestVerify:
         for fault, failed in expected.items():
             report = verify(n, fault=fault).to_json_dict()
             assert {key for key, value in report.items() if value is False} == failed
+
+    # for each check, one cell (row, col, value) of the matrix of d rows
+    # whose edit trips that check and no other
+    ALONE = {
+        "nonnegative": lambda d: (d - 1, 0, -1),
+        "diagonalOnes": lambda d: (d - 1, d - 1, 2),
+        "supportAcyclic": lambda d: (0, d - 1, 1),
+    }
+
+    @pytest.mark.parametrize("key", list(ALONE))
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_each_check_is_caught_alone(self, n, key, monkeypatch):
+        # a check added to the table needs its own fault here
+        assert self.ALONE.keys() == {key for key, _, _ in transition.CHECKS}
+        r0, c0, value = self.ALONE[key](catalan(n))
+
+        def edited(n):
+            for r, row in transition.rows(n):
+                yield r, (row[:c0] + (value,) + row[c0 + 1 :] if r == r0 else row)
+
+        monkeypatch.setitem(transition.FAULTS, "one-cell", edited)
+        report = verify(n, fault="one-cell")
+        assert [k for k, passed in report.checks.items() if not passed] == [key]
+        assert report.counterexamples == ({"check": key, "row": r0, "col": c0, "entry": value},)
+        assert main(["verify", "--n", str(n), "--inject-fault", "one-cell"]) == 1
+
+    def test_table_alone_adds_a_check(self, monkeypatch, capsys):
+        def check_corner(r, row):
+            return [(0, row[0])] if r == 0 else []
+
+        extra = ("corner", check_corner, False)
+        monkeypatch.setattr(transition, "CHECKS", transition.CHECKS + (extra,))
+        assert main(["verify", "--n", "2"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == [
+            "n",
+            "nonnegative",
+            "diagonalOnes",
+            "supportAcyclic",
+            "corner",
+            "oracleAgrees",
+            "counterexamples",
+        ]
+        assert doc["nonnegative"] and doc["diagonalOnes"] and doc["supportAcyclic"]
+        assert doc["corner"] is False
+        assert doc["counterexamples"] == [{"check": "corner", "row": 0, "col": 0, "entry": 1}]
 
     @pytest.mark.parametrize("fault", [None, "syzygy-sign-flip", "negative-entry"])
     def test_without_oracle_builds_no_matrix(self, fault, monkeypatch):
@@ -483,14 +540,14 @@ class TestVerify:
 
     def test_report_json_shape(self):
         doc = verify(2, with_oracle=True).to_json_dict()
-        assert set(doc) == {
+        assert list(doc) == [
             "n",
             "nonnegative",
             "diagonalOnes",
             "supportAcyclic",
             "oracleAgrees",
             "counterexamples",
-        }
+        ]
         # serializable as-is
         json.dumps(doc)
 
