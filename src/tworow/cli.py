@@ -269,8 +269,7 @@ def _matrix_pieces(n: int, entries: Iterable[tuple[int, ...]], fmt: str) -> Iter
 def cmd_matrix(args) -> int:
     _guard(args.n, _cap("TWOROW_MATRIX_CAP", DEFAULT_MATRIX_CAP), "matrix")
     # the rows are built as they are written: at most n - 2 are held
-    stream = (row for _, row in transition.rows(args.n))
-    _write(_matrix_pieces(args.n, stream, args.format), args.out)
+    _write(_matrix_pieces(args.n, transition.rows(args.n), args.format), args.out)
     return 0
 
 

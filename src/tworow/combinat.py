@@ -51,9 +51,9 @@ class Tableau:
     def __post_init__(self):
         if len(self.rows) != 2 or len(self.rows[0]) != len(self.rows[1]):
             raise ValueError("shape must be a 2 x n rectangle")
-        entries = sorted(self.rows[0] + self.rows[1])
-        if entries != list(range(1, 2 * len(self.rows[0]) + 1)):
-            raise ValueError("entries must be exactly 1..2n, one each")
+        entries = self.rows[0] + self.rows[1]  # True and 1.0 equal 1 but are not letters
+        if {*map(type, entries)} - {int} or sorted(entries) != list(range(1, len(entries) + 1)):
+            raise ValueError("entries must be exactly the ints 1..2n, one each")
 
     @property
     def n(self) -> int:
@@ -84,9 +84,11 @@ class Matching:
 
     def __post_init__(self):
         partner, k = self.partner, len(self.partner)
-        # in range before it is used as an index; an involution with no
-        # fixed point pairs the letters, so k is even
-        ok = all(0 < p <= k and p != i and partner[p - 1] == i for i, p in enumerate(partner, 1))
+        # an int in range before it is used as an index; an involution with
+        # no fixed point pairs the letters, so k is even
+        ok = {*map(type, partner)} <= {int} and all(
+            0 < p <= k and p != i and partner[p - 1] == i for i, p in enumerate(partner, 1)
+        )
         if not ok:
             raise ValueError(f"not a fixed-point-free involution: {self.partner}")
 

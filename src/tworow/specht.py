@@ -147,7 +147,7 @@ def action_matrix(i: int, n: int) -> list[list[int]]:
     s_i acting on the polytabloid of T: each of its tabloids with the
     letters i and i + 1 swapped and sorted again (a bijection, so no two
     collide).  Built afresh on every call."""
-    if not 1 <= i <= 2 * n - 1:
+    if type(i) is not int or not 1 <= i <= 2 * n - 1:
         raise ValueError(f"generator index {i} out of range 1..{2 * n - 1}")
     swap = {i: i + 1, i + 1: i}
     columns = []

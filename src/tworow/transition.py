@@ -9,17 +9,18 @@ in canonical order: row 0, of the interleaved tableau, is the
 consecutive-pairs web, and every later row is one generator step, through
 ``webs.action_table``, from its latest parent built before it.  A parent
 is dropped after its last child, so at most n - 2 rows (one at n = 2, 3)
-are held at once.  ``transition_matrix`` collects the stream, ``matrix``
-writes it row by row, and ``verify`` checks it row by row.
+are held at once.  A row stream yields bare rows in canonical order, so
+a row's index is its position: ``transition_matrix`` is the tuple of the
+stream, ``matrix`` writes it row by row, and ``verify`` checks it row by
+row.
 
 The paper's construction is kept as the reference the tests compare
 against: resolve the crossings of the matching whose pairs are the
 columns of T (``transition_row``; every row: the stream ``_rewrite_rows``).
 ``FAULTS`` maps each injected fault to a stream of its broken rows, so a
-fault is checked row by row too.  ``_collect`` is the one place a stream
-becomes a whole matrix, which holds n and the rows: ``cli`` labels them
-from the enumerations.  Two facts are checked rather than assumed, row by
-row, by the table ``CHECKS``:
+fault is checked row by row too.  A whole matrix holds n and the rows
+only: ``cli`` labels them from the enumerations.  Two facts are checked
+rather than assumed, row by row, by the table ``CHECKS``:
 
 - every entry is a nonnegative integer, and
 - the matrix is lower unitriangular: the webs are enumerated as the
@@ -85,8 +86,8 @@ def _canonical_bases(n: int) -> tuple[tuple[Tableau, ...], tuple[Matching, ...]]
     return syt, web_list
 
 
-def rows(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(index, row) for every row of the matrix, in canonical order.
+def rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Every row of the matrix, in canonical order.
 
     Row T is s_i . row(P) for its latest parent P = s_i T: i is the
     largest letter in the first row of T whose i + 1 sits in the second
@@ -96,7 +97,7 @@ def rows(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     child is built.
 
     >>> list(rows(2))
-    [(0, (1, 0)), (1, (1, 1))]
+    [(1, 0), (1, 1)]
     """
     syt, web_list = _canonical_bases(n)
     d = len(web_list)
@@ -112,7 +113,7 @@ def rows(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     last_child = {p: r for r, (p, _) in enumerate(steps, 1)}
     row = (1,) + (0,) * (d - 1)
     held = {0: row} if 0 in last_child else {}
-    yield 0, row
+    yield row
     all_columns = range(d)
     for r, (p, i) in enumerate(steps, 1):
         parent = held.pop(p) if last_child[p] == r else held[p]
@@ -128,40 +129,34 @@ def rows(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         row = tuple(row)
         if r in last_child:
             held[r] = row
-        yield r, row
-
-
-def _collect(n: int, stream: Iterator[tuple[int, tuple[int, ...]]]) -> TransitionMatrix:
-    """The one place a row stream becomes a whole matrix: the rows of
-    ``stream``, which has checked the canonical orders and yields them in order."""
-    return TransitionMatrix(n, tuple(row for _, row in stream))
+        yield row
 
 
 def transition_matrix(n: int) -> TransitionMatrix:
     """The full change-of-basis matrix, rows tableaux, columns webs: the
-    rows of ``rows(n)`` collected."""
-    return _collect(n, rows(n))
+    rows of ``rows(n)``."""
+    return TransitionMatrix(n, tuple(rows(n)))
 
 
-def _rewrite_rows(n: int, sign: int = 1) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(index, row) for every row by the crossing rewrite, the paper's
-    construction, on partner tuples through one memo; ``sign=-1`` negates
-    the second reconnection, the ``syzygy-sign-flip`` fault."""
+def _rewrite_rows(n: int, sign: int = 1) -> Iterator[tuple[int, ...]]:
+    """Every row by the crossing rewrite, the paper's construction, in
+    canonical order, on partner tuples through one memo; ``sign=-1``
+    negates the second reconnection, the ``syzygy-sign-flip`` fault."""
     syt, web_list = _canonical_bases(n)
     col = {m.partner: k for k, m in enumerate(web_list)}
     memo: dict = {}
-    for r, t in enumerate(syt):
+    for t in syt:
         row = [0] * len(web_list)
         for p, c in webs._expand(Matching.from_pairs(t.columns()).partner, 1, memo, sign).items():
             row[col[p]] = c
-        yield r, tuple(row)
+        yield tuple(row)
 
 
 # each --inject-fault name and the stream of its broken rows; negative-entry
 # puts -1 in the last entry of row 0, above the diagonal if n > 1
 FAULTS = {
     "syzygy-sign-flip": lambda n: _rewrite_rows(n, sign=-1),
-    "negative-entry": lambda n: ((r, row[:-1] + (-1,) if r == 0 else row) for r, row in rows(n)),
+    "negative-entry": lambda n: (row if r else row[:-1] + (-1,) for r, row in enumerate(rows(n))),
 }
 
 
@@ -268,7 +263,7 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> Verif
     The checks of ``CHECKS`` run in one pass over one row stream, so only
     the rows it holds are in memory; the counterexamples are grouped by
     check in table order, each group in row-major order.  The oracle
-    compares a whole matrix, so with it the pass reads the collected stream.
+    compares a whole matrix, so with it the pass reads the stream's tuple.
 
     ``fault`` names an entry of ``FAULTS``, whose rows are checked in
     place of ``rows(n)``, so that callers can confirm the checks detect
@@ -279,11 +274,11 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> Verif
         raise ValueError(f"unknown fault mode: {fault}")
     stream = rows(n) if fault is None else FAULTS[fault](n)
     if with_oracle:
-        tm = transition_matrix(n) if fault is None else _collect(n, stream)
-        stream = enumerate(tm.entries)
+        tm = transition_matrix(n) if fault is None else TransitionMatrix(n, tuple(stream))
+        stream = tm.entries
 
     found: dict[str, list[dict]] = {key: [] for key, _, _ in CHECKS}
-    for r, row in stream:
+    for r, row in enumerate(stream):
         for key, check, first_only in CHECKS:
             if not (first_only and found[key]):
                 found[key] += [

@@ -141,7 +141,7 @@ def action_table(i: int, n: int) -> tuple[int, ...]:
     >>> action_table(1, 2) == (-1, 0)
     True
     """
-    if not 1 <= i <= 2 * n - 1:
+    if type(i) is not int or not 1 <= i <= 2 * n - 1:
         raise ValueError(f"generator index {i} out of range 1..{2 * n - 1}")
     web_list = enumerate_webs(n)
     index = {w.partner: k for k, w in enumerate(web_list)}

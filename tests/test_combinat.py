@@ -194,11 +194,24 @@ class TestBaseObjects:
         with pytest.raises(ValueError):
             Tableau(((1, 2), (2, 3)))
 
+    @pytest.mark.parametrize(
+        "rows", [((True, 2), (3, 4)), ((1.0, 3), (2, 4)), ((1, 3), (2, 4.0)), (("1", 3), (2, 4))]
+    )
+    def test_tableau_letters_are_ints(self, rows):
+        # True and 1.0 equal 1 but are not letters
+        with pytest.raises(ValueError, match="ints"):
+            Tableau(rows)
+
     def test_matching_validation(self):
         with pytest.raises(ValueError):
             Matching((1, 2))  # fixed points
         with pytest.raises(ValueError):
             Matching((2, 1, 3, 4))
+
+    @pytest.mark.parametrize("partner", [(2, True), (4, 3, 2, True), (2.0, 1), (2, 1.0), ("2", 1)])
+    def test_matching_letters_are_ints(self, partner):
+        with pytest.raises(ValueError, match="involution"):
+            Matching(partner)
 
     @pytest.mark.parametrize(
         "pairs", [[(1, 5), (2, 3)], [(-4, 1), (2, 3)], [(0, 1)], [(-1, 2)], [(1, 2), (2, 3)]]

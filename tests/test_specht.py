@@ -204,7 +204,8 @@ class TestActionMatrix:
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_rejects_bad_index(self, n):
-        for i in (0, 2 * n):
+        # an index that is not an int is out of range too, even True or 1.0
+        for i in (0, 2 * n, 1.5, 1.0, True):
             with pytest.raises(ValueError, match="out of range"):
                 action_matrix(i, n)
 

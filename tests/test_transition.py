@@ -25,7 +25,6 @@ from tworow.cli import _matrix_pieces, main
 from tworow.minors import web_vector
 from tworow.transition import (
     TransitionMatrix,
-    _collect,
     _rewrite_rows,
     check_diagonal_ones,
     check_nonnegative,
@@ -121,10 +120,10 @@ class TestGeneratorRecurrence:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_rewrite(self, n):
-        assert transition_matrix(n) == _collect(n, _rewrite_rows(n))
+        assert transition_matrix(n) == TransitionMatrix(n, tuple(_rewrite_rows(n)))
 
     def test_never_calls_rewrite(self, monkeypatch):
-        reference = _collect(5, _rewrite_rows(5))
+        reference = TransitionMatrix(5, tuple(_rewrite_rows(5)))
         calls = []
         monkeypatch.setattr(webs, "resolve_crossings", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(webs, "_expand", lambda *a, **k: calls.append(a))
@@ -153,7 +152,7 @@ class TestGeneratorRecurrence:
 
     def test_reference_build_shares_one_memo(self, monkeypatch):
         calls = self.spy_on_rewrite(monkeypatch)
-        _collect(4, _rewrite_rows(4))
+        list(_rewrite_rows(4))
         memos = [memo for memo, _ in calls]
         assert len(memos) == len(enumerate_syt(4))
         assert all(memo is memos[0] for memo in memos) and memos[0]
@@ -251,8 +250,23 @@ class TestRowStream:
     def test_equals_the_collected_matrix(self, n):
         entries = transition_matrix(n).entries
         streamed = list(transition.rows(n))
-        assert [r for r, _ in streamed] == list(range(len(entries)))
-        assert tuple(row for _, row in streamed) == entries
+        assert len(streamed) == len(entries) == catalan(n)
+        assert tuple(streamed) == entries
+
+    @pytest.mark.parametrize("stream", ["rows", "rewrite", *transition.FAULTS])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_stream_yields_bare_rows(self, n, stream):
+        # each producer yields C(n) tuples of C(n) ints and no index, in
+        # canonical order: the good streams are the matrix itself
+        producers = {"rows": transition.rows, "rewrite": _rewrite_rows, **transition.FAULTS}
+        streamed = list(producers[stream](n))
+        d = catalan(n)
+        assert len(streamed) == d
+        for row in streamed:
+            assert type(row) is tuple and len(row) == d
+            assert all(type(v) is int for v in row)
+        if stream in ("rows", "rewrite"):
+            assert tuple(streamed) == transition_matrix(n).entries
 
     def test_holds_a_few_rows_not_the_matrix(self):
         n = 8
@@ -297,7 +311,7 @@ def stream_counts(n):
     """The nonzero count and the row sums of ``rows(n)``, from one pass
     shared by the tests that read them (1.3 s at n = 9)."""
     nonzeros, sums = 0, []
-    for _, row in transition.rows(n):
+    for row in transition.rows(n):
         nonzeros += len(row) - row.count(0)
         sums.append(sum(row))
     return nonzeros, sums
@@ -372,7 +386,7 @@ class TestChecks:
             {"check": "supportAcyclic", "row": 7, "col": 8, "entry": 2},
         ]
         # verify reports only the first row's
-        monkeypatch.setitem(transition.FAULTS, "two-above", lambda n: enumerate(bad.entries))
+        monkeypatch.setitem(transition.FAULTS, "two-above", lambda n: bad.entries)
         assert verify(4, fault="two-above").counterexamples == (
             {"check": "supportAcyclic", "row": 5, "col": 9, "entry": 3},
         )
@@ -493,8 +507,8 @@ class TestVerify:
         r0, c0, value = self.ALONE[key](catalan(n))
 
         def edited(n):
-            for r, row in transition.rows(n):
-                yield r, (row[:c0] + (value,) + row[c0 + 1 :] if r == r0 else row)
+            for r, row in enumerate(transition.rows(n)):
+                yield row[:c0] + (value,) + row[c0 + 1 :] if r == r0 else row
 
         monkeypatch.setitem(transition.FAULTS, "one-cell", edited)
         report = verify(n, fault="one-cell")

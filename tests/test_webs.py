@@ -62,8 +62,10 @@ class TestGeneratorAction:
         assert mat_mul(b, mat_mul(b, column(vec, n))) == column(vec, n)
 
     def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            action_table(4, 2)
+        # an index that is not an int is out of range too, even True or 1.0
+        for i in (0, 4, 1.5, 1.0, True):
+            with pytest.raises(ValueError, match="out of range"):
+                action_table(i, 2)
 
 
 class TestResolveCrossings:
