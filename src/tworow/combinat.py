@@ -21,13 +21,19 @@ Conventions used throughout the package:
   interleaved tableau 1,3,5,.. / 2,4,6,.. and the consecutive-pairs
   matching {1~2, 3~4, ...} at index 0, pairs tableau k with web k, and
   makes every serialized enumeration reproducible byte for byte.
+- ``Tableau`` and ``Matching``, like ``transition``'s
+  ``TransitionMatrix`` and ``VerificationReport``, are immutable values
+  on ``_Frozen``: slotted classes whose ``__init__`` sets each field once
+  (``Tableau`` and ``Matching`` check it first), with equality, hash and
+  repr by field.  They are not dataclasses, because importing
+  ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) costs a short
+  ``tworow`` run about a tenth of its wall time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache
 
 
@@ -42,18 +48,54 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Tableau:
+class _Frozen:
+    """An immutable value.  Its fields lead ``__slots__`` and are set once,
+    by ``__init__`` through their slot descriptors; ``_key()`` is the tuple
+    of them, which equality (within one class), hash, repr, copies and
+    pickles read."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__qualname__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__qualname__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        # zip stops at the fields: a trailing "__weakref__" slot is not one
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class Tableau(_Frozen):
     """A filling of the 2 x n rectangle with the letters 1..2n, one each."""
 
-    rows: tuple[tuple[int, ...], tuple[int, ...]]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        if len(self.rows) != 2 or len(self.rows[0]) != len(self.rows[1]):
+    def __init__(self, rows: tuple[tuple[int, ...], tuple[int, ...]]):
+        if type(rows) is not tuple or {*map(type, rows)} - {tuple}:
+            raise ValueError(f"rows must be a tuple of tuples: {rows!r}")
+        if len(rows) != 2 or len(rows[0]) != len(rows[1]):
             raise ValueError("shape must be a 2 x n rectangle")
-        entries = self.rows[0] + self.rows[1]  # True and 1.0 equal 1 but are not letters
+        entries = rows[0] + rows[1]  # True and 1.0 equal 1 but are not letters
         if {*map(type, entries)} - {int} or sorted(entries) != list(range(1, len(entries) + 1)):
             raise ValueError("entries must be exactly the ints 1..2n, one each")
+        Tableau.rows.__set__(self, rows)
+
+    def _key(self):
+        return (self.rows,)
 
     @property
     def n(self) -> int:
@@ -71,8 +113,7 @@ class Tableau:
         return tuple(zip(self.rows[0], self.rows[1]))
 
 
-@dataclass(frozen=True, slots=True)
-class Matching:
+class Matching(_Frozen):
     """A perfect matching on {1, ..., 2n} as a partner array.
 
     ``partner[i - 1]`` is the letter matched with ``i``; the array is a
@@ -80,17 +121,26 @@ class Matching:
     ambiguity about pair order.
     """
 
-    partner: tuple[int, ...]
+    __slots__ = ("partner",)
 
-    def __post_init__(self):
-        partner, k = self.partner, len(self.partner)
+    def __init__(self, partner: tuple[int, ...]):
+        if type(partner) is not tuple:
+            raise ValueError(f"partner must be a tuple: {partner!r}")
         # an int in range before it is used as an index; an involution with
-        # no fixed point pairs the letters, so k is even
+        # no fixed point pairs the letters, so its length is even
+        k = len(partner)
         ok = {*map(type, partner)} <= {int} and all(
             0 < p <= k and p != i and partner[p - 1] == i for i, p in enumerate(partner, 1)
         )
         if not ok:
-            raise ValueError(f"not a fixed-point-free involution: {self.partner}")
+            raise ValueError(f"not a fixed-point-free involution: {partner}")
+        Matching.partner.__set__(self, partner)
+
+    def _key(self):
+        return (self.partner,)
+
+    def __hash__(self):  # _Frozen's, in one call: the rewrite hashes every key it returns
+        return hash((self.partner,))
 
     def of(self, letter: int) -> int:
         return self.partner[letter - 1]
@@ -114,17 +164,20 @@ class Matching:
         try:
             for a, b in pairs:
                 partner[a - 1], partner[b - 1] = b, a
-        except IndexError:
-            raise ValueError(f"letters must lie in 1..{len(partner)}: {pairs}") from None
+        except (IndexError, TypeError):  # a letter past the list, or not an int
+            raise ValueError(f"letters must be ints in 1..{len(partner)}: {pairs}") from None
         return cls(tuple(partner))
 
 
 def _trusted(cls, value):
-    """A ``cls`` (``Tableau`` or ``Matching``, frozen, one slot) holding
-    ``value``, built without the check of ``__post_init__``: only for a
-    value the caller has already proved valid."""
+    """A ``cls`` (``Tableau`` or ``Matching``, one field) holding
+    ``value``, built without the check of its ``__init__``: only for a
+    value the caller has already proved valid.  The field is set through
+    its slot descriptor, past the raising ``__setattr__``: faster than
+    ``object.__setattr__``, and the rewrite builds every key it returns
+    here."""
     obj = object.__new__(cls)
-    getattr(cls, cls.__slots__[0]).__set__(obj, value)  # past the frozen __setattr__
+    getattr(cls, cls.__slots__[0]).__set__(obj, value)
     return obj
 
 

@@ -10,21 +10,23 @@ scaled to integers with its content divided out, and reduced
 fraction-free against a pivot column -> pivot row dict.  The oracle's
 stacked equations have a few nonzeros per row, so the work follows the
 nonzeros, not rows x columns.  Back substitution over the sparse pivot
-rows reintroduces Fractions only at the end.  Coordinates in the two
-bases need none of this: both are unitriangular (``specht.coordinates``).
+rows reintroduces Fractions only at the end, and ``nullspace`` imports
+``fractions`` itself, so a run without the oracle never loads it.
+Coordinates in the two bases need none of this: both are unitriangular
+(``specht.coordinates``).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import compress
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-Scalar = int | Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-def _echelon(matrix: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
+def _echelon(matrix: Sequence[Sequence[int | Fraction]]) -> dict[int, dict[int, int]]:
     """Sparse fraction-free row echelon: pivot column -> pivot row.
 
     Each row is scaled to integers and kept as {column: entry} over its
@@ -69,7 +71,7 @@ def _echelon(matrix: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def nullspace(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
+def nullspace(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
     """An exact basis of the right nullspace {x : A x = 0}.
 
     One basis vector per free (non-pivot) column, 1 at that column and 0
@@ -79,6 +81,8 @@ def nullspace(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     >>> nullspace([[1, 1]])
     [[Fraction(-1, 1), Fraction(1, 1)]]
     """
+    from fractions import Fraction  # here, not at import: only the oracle needs it
+
     if not matrix:
         return []
     ncols = len(matrix[0])

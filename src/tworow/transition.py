@@ -18,8 +18,9 @@ The paper's construction is kept as the reference the tests compare
 against: resolve the crossings of the matching whose pairs are the
 columns of T (``transition_row``; every row: the stream ``_rewrite_rows``).
 ``FAULTS`` maps each injected fault to a stream of its broken rows, so a
-fault is checked row by row too.  A whole matrix holds n and the rows
-only: ``cli`` labels them from the enumerations.  Two facts are checked
+fault is checked row by row too.  A whole matrix, ``TransitionMatrix``,
+is an immutable value (``combinat._Frozen``) of n and the rows only:
+``cli`` labels them from the enumerations.  Two facts are checked
 rather than assumed, row by row, by the table ``CHECKS``:
 
 - every entry is a nonnegative integer, and
@@ -38,13 +39,13 @@ constraints X A_i = B_i X; the computations must agree entry for entry.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import compress
 
 from . import specht, webs
 from .combinat import (
     Matching,
     Tableau,
+    _Frozen,
     consecutive_matching,
     enumerate_syt,
     enumerate_webs,
@@ -53,14 +54,19 @@ from .combinat import (
 from .linalg import nullspace
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(_Frozen):
     """Square integer matrix, a tuple of tuple rows: row r is tableau r of
     ``enumerate_syt(n)`` and column c is web c of ``enumerate_webs(n)``,
     both in canonical order."""
 
-    n: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "entries", "__weakref__")
+
+    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...]):
+        TransitionMatrix.n.__set__(self, n)
+        TransitionMatrix.entries.__set__(self, entries)
+
+    def _key(self):
+        return self.n, self.entries
 
 
 def transition_row(t: Tableau) -> webs.WebVector:
@@ -236,12 +242,21 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     return TransitionMatrix(n, entries)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n: int
-    checks: dict[str, bool]  # each key of CHECKS, in order: whether it passed
-    oracle_agrees: bool | None  # None when the oracle was not run
-    counterexamples: tuple[dict, ...]
+class VerificationReport(_Frozen):
+    """What ``verify`` found: ``checks`` maps each key of CHECKS, in
+    order, to whether it passed; ``oracle_agrees`` is None when the oracle
+    was not run."""
+
+    __slots__ = ("n", "checks", "oracle_agrees", "counterexamples", "__weakref__")
+
+    def __init__(self, n: int, checks: dict, oracle_agrees: bool | None, counterexamples: tuple):
+        VerificationReport.n.__set__(self, n)
+        VerificationReport.checks.__set__(self, checks)
+        VerificationReport.oracle_agrees.__set__(self, oracle_agrees)
+        VerificationReport.counterexamples.__set__(self, counterexamples)
+
+    def _key(self):
+        return self.n, self.checks, self.oracle_agrees, self.counterexamples
 
     @property
     def all_passed(self) -> bool:

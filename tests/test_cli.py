@@ -636,3 +636,27 @@ def test_optimized_run_passes(argv):
     )
     assert proc.returncode == 0, proc.stderr
     json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_start_up_loads_only_what_runs(flags):
+    # dataclasses (with inspect, ast and dis) and fractions cost about a
+    # tenth of a short run's start-up; only the oracle needs fractions,
+    # and it imports it when it runs
+    script = textwrap.dedent(
+        """
+        import json, os, sys
+
+        before = set(sys.modules)
+        import tworow, tworow.cli
+
+        code = tworow.cli.main(["matrix", "--n", "2", "--out", os.devnull])
+        loaded = sorted({"dataclasses", "inspect", "fractions"} & (set(sys.modules) - before))
+        oracle_code = tworow.cli.main(["verify", "--n", "2", "--with-oracle", "--out", os.devnull])
+        print(json.dumps([code, loaded, oracle_code]))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert json.loads(proc.stdout) == [0, [], 0]

@@ -1,5 +1,7 @@
+import copy
 import functools
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,79 @@ class TestBaseObjects:
         else:
             accepted = True
         assert accepted == (partner in fixed_point_free_involutions(len(partner)))
+
+
+class TestValueClasses:
+    """Tableau and Matching are immutable values: built by position or by
+    field name, compared and hashed by their one field, with no instance
+    dict."""
+
+    VALUES = [
+        (Matching((2, 1, 4, 3)), "partner", "Matching(partner=(2, 1, 4, 3))"),
+        (Tableau(((1, 3), (2, 4))), "rows", "Tableau(rows=((1, 3), (2, 4)))"),
+    ]
+
+    @pytest.mark.parametrize("value, field, text", VALUES)
+    def test_repr(self, value, field, text):
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value, field, text", VALUES)
+    def test_construction_by_position_and_by_name(self, value, field, text):
+        cls, content = type(value), getattr(value, field)
+        assert cls(content) == cls(**{field: content}) == value
+        assert cls(content) is not value
+
+    @pytest.mark.parametrize("value, field, text", VALUES)
+    def test_equal_values_hash_equal(self, value, field, text):
+        content = getattr(value, field)
+        twin = type(value)(tuple(content))
+        assert twin == value and hash(twin) == hash(value) == hash((content,))
+        # a value equals only a value of its own class
+        assert value != content and value != (content,)
+        assert len({value, twin}) == 1
+
+    def test_unequal_values(self):
+        assert Matching((2, 1, 4, 3)) != Matching((4, 3, 2, 1))
+        assert Tableau(((1, 3), (2, 4))) != Tableau(((1, 2), (3, 4)))
+        assert Matching((2, 1)) != Tableau(((1,), (2,)))
+
+    @pytest.mark.parametrize("value, field, text", VALUES)
+    def test_assignment_and_deletion_raise(self, value, field, text):
+        content = getattr(value, field)
+        for name in (field, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, content)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert getattr(value, field) is content
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("value, field, text", VALUES)
+    def test_copies_and_pickles_are_equal_values(self, value, field, text):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+
+    @pytest.mark.parametrize("pairs", [[(1.0, 2)], [(1, 2.5)], [("a", 2)], [(1, 2), (3, None)]])
+    def test_from_pairs_rejects_letters_that_are_not_ints(self, pairs):
+        with pytest.raises(ValueError):
+            Matching.from_pairs(pairs)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Matching([2, 1]),
+            lambda: Matching(range(2, 0, -1)),
+            lambda: Matching(None),
+            lambda: Tableau(([1], [2])),
+            lambda: Tableau([(1,), (2,)]),
+            lambda: Tableau(((1,), [2])),
+            lambda: Tableau(None),
+        ],
+    )
+    def test_fields_must_be_tuples(self, make):
+        # a list field would make a "frozen" value that cannot be hashed
+        with pytest.raises(ValueError):
+            make()
 
 
 @functools.cache
