@@ -26,13 +26,13 @@ for n in (2, 3, 4):
     for t, row in zip(enumerate_syt(n), tm.entries):
         print(f"  {t.rows[0]} | {' '.join(f'{e:2d}' for e in row)}")
     # unit diagonal and nothing above it: lower unitriangular
-    checks = verify(n).checks
-    unitriangular = checks["diagonalOnes"] and checks["supportAcyclic"]
-    print("  nonnegative:", checks["nonnegative"], " unitriangular:", unitriangular)
+    report = verify(n)
+    unitriangular = report["diagonalOnes"] and report["supportAcyclic"]
+    print("  nonnegative:", report["nonnegative"], " unitriangular:", unitriangular)
 
 # Larger sizes stay exact: the 132 x 132 matrix at n=6.  verify reads the
 # rows as a stream, holding a few of them, not the matrix.
 tm6 = transition_matrix(6)
 print("n=6 entry range:",
       min(min(r) for r in tm6.entries), "..", max(max(r) for r in tm6.entries),
-      " nonnegative:", verify(6).checks["nonnegative"])
+      " nonnegative:", verify(6)["nonnegative"])

@@ -23,7 +23,6 @@ from .combinat import (
 )
 from .transition import (
     TransitionMatrix,
-    VerificationReport,
     intertwiner_oracle,
     transition_matrix,
     transition_row,
@@ -34,7 +33,6 @@ __all__ = [
     "Matching",
     "Tableau",
     "TransitionMatrix",
-    "VerificationReport",
     "catalan",
     "consecutive_matching",
     "crossing_pairs",

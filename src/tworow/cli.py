@@ -278,8 +278,8 @@ def cmd_verify(args) -> int:
     if args.with_oracle:
         _guard(args.n, _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP), "oracle")
     report = transition.verify(args.n, with_oracle=args.with_oracle, fault=args.inject_fault)
-    _write(_json_chunks(report.to_json_dict()), args.out)
-    return 0 if report.all_passed else 1
+    _write(_json_chunks(report), args.out)
+    return 1 if report["counterexamples"] else 0
 
 
 def cmd_bench(args) -> int:

@@ -22,19 +22,19 @@ Conventions used throughout the package:
   matching {1~2, 3~4, ...} at index 0, pairs tableau k with web k, and
   makes every serialized enumeration reproducible byte for byte.
 - ``Tableau`` and ``Matching``, like ``transition``'s
-  ``TransitionMatrix`` and ``VerificationReport``, are immutable values
-  on ``_Frozen``: slotted classes whose ``__init__`` sets each field once
-  (``Tableau`` and ``Matching`` check it first), with equality, hash and
-  repr by field.  They are not dataclasses, because importing
-  ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) costs a short
-  ``tworow`` run about a tenth of its wall time.
+  ``TransitionMatrix``, are immutable values on ``_Frozen``: slotted
+  classes whose ``__init__`` sets each field once (``Tableau`` and
+  ``Matching`` check it first), with equality, hash and repr by field.
+  They are not dataclasses, because importing ``dataclasses`` (with
+  ``inspect``, ``ast`` and ``dis``) costs a short ``tworow`` run about a
+  tenth of its wall time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cache
+from functools import lru_cache
 
 
 def catalan(n: int) -> int:
@@ -224,28 +224,28 @@ def first_crossing(partner: tuple[int, ...], start: int = 1) -> tuple[int, int, 
 def interleaved_tableau(n: int) -> Tableau:
     """The standard tableau with first row 1, 3, 5, ... and second row
     2, 4, 6, ...; index 0 of the canonical enumeration."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be an int >= 1")
     return Tableau((tuple(range(1, 2 * n, 2)), tuple(range(2, 2 * n + 1, 2))))
 
 
 def consecutive_matching(n: int) -> Matching:
     """The noncrossing matching pairing 2i-1 with 2i; index 0 of the
     canonical enumeration, and the image of the interleaved tableau."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be an int >= 1")
     return Matching.from_pairs((2 * i - 1, 2 * i) for i in range(1, n + 1))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # untyped, True may hit the entry for 1
 def enumerate_syt(n: int) -> tuple[Tableau, ...]:
     """All standard tableaux on the 2 x n rectangle, canonically ordered.
 
     >>> [t.rows[0] for t in enumerate_syt(3)]
     [(1, 3, 5), (1, 3, 4), (1, 2, 5), (1, 2, 4), (1, 2, 3)]
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be an int >= 1")
     # the first rows, descending: the increasing tuples whose k-th entry
     # (from 0) is at most 2k + 1.  Every such prefix extends, so they grow
     # an entry at a time, each prefix's children largest entry first.  With
@@ -291,7 +291,7 @@ def _opener_closer_partner(first_row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(partner)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # untyped, True may hit the entry for 1
 def enumerate_webs(n: int) -> tuple[Matching, ...]:
     """All noncrossing perfect matchings on 1..2n, canonically ordered:
     the opener/closer images of enumerate_syt(n), in order, unchecked:

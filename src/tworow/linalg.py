@@ -19,11 +19,8 @@ Coordinates in the two bases need none of this: both are unitriangular
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import compress
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def _echelon(matrix: Sequence[Sequence[int | Fraction]]) -> dict[int, dict[int, int]]:

@@ -24,8 +24,8 @@ vector.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from functools import cache
-from typing import Sequence
 
 from .combinat import Tableau, enumerate_syt
 

@@ -31,6 +31,9 @@ def run(capsys, *argv):
 # left in the buffer after a failed write
 BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
+# the package source, importable also without site-packages (python -S)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 class TestEnumerate:
     def test_counts_and_round_trip(self, capsys):
@@ -461,6 +464,26 @@ def test_outputs_match_pinned_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# every pinned verify command line, and verify --n 1..5 with each fault and none
+VERIFY_ARGVS = dict.fromkeys(
+    [argv for argv in PINNED_OUTPUTS if argv[0] == "verify"]
+    + [
+        ("verify", "--n", str(n), *fault)
+        for n in range(1, 6)
+        for fault in [(), *(("--inject-fault", name) for name in transition.FAULTS)]
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", VERIFY_ARGVS, ids=" ".join)
+def test_verify_returns_the_document_it_writes(argv, capsys):
+    args = build_parser().parse_args(argv)
+    report = transition.verify(args.n, with_oracle=args.with_oracle, fault=args.inject_fault)
+    code, out, _ = run(capsys, *argv)
+    assert out == json.dumps(report, indent=2) + "\n"
+    assert code == (1 if report["counterexamples"] else 0)
+
+
 JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -638,11 +661,13 @@ def test_optimized_run_passes(argv):
     json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("flags", [[], ["-O"], ["-S"]], ids=["plain", "optimized", "no-site"])
 def test_start_up_loads_only_what_runs(flags):
     # dataclasses (with inspect, ast and dis) and fractions cost about a
     # tenth of a short run's start-up; only the oracle needs fractions,
-    # and it imports it when it runs
+    # and it imports it when it runs.  typing is needed by nothing, but a
+    # .pth file under site-packages may import it first, so -S, with the
+    # source tree on the path, is the run that can see it
     script = textwrap.dedent(
         """
         import json, os, sys
@@ -651,12 +676,18 @@ def test_start_up_loads_only_what_runs(flags):
         import tworow, tworow.cli
 
         code = tworow.cli.main(["matrix", "--n", "2", "--out", os.devnull])
-        loaded = sorted({"dataclasses", "inspect", "fractions"} & (set(sys.modules) - before))
+        unwanted = {"dataclasses", "inspect", "fractions", "typing"}
+        loaded = sorted(unwanted & (set(sys.modules) - before))
         oracle_code = tworow.cli.main(["verify", "--n", "2", "--with-oracle", "--out", os.devnull])
         print(json.dumps([code, loaded, oracle_code]))
         """
     )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert json.loads(proc.stdout) == [0, [], 0]
