@@ -11,6 +11,8 @@ set of columns it takes from row 1, a tabloid: D(M) is a signed tabloid
 vector, in the same space as the polytabloids.
 """
 
+import json
+
 from tworow import Matching, consecutive_matching, enumerate_webs, specht
 from tworow.minors import serialize_polynomial, web_vector
 
@@ -32,7 +34,8 @@ m0 = consecutive_matching(2)
 print("D(1,2):", web_vector(consecutive_matching(1)))
 print("D(1,2)D(3,4) by row-1 columns:", web_vector(m0))
 print("the same as monomials:")
-for term in serialize_polynomial(web_vector(m0)):
+# serialize_polynomial gives the JSON text that enumerate --dump-poly writes
+for term in json.loads(serialize_polynomial(web_vector(m0))):
     print(f"  {term['coeff']:+d} *", " ".join(f"x[{r},{j}]" for r, j, _ in term["exponents"]))
 
 # The identity that powers the crossing rewrite.

@@ -16,12 +16,9 @@ as it comes, so no document is ever held whole in memory.  ``matrix``
 and ``verify`` read the rows from the stream ``transition.rows``, which
 holds at most n - 2 of them, or ``verify --inject-fault`` from the
 fault's row stream, so neither holds the matrix either (``verify
---with-oracle`` does: it compares a whole matrix).  Within one piece, an
-array of ints that the piece holds many times (an exponent triple of
-``--dump-poly``) is rendered once: the memo of ``_json_text`` is keyed
-by the array's identity, because equal values can be written differently
-(``1``, ``1.0``, ``true``), and it is dropped with its piece, because one
-memo for the whole stream would keep the text of every matrix row.
+--with-oracle`` does: it compares a whole matrix).  A web's term list
+for ``--dump-poly`` comes as JSON text from ``minors.serialize_polynomial``,
+marked as such by ``_JsonText``, and is written re-indented to its depth.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including an unwritable --out, an unwritable or closed stdout, a cap
@@ -109,6 +106,11 @@ def _discard_stdout() -> None:
     os.close(null)
 
 
+class _JsonText(str):
+    """Text that is already JSON, laid out as ``json.dumps(..., indent=2)``
+    lays it out at indentation zero."""
+
+
 def _json_chunks(obj) -> Iterator[str]:
     """The text of ``json.dumps(obj, indent=2) + "\\n"``, in pieces, where
     a generator stands for a list of the items it yields.  A piece is one
@@ -126,7 +128,7 @@ def _json_stream(head: str, obj, pad: str, depth: int) -> Iterator[str]:
     """``head``, then ``obj`` at indentation ``pad``: a dict, list, tuple or
     generator one piece per item ``depth`` levels down, the rest whole."""
     if type(obj) not in (dict, list, tuple, GeneratorType):
-        yield head + _json_text(obj, pad, {})
+        yield head + _json_text(obj, pad)
         return
     yield head
     inner = pad + "  "
@@ -137,52 +139,39 @@ def _json_stream(head: str, obj, pad: str, depth: int) -> Iterator[str]:
         if depth > 1:
             yield from _json_stream(sep + label, value, inner, depth - 1)
         else:
-            yield sep + label + _json_text(value, inner, {})
+            yield sep + label + _json_text(value, inner)
         sep = ",\n" + inner
     yield start + end if sep is opening else "\n" + pad + end
 
 
-def _json_text(obj, pad: str, memo: dict) -> str:
+def _json_text(obj, pad: str) -> str:
     """The whole text of ``obj`` at indentation ``pad``.  A generator is
-    read as a list, and json lays out a subclass of a container itself.
-
-    ``memo`` belongs to one piece, so it is freed with it.  It maps
-    ``(id(a), pad)`` to ``(a, text)`` for each array ``a`` of exact ints
-    met in the piece, so an array held many times, such as an exponent
-    triple of ``minors.serialize_polynomial``, is rendered once at each
-    depth.  The key is the identity, since ``[True]`` and ``[1.0]`` equal
-    ``[1]`` and hash alike but are written differently; keeping ``a`` in
-    the entry keeps it alive, so no later object can take its id."""
+    read as a list, a ``_JsonText`` is written as it is, and json lays out
+    a subclass of a container itself."""
     kind = type(obj)
     if kind is int:
         return str(obj)
-    if (seen := memo.get((id(obj), pad))) is not None:
-        return seen[1]
+    if kind is _JsonText:
+        return obj.replace("\n", "\n" + pad)
     if kind is GeneratorType:
-        return _json_text(list(obj), pad, memo)
+        return _json_text(list(obj), pad)
     if kind is not dict and kind is not list and kind is not tuple:
         return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
     start, end = "{}" if kind is dict else "[]"
     if not obj:
         return start + end
     inner = pad + "  "
-    ints = False
     if kind is dict:
-        parts = [_json_key(key) + _json_text(value, inner, memo) for key, value in obj.items()]
+        parts = [_json_key(key) + _json_text(value, inner) for key, value in obj.items()]
     elif set(map(type, obj)) != {int}:
-        parts = [_json_text(value, inner, memo) for value in obj]
+        parts = [_json_text(value, inner) for value in obj]
     elif 2 * len(values := set(obj)) <= len(obj):
         # a matrix row repeats a few values: str each of them once
         parts = map({x: str(x) for x in values}.__getitem__, obj)
-        ints = True
     else:
         parts = map(str, obj)
-        ints = True
     sep = ",\n" + inner
-    text = f"{start}\n{inner}{sep.join(parts)}\n{pad}{end}"
-    if ints:
-        memo[id(obj), pad] = obj, text
-    return text
+    return f"{start}\n{inner}{sep.join(parts)}\n{pad}{end}"
 
 
 @functools.lru_cache(maxsize=256)
@@ -225,7 +214,7 @@ def cmd_enumerate(args) -> int:
     if args.dump_poly:
         # a generator: each web's term list is built as it is written
         doc["webPolynomials"] = (
-            minors.serialize_polynomial(minors.web_vector(w)) for w in web_list
+            _JsonText(minors.serialize_polynomial(minors.web_vector(w))) for w in web_list
         )
     _write(_json_chunks(doc), args.out)
     return 0

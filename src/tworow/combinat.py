@@ -43,8 +43,8 @@ def catalan(n: int) -> int:
     >>> [catalan(n) for n in range(9)]
     [1, 1, 2, 5, 14, 42, 132, 429, 1430]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be an int >= 0")
     return math.comb(2 * n, n) // (n + 1)
 
 

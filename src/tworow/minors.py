@@ -25,7 +25,7 @@ and gives an independent check of that rewrite.  Permuting the columns
 sends D(M) to +/- D(sigma(M)), the sign counting the pairs of M that
 sigma inverts.
 
-The package needs only D(M) itself and its rendering for
+The package needs only D(M) itself and its JSON text for
 ``enumerate --dump-poly``.  The identities above, the expansion over the
 noncrossing products and the agreement of the column action with the web
 action are checked in the test suite's model (``tests/model.py``).
@@ -47,25 +47,31 @@ def web_vector(m: Matching) -> dict[Tabloid, int]:
     return pair_vector(m.pairs())
 
 
-def serialize_polynomial(vec: dict[Tabloid, int]) -> list[dict]:
-    """A tabloid vector as the JSON-ready term list of its polynomial,
-    [{"exponents": [[r, j, e], ...], "coeff": c}]: the row-1 columns (the
-    tabloid), then the row-2 columns (its complement in 1..2n), each with
-    exponent 1; terms in ascending tabloid order.  The tabloids all have
-    the same n letters, and each triple [r, j, 1] is one list shared by
-    every term that holds it (4n lists in all), so callers must not
-    mutate them.
+def serialize_polynomial(vec: dict[Tabloid, int]) -> str:
+    """A tabloid vector as the JSON text (``json.dumps(terms, indent=2)``)
+    of its polynomial's term list, [{"exponents": [[r, j, e], ...],
+    "coeff": c}]: the row-1 columns (the tabloid), then the row-2 columns
+    (its complement in 1..2n), each with exponent 1; terms in ascending
+    tabloid order.  The tabloids all have the same n letters, so the text
+    of each triple is made once, at its depth, and each term is one join.
 
-    >>> serialize_polynomial({(2,): -1})
+    >>> import json
+    >>> json.loads(serialize_polynomial({(2,): -1}))
     [{'exponents': [[1, 2, 1], [2, 1, 1]], 'coeff': -1}]
+    >>> serialize_polynomial({})
+    '[]'
     """
-    letters = range(1, 2 * len(next(iter(vec), ())) + 1)
-    row1 = {j: [1, j, 1] for j in letters}
-    row2 = {j: [2, j, 1] for j in letters}
-    return [
-        {
-            "exponents": [row1[j] for j in tab] + [row2[k] for k in sorted(row2.keys() - tab)],
-            "coeff": vec[tab],
-        }
+    if not vec:
+        return "[]"
+    letters = range(1, 2 * len(next(iter(vec))) + 1)
+    # [r, j, 1] as json.dumps lays it out in a term's exponents
+    row1 = {j: f"[\n        1,\n        {j},\n        1\n      ]" for j in letters}
+    row2 = {j: f"[\n        2,\n        {j},\n        1\n      ]" for j in letters}
+    sep = ",\n      "
+    terms = [
+        '{\n    "exponents": [\n      '
+        + sep.join([row1[j] for j in tab] + [row2[k] for k in sorted(row2.keys() - tab)])
+        + f'\n    ],\n    "coeff": {vec[tab]}\n  }}'
         for tab in sorted(vec)
     ]
+    return "[\n  " + ",\n  ".join(terms) + "\n]"

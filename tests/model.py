@@ -9,6 +9,9 @@ because no command of ``tworow`` runs it:
 - every perfect matching, crossing or not, and the inversion-pair sign
   of permuting one;
 - dense matrix products and rank;
+- the term list of D(M) that ``enumerate --dump-poly`` writes, built
+  as Python lists and dicts, the reference for the text of
+  ``minors.serialize_polynomial``;
 - the identities of the polynomial model: the three-term minor
   identity, the sign rule for permuting columns, the compatibility of
   the column action with the web action, and the exact expansion of a
@@ -266,6 +269,25 @@ def rank(matrix) -> int:
     2
     """
     return len(_echelon(matrix))
+
+
+# the term list that enumerate --dump-poly writes
+
+
+def polynomial_terms(vec: dict[Tabloid, int]) -> list[dict]:
+    """A tabloid vector as the term list of its polynomial,
+    [{"exponents": [[r, j, e], ...], "coeff": c}]: the row-1 columns (the
+    tabloid), then the row-2 columns (its complement in 1..2n), each with
+    exponent 1; terms in ascending tabloid order."""
+    letters = range(1, 2 * len(next(iter(vec), ())) + 1)
+    return [
+        {
+            "exponents": [[1, j, 1] for j in tab]
+            + [[2, k, 1] for k in letters if k not in tab],
+            "coeff": vec[tab],
+        }
+        for tab in sorted(vec)
+    ]
 
 
 # the identities of the polynomial model

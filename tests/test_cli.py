@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from model import tableau_from_lists
+from model import polynomial_terms, tableau_from_lists
 from tworow import minors, transition, webs
-from tworow.cli import _json_chunks, _write, build_parser, main
+from tworow.cli import _json_chunks, _JsonText, _write, build_parser, main
 from tworow.combinat import Matching, catalan, enumerate_syt, enumerate_webs
 from tworow.minors import web_vector
 from tworow.transition import transition_matrix
@@ -526,17 +526,25 @@ class TestJsonWriter:
         nested = {"a": (x for x in ()), "b": [(x for x in ())]}
         assert "".join(_json_chunks(nested)) == json.dumps({"a": [], "b": [[]]}, indent=2) + "\n"
 
+    def test_json_text_is_written_at_its_depth(self):
+        terms = [{"exponents": [[1, 2, 1]], "coeff": -1}]
+        text = _JsonText(json.dumps(terms, indent=2))
+        # a piece of its own, and inside a piece
+        doc = {"a": [text, {"b": [text]}], "c": text}
+        expected = {"a": [terms, {"b": [terms]}], "c": terms}
+        assert "".join(_json_chunks(doc)) == json.dumps(expected, indent=2) + "\n"
+
     def test_non_str_key_refused(self):
         with pytest.raises(TypeError, match="keys must be str"):
             "".join(_json_chunks({"n": {1: 2}}))
 
     def test_shared_objects(self):
-        # the memo is keyed by identity and depth, and lives for one piece
+        # one list held many times, in one piece and across pieces
         row = [3, 1, 4]
         in_one_piece = {"a": [[row, [row], {"b": row}]]}
         in_two_pieces = {"a": [row, [row], row]}
-        # fresh lists that die as soon as they are written: a memo that did
-        # not keep its arrays alive would see their ids again
+        # fresh lists that die as soon as they are written, so later lists
+        # can take their ids
         def column(k):
             for i in range(40):
                 yield [k, i]
@@ -613,7 +621,7 @@ class TestJsonWriter:
         # a web's term list in the document: the separator before it, then
         # the list indented to its depth under "webPolynomials"
         texts = [
-            textwrap.indent(json.dumps(minors.serialize_polynomial(web_vector(w)), indent=2), "    ")
+            textwrap.indent(json.dumps(polynomial_terms(web_vector(w)), indent=2), "    ")
             for w in enumerate_webs(6)
         ]
         assert max(map(len, pieces)) <= max(len(",\n" + text) for text in texts)

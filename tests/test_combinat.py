@@ -77,6 +77,11 @@ class TestCatalan:
         with pytest.raises(ValueError):
             catalan(-1)
 
+    @pytest.mark.parametrize("n", [True, 2.0, "3", -1], ids=repr)
+    def test_n_must_be_an_exact_int(self, n):
+        with pytest.raises(ValueError, match="n must be an int >= 0"):
+            catalan(n)
+
 
 class TestEnumerateSyt:
     def test_n3_matches_display(self):
