@@ -4,21 +4,23 @@ Batch front end.
 Subcommands: ``enumerate`` (dump the two indexing sets and their
 pairing), ``matrix`` (the transition matrix), ``verify`` (checks plus
 exit code; ``--with-oracle`` adds the rewrite vs. intertwiner
-comparison), ``bench`` (build, write and oracle times).  JSON is the
-canonical output format and is byte-stable for a fixed command line;
-``enumerate`` and ``matrix`` also write CSV (``--format csv``).  One
-function, ``_matrix_pieces``, writes the matrix of ``matrix`` and
-``bench``, its labels read from the enumerations.  Every output is
-streamed: ``_json_chunks`` yields the text of ``json.dumps(doc,
+comparison), ``bench`` (build and write times, oracle time, peak RSS).
+JSON is the canonical output format and is byte-stable for a fixed
+command line; ``enumerate`` and ``matrix`` also write CSV (``--format
+csv``).  One function, ``_matrix_pieces``, writes the matrix of
+``matrix`` and ``bench``, its labels read from the enumerations, each
+dense row text joined once from the sparse row's nonzeros.  Every output
+is streamed: ``_json_chunks`` yields the text of ``json.dumps(doc,
 indent=2)`` one piece per item of the document or of one of its arrays
 (one matrix row, one web's term list), and ``_write`` writes each piece
-as it comes, so no document is ever held whole in memory.  ``matrix``
-and ``verify`` read the rows from the stream ``transition.rows``, which
-holds at most n - 2 of them, or ``verify --inject-fault`` from the
-fault's row stream, so neither holds the matrix either (``verify
---with-oracle`` does: it compares a whole matrix).  A web's term list
-for ``--dump-poly`` comes as JSON text from ``minors.serialize_polynomial``,
-marked as such by ``_JsonText``, and is written re-indented to its depth.
+as it comes, so no document is ever held whole in memory.  ``matrix``,
+``bench`` and ``verify`` read the rows from the stream
+``transition.rows``, which holds at most n - 2 of them, or ``verify
+--inject-fault`` from the fault's row stream, so none of them holds the
+matrix either (``verify --with-oracle`` does: it compares a whole
+matrix).  Text that is already JSON is marked by ``_JsonText``: a web's
+term list for ``--dump-poly``, from ``minors.serialize_polynomial``, is
+written re-indented to its depth, and a matrix row is made at its depth.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including an unwritable --out, an unwritable or closed stdout, a cap
@@ -108,7 +110,12 @@ def _discard_stdout() -> None:
 
 class _JsonText(str):
     """Text that is already JSON, laid out as ``json.dumps(..., indent=2)``
-    lays it out at indentation zero."""
+    lays it out at indentation ``pad``, zero unless given."""
+
+    def __new__(cls, text: str, pad: str = ""):
+        self = super().__new__(cls, text)
+        self.pad = pad
+        return self
 
 
 def _json_chunks(obj) -> Iterator[str]:
@@ -152,7 +159,7 @@ def _json_text(obj, pad: str) -> str:
     if kind is int:
         return str(obj)
     if kind is _JsonText:
-        return obj.replace("\n", "\n" + pad)
+        return obj if obj.pad == pad else obj.replace("\n" + obj.pad, "\n" + pad)
     if kind is GeneratorType:
         return _json_text(list(obj), pad)
     if kind is not dict and kind is not list and kind is not tuple:
@@ -165,9 +172,6 @@ def _json_text(obj, pad: str) -> str:
         parts = [_json_key(key) + _json_text(value, inner) for key, value in obj.items()]
     elif set(map(type, obj)) != {int}:
         parts = [_json_text(value, inner) for value in obj]
-    elif 2 * len(values := set(obj)) <= len(obj):
-        # a matrix row repeats a few values: str each of them once
-        parts = map({x: str(x) for x in values}.__getitem__, obj)
     else:
         parts = map(str, obj)
     sep = ",\n" + inner
@@ -239,19 +243,36 @@ def _enumerate_csv_lines(tableaux, web_list, pairing) -> Iterator[str]:
         yield f"pair,{k},{p}\n"
 
 
-def _matrix_pieces(n: int, entries: Iterable[tuple[int, ...]], fmt: str) -> Iterator[str]:
+def _cells(row: dict[int, int], d: int) -> list[str]:
+    """The text of each of the d entries of a sparse row: "0" everywhere,
+    then the nonzero cells set."""
+    cells = ["0"] * d
+    for c, v in row.items():
+        cells[c] = str(v)
+    return cells
+
+
+def _matrix_pieces(n: int, entries: Iterable[dict[int, int]], fmt: str) -> Iterator[str]:
     """The matrix document in ``fmt``, "json" or "csv", piece by piece.  Row
     r is labeled by tableau r of ``enumerate_syt(n)`` and column c by web c
-    of ``enumerate_webs(n)``; ``entries`` is read once, a row per piece."""
+    of ``enumerate_webs(n)``; ``entries`` is read once, a sparse row per
+    piece, whose dense text is joined once from its cells."""
     tableaux, web_list = enumerate_syt(n), enumerate_webs(n)
+    d = len(web_list)
     if fmt == "csv":
         yield ",".join(["tableau\\web"] + [_web_csv(w) for w in web_list]) + "\n"
         for t, row in zip(tableaux, entries):
-            yield ",".join([_tableau_csv(t)] + [str(e) for e in row]) + "\n"
+            yield _tableau_csv(t) + "," + ",".join(_cells(row, d)) + "\n"
         return
     row_labels = [t.rows for t in tableaux]
     col_labels = [w.partner for w in web_list]
-    doc = {"n": n, "rowLabels": row_labels, "colLabels": col_labels, "entries": entries}
+    # each row's text is laid out where the document writes it, as an item
+    # of "entries", so it is written as it is
+    texts = (
+        _JsonText("[\n      " + ",\n      ".join(_cells(row, d)) + "\n    ]", "    ")
+        for row in entries
+    )
+    doc = {"n": n, "rowLabels": row_labels, "colLabels": col_labels, "entries": texts}
     yield from _json_chunks(doc)
 
 
@@ -272,25 +293,42 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    try:
+        import resource  # only bench reads its peak: start-up loads nothing new
+    except ImportError:
+        raise _UsageError("bench needs the resource module, which this platform lacks") from None
     _guard(args.n, _cap("TWOROW_MATRIX_CAP", DEFAULT_MATRIX_CAP), "matrix")
     oracle_cap = _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP)
     n = args.n
+    build_seconds = 0.0
+
+    def timed(stream):
+        # the time spent making each row, apart from the time writing it
+        nonlocal build_seconds
+        t_row = time.perf_counter()
+        for row in stream:
+            build_seconds += time.perf_counter() - t_row
+            yield row
+            t_row = time.perf_counter()
+        build_seconds += time.perf_counter() - t_row
+
+    # one pass: the rows are built as they are written, as in matrix
     t_start = time.perf_counter()
-    tm = transition.transition_matrix(n)
-    matrix_seconds = time.perf_counter() - t_start
-    t_start = time.perf_counter()
-    _write(_matrix_pieces(n, tm.entries, "json"), os.devnull)
-    write_seconds = time.perf_counter() - t_start
-    rows = {
+    _write(_matrix_pieces(n, timed(transition.rows(n)), "json"), os.devnull)
+    pass_seconds = time.perf_counter() - t_start
+    doc = {
         "n": n,
-        "matrixSeconds": round(matrix_seconds, 6),
-        "writeSeconds": round(write_seconds, 6),
+        "matrixSeconds": round(build_seconds, 6),
+        "writeSeconds": round(pass_seconds - build_seconds, 6),
     }
     if n <= oracle_cap:
         t_start = time.perf_counter()
         transition.intertwiner_oracle(n)
-        rows["oracleSeconds"] = round(time.perf_counter() - t_start, 6)
-    _write(_json_chunks(rows), args.out)
+        doc["oracleSeconds"] = round(time.perf_counter() - t_start, 6)
+    # ru_maxrss is in kB on Linux, in bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    doc["peakRssMb"] = round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
+    _write(_json_chunks(doc), args.out)
     return 0
 
 
@@ -333,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="build, write and oracle times")
+    p_bench = sub.add_parser("bench", help="build, write and oracle times, peak RSS")
     common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -157,8 +158,9 @@ class TestMatrix:
         (["matrix", "--format", "csv"], 0),
         (["verify"], 0),
         (["verify", "--inject-fault", "negative-entry"], 1),
+        (["bench"], 0),
     ],
-    ids=["matrix-json", "matrix-csv", "verify", "verify-negative-entry"],
+    ids=["matrix-json", "matrix-csv", "verify", "verify-negative-entry", "bench"],
 )
 def test_row_stream_holds_no_matrix(argv, code, monkeypatch):
     # the n = 7 matrix is 429 rows of 429 entries, about 1.5 MB of tuples;
@@ -269,12 +271,19 @@ class TestBench:
         doc = json.loads(out)
         assert doc["n"] == 3
         assert all(doc[key] >= 0 for key in ("matrixSeconds", "writeSeconds", "oracleSeconds"))
+        assert doc["peakRssMb"] > 0
 
     def test_reports_only_the_commands_paths(self, capsys):
-        # the build, the write and the oracle
+        # the build, the write and the oracle, then the process's peak
         code, out, _ = run(capsys, "bench", "--n", "4")
         assert code == 0
-        assert list(json.loads(out)) == ["n", "matrixSeconds", "writeSeconds", "oracleSeconds"]
+        assert list(json.loads(out)) == [
+            "n",
+            "matrixSeconds",
+            "writeSeconds",
+            "oracleSeconds",
+            "peakRssMb",
+        ]
 
     def test_never_calls_rewrite(self, capsys, monkeypatch):
         calls = []
@@ -285,16 +294,40 @@ class TestBench:
         assert calls == []
 
     def test_times_the_default_build(self, capsys, monkeypatch):
+        # the row stream, read once and written as it comes: no matrix
         built = []
-        build = transition.transition_matrix
-        monkeypatch.setattr(transition, "transition_matrix", lambda n: built.append(n) or build(n))
+        build = transition.rows
+        monkeypatch.setattr(transition, "rows", lambda n: built.append(n) or build(n))
+        monkeypatch.setattr(transition, "transition_matrix", None)
         code, _, _ = run(capsys, "bench", "--n", "3")
         assert code == 0
         assert built == [3]
 
+    def test_splits_one_pass_into_build_and_write(self, capsys, monkeypatch):
+        # each row takes 10 ms to make, and the write takes the rest
+        build = transition.rows
+
+        def slow(n):
+            for row in build(n):
+                time.sleep(0.01)
+                yield row
+
+        monkeypatch.setattr(transition, "rows", slow)
+        code, out, _ = run(capsys, "bench", "--n", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert 0.05 <= doc["matrixSeconds"] and doc["writeSeconds"] < 0.05
+
+    def test_platform_without_resource_is_a_usage_error(self, capsys, monkeypatch):
+        # as on Windows: bench reads its peak RSS through resource
+        monkeypatch.setitem(sys.modules, "resource", None)
+        code, out, err = run(capsys, "bench", "--n", "2")
+        assert code == 2 and out == ""
+        assert err == "tworow: bench needs the resource module, which this platform lacks\n"
+
     def test_bad_oracle_cap_refused_before_the_build(self, capsys, monkeypatch):
         built = []
-        monkeypatch.setattr(transition, "transition_matrix", built.append)
+        monkeypatch.setattr(transition, "rows", built.append)
         monkeypatch.setenv("TWOROW_ORACLE_CAP", "x")
         code, out, err = run(capsys, "bench", "--n", "3")
         assert code == 2 and out == ""
@@ -533,6 +566,13 @@ class TestJsonWriter:
         doc = {"a": [text, {"b": [text]}], "c": text}
         expected = {"a": [terms, {"b": [terms]}], "c": terms}
         assert "".join(_json_chunks(doc)) == json.dumps(expected, indent=2) + "\n"
+        # text laid out at another indentation, as a matrix row is, is
+        # written as it is there and re-indented anywhere else
+        row = _JsonText(json.dumps([0, 3], indent=2).replace("\n", "\n    "), "    ")
+        for wrap in (lambda rows: {"n": 1, "entries": rows}, lambda rows: [{"b": rows}], list):
+            expected = json.dumps(wrap([[0, 3]]), indent=2) + "\n"
+            assert "".join(_json_chunks(wrap([row]))) == expected
+            assert "".join(_json_chunks(wrap(x for x in [row]))) == expected
 
     def test_non_str_key_refused(self):
         with pytest.raises(TypeError, match="keys must be str"):

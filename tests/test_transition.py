@@ -38,6 +38,16 @@ from tworow.transition import (
     verify,
 )
 
+def dense(row, d):
+    """The d entries of the sparse row {column: entry}, zeros included."""
+    return tuple(row.get(c, 0) for c in range(d))
+
+
+def sparse(row):
+    """The nonzero entries of a dense row, as a sparse row in column order."""
+    return {c: v for c, v in enumerate(row) if v}
+
+
 # worked by hand from the crossing rewrites of the five aligned matchings;
 # the intertwiner oracle reproduces it below
 MATRIX3 = (
@@ -142,10 +152,14 @@ class TestGeneratorRecurrence:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_rewrite(self, n):
-        assert transition_matrix(n) == TransitionMatrix(n, tuple(_rewrite_rows(n)))
+        # both streams are sparse, so equal dicts hold the same nonzeros
+        streamed, reference = list(transition.rows(n)), list(_rewrite_rows(n))
+        assert streamed == reference
+        d = catalan(n)
+        assert [dense(row, d) for row in streamed] == [dense(row, d) for row in reference]
 
     def test_never_calls_rewrite(self, monkeypatch):
-        reference = TransitionMatrix(5, tuple(_rewrite_rows(5)))
+        reference = TransitionMatrix(5, tuple(dense(row, 42) for row in _rewrite_rows(5)))
         calls = []
         monkeypatch.setattr(webs, "resolve_crossings", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(webs, "_expand", lambda *a, **k: calls.append(a))
@@ -273,22 +287,33 @@ class TestRowStream:
         entries = transition_matrix(n).entries
         streamed = list(transition.rows(n))
         assert len(streamed) == len(entries) == catalan(n)
-        assert tuple(streamed) == entries
+        assert tuple(dense(row, catalan(n)) for row in streamed) == entries
 
     @pytest.mark.parametrize("stream", ["rows", "rewrite", *transition.FAULTS])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_stream_yields_bare_rows(self, n, stream):
-        # each producer yields C(n) tuples of C(n) ints and no index, in
-        # canonical order: the good streams are the matrix itself
+        # each producer yields C(n) sparse rows and no index, in canonical
+        # order: dicts of nonzero exact ints keyed by exact int columns in
+        # range(C(n)); the good streams are the matrix itself
         producers = {"rows": transition.rows, "rewrite": _rewrite_rows, **transition.FAULTS}
         streamed = list(producers[stream](n))
         d = catalan(n)
         assert len(streamed) == d
         for row in streamed:
-            assert type(row) is tuple and len(row) == d
-            assert all(type(v) is int for v in row)
+            assert type(row) is dict
+            assert all(type(c) is int and 0 <= c < d for c in row)
+            assert all(type(v) is int and v != 0 for v in row.values())
         if stream in ("rows", "rewrite"):
-            assert tuple(streamed) == transition_matrix(n).entries
+            assert tuple(dense(row, d) for row in streamed) == transition_matrix(n).entries
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_negative_entry_changes_row_0_alone(self, n):
+        # row 0 is also the parent the stream holds: the fault puts its -1
+        # in a new dict, so every later row is built as in rows(n)
+        good = list(transition.rows(n))
+        faulted = list(transition.FAULTS["negative-entry"](n))
+        assert faulted[0] == {**good[0], catalan(n) - 1: -1}
+        assert faulted[1:] == good[1:]
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_holds_a_few_rows_not_the_matrix(self):
@@ -310,20 +335,24 @@ class TestRowStream:
                     return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
             n = 8
+            d = len(enumerate_syt(n))
             enumerate_syt(n), enumerate_webs(n)  # the cached enumerations
             before = peak_kb()
-            held = sys.getsizeof((None,) * len(enumerate_syt(n)))  # the tuple of the rows
+            held = sys.getsizeof((None,) * d)  # the tuple of the rows
             for row in transition.rows(n):
                 held += sys.getsizeof(row)
-            print(held, (peak_kb() - before) * 1024)
+            dense = sys.getsizeof((None,) * d) * (d + 1)  # the dense tuples
+            print(held, dense, (peak_kb() - before) * 1024)
             """
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
-        held, grown = map(int, proc.stdout.split())
-        assert held > 16 * 10**6
-        assert grown < held / 20
+        held, dense, grown = map(int, proc.stdout.split())
+        # the bound stays a twentieth of the dense matrix, not of the
+        # smaller dict rows the stream now yields
+        assert dense > 16 * 10**6 and held > 10**7
+        assert grown < 16 * 10**6 / 20
 
     def test_euler_zigzag_numbers(self):
         expected = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]  # OEIS A000111
@@ -350,28 +379,46 @@ def stream_counts(n):
     shared by the tests that read them (1.3 s at n = 9)."""
     nonzeros, sums = 0, []
     for row in transition.rows(n):
-        nonzeros += len(row) - row.count(0)
-        sums.append(sum(row))
+        nonzeros += len(row)
+        sums.append(sum(row.values()))
     return nonzeros, sums
 
 
 def found(check, tm):
-    """What ``check`` finds in the rows of tm, in row-major order, as the
-    counterexamples ``verify`` builds from its (col, entry) pairs."""
+    """What ``check`` finds in the rows of tm, each passed to it sparse, in
+    row-major order, as the counterexamples ``verify`` builds from its
+    (col, entry) pairs.  A row's key order must not matter, so each row is
+    also checked with its keys inserted in reverse order."""
     [key] = [key for key, table_check, _ in transition.CHECKS if table_check is check]
+    pairs = []
+    for r, row in enumerate(map(sparse, tm.entries)):
+        pairs.append(check(r, row))
+        assert check(r, dict(reversed(row.items()))) == pairs[-1]
     return [
         {"check": key, "row": r, "col": c, "entry": v}
-        for r, row in enumerate(tm.entries)
-        for c, v in check(r, row)
+        for r, row_pairs in enumerate(pairs)
+        for c, v in row_pairs
     ]
 
 
 class TestChecks:
     def test_checks_return_col_entry_pairs(self):
-        row = (-1, 2, 0, -3, 4)
+        row = {0: -1, 1: 2, 3: -3, 4: 4}
         assert check_nonnegative(1, row) == [(0, -1), (3, -3)]
         assert check_diagonal_ones(1, row) == [(1, 2)]
         assert check_support_acyclic(1, row) == [(3, -3)]
+
+    @pytest.mark.parametrize("check", [c for _, c, _ in transition.CHECKS])
+    def test_key_order_does_not_matter(self, check):
+        # a row's keys come in no set order; the pairs come by column
+        row = {0: -1, 1: 2, 3: -3, 4: 4, 6: -5, 7: 1}
+        for r in range(8):
+            expected = check(r, row)
+            assert check(r, dict(reversed(row.items()))) == expected
+            assert check(r, dict(sorted(row.items(), key=lambda kv: kv[1]))) == expected
+        assert check_nonnegative(2, dict(reversed(row.items()))) == [(0, -1), (3, -3), (6, -5)]
+        assert check_support_acyclic(2, dict(reversed(row.items()))) == [(3, -3)]
+        assert check_diagonal_ones(2, row) == [(2, 0)]
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_clean_matrix_passes(self, n):
@@ -424,7 +471,7 @@ class TestChecks:
             {"check": "supportAcyclic", "row": 7, "col": 8, "entry": 2},
         ]
         # verify reports only the first row's
-        monkeypatch.setitem(transition.FAULTS, "two-above", lambda n: bad.entries)
+        monkeypatch.setitem(transition.FAULTS, "two-above", lambda n: map(sparse, bad.entries))
         assert verify(4, fault="two-above")["counterexamples"] == [
             {"check": "supportAcyclic", "row": 5, "col": 9, "entry": 3},
         ]
@@ -547,7 +594,7 @@ class TestVerify:
 
         def edited(n):
             for r, row in enumerate(transition.rows(n)):
-                yield row[:c0] + (value,) + row[c0 + 1 :] if r == r0 else row
+                yield {**row, c0: value} if r == r0 else row
 
         monkeypatch.setitem(transition.FAULTS, "one-cell", edited)
         report = verify(n, fault="one-cell")
@@ -631,7 +678,7 @@ class TestSerialization:
     @pytest.mark.parametrize("n", range(1, 4))
     def test_json_round_trip(self, n):
         tm = transition_matrix(n)
-        doc = json.loads("".join(_matrix_pieces(n, tm.entries, "json")))
+        doc = json.loads("".join(_matrix_pieces(n, transition.rows(n), "json")))
         assert list(doc) == ["n", "rowLabels", "colLabels", "entries"]
         assert doc["n"] == n
         assert doc["entries"] == [list(row) for row in tm.entries]
@@ -639,7 +686,7 @@ class TestSerialization:
         assert tuple(Matching(tuple(p)) for p in doc["colLabels"]) == enumerate_webs(n)
 
     def test_csv_shape(self):
-        text = "".join(_matrix_pieces(2, transition_matrix(2).entries, "csv"))
+        text = "".join(_matrix_pieces(2, transition.rows(2), "csv"))
         lines = text.strip().split("\n")
         assert lines[0].startswith("tableau\\web,")
         assert lines[1].split(",")[0] == "1 3|2 4"
