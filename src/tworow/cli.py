@@ -10,17 +10,20 @@ command line; ``enumerate`` and ``matrix`` also write CSV (``--format
 csv``).  One function, ``_matrix_pieces``, writes the matrix of
 ``matrix`` and ``bench``, its labels read from the enumerations, each
 dense row text joined once from the sparse row's nonzeros.  Every output
-is streamed: ``_json_chunks`` yields the text of ``json.dumps(doc,
-indent=2)`` one piece per item of the document or of one of its arrays
-(one matrix row, one web's term list), and ``_write`` writes each piece
-as it comes, so no document is ever held whole in memory.  ``matrix``,
-``bench`` and ``verify`` read the rows from the stream
-``transition.rows``, which holds at most n - 2 of them, or ``verify
---inject-fault`` from the fault's row stream, so none of them holds the
-matrix either (``verify --with-oracle`` does: it compares a whole
-matrix).  Text that is already JSON is marked by ``_JsonText``: a web's
-term list for ``--dump-poly``, from ``minors.serialize_polynomial``, is
-written re-indented to its depth, and a matrix row is made at its depth.
+is streamed.  Each JSON document is one dict: ``_json_chunks`` yields the
+text of ``json.dumps(doc, indent=2)`` one piece per key of it or per item
+of one of its top-level arrays (one tableau, matrix row, web's term list
+or counterexample), and ``_write`` writes each piece as it comes, so no
+document is ever held whole in memory.  ``matrix``, ``bench`` and
+``verify`` read the rows from the stream ``transition.rows``, which holds
+at most n - 2 of them, or ``verify --inject-fault`` from the fault's row
+stream, so none of them holds the matrix either (``verify --with-oracle``
+does: it compares a whole matrix).  ``verify`` and ``bench`` open their
+output before they run, so an unwritable --out fails at once.  Text that is
+already JSON, an item of a top-level array laid out where it is written,
+is marked by ``_JsonText``: a matrix row, made by ``_json_block``, and a
+web's term list for ``--dump-poly``, from ``minors.serialize_polynomial``
+indented one level.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including an unwritable --out, an unwritable or closed stdout, a cap
@@ -109,73 +112,58 @@ def _discard_stdout() -> None:
 
 
 class _JsonText(str):
-    """Text that is already JSON, laid out as ``json.dumps(..., indent=2)``
-    lays it out at indentation ``pad``, zero unless given."""
-
-    def __new__(cls, text: str, pad: str = ""):
-        self = super().__new__(cls, text)
-        self.pad = pad
-        return self
+    """Text that is already JSON, laid out as an item of a top-level array
+    of a ``json.dumps(..., indent=2)`` document: written as it is."""
 
 
-def _json_chunks(obj) -> Iterator[str]:
-    """The text of ``json.dumps(obj, indent=2) + "\\n"``, in pieces, where
-    a generator stands for a list of the items it yields.  A piece is one
-    item of the document or of one of its arrays, such as one matrix row or
-    one web's term list, made whole by ``_json_text``.
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2) + "\\n"`` for a dict ``doc``,
+    in pieces, where a generator value stands for a list of the items it
+    yields.  A piece is one key of ``doc`` or one item of a list, tuple or
+    generator value, such as one matrix row or one web's term list, made
+    whole by ``_json_text``.
 
-    >>> "".join(_json_chunks({"a": [1, 2], "b": []}))
-    '{\\n  "a": [\\n    1,\\n    2\\n  ],\\n  "b": []\\n}\\n'
+    >>> list(_json_chunks({"a": [1, 2], "b": []}))
+    ['{\\n  "a": ', '[\\n    1', ',\\n    2', '\\n  ]', ',\\n  "b": ', '[]', '\\n}\\n']
     """
-    yield from _json_stream("", obj, "", 2)
-    yield "\n"
-
-
-def _json_stream(head: str, obj, pad: str, depth: int) -> Iterator[str]:
-    """``head``, then ``obj`` at indentation ``pad``: a dict, list, tuple or
-    generator one piece per item ``depth`` levels down, the rest whole."""
-    if type(obj) not in (dict, list, tuple, GeneratorType):
-        yield head + _json_text(obj, pad)
-        return
-    yield head
-    inner = pad + "  "
-    start, end = "{}" if type(obj) is dict else "[]"
-    items = ((_json_key(k), v) for k, v in obj.items()) if end == "}" else (("", v) for v in obj)
-    opening = sep = start + "\n" + inner
-    for label, value in items:
-        if depth > 1:
-            yield from _json_stream(sep + label, value, inner, depth - 1)
+    sep = "{\n  "
+    for key, value in doc.items():
+        if type(value) in (list, tuple, GeneratorType):
+            yield sep + _json_key(key)
+            item_sep = "[\n    "
+            for item in value:
+                yield item_sep + _json_text(item, "    ")
+                item_sep = ",\n    "
+            yield "[]" if item_sep == "[\n    " else "\n  ]"
         else:
-            yield sep + label + _json_text(value, inner)
-        sep = ",\n" + inner
-    yield start + end if sep is opening else "\n" + pad + end
+            yield sep + _json_key(key) + _json_text(value, "  ")
+        sep = ",\n  "
+    yield "{}\n" if sep == "{\n  " else "\n}\n"
 
 
 def _json_text(obj, pad: str) -> str:
-    """The whole text of ``obj`` at indentation ``pad``.  A generator is
-    read as a list, a ``_JsonText`` is written as it is, and json lays out
-    a subclass of a container itself."""
+    """The whole text of ``obj`` at indentation ``pad``; a ``_JsonText`` is
+    written as it is."""
     kind = type(obj)
-    if kind is int:
-        return str(obj)
     if kind is _JsonText:
-        return obj if obj.pad == pad else obj.replace("\n" + obj.pad, "\n" + pad)
-    if kind is GeneratorType:
-        return _json_text(list(obj), pad)
-    if kind is not dict and kind is not list and kind is not tuple:
-        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-    start, end = "{}" if kind is dict else "[]"
-    if not obj:
-        return start + end
+        return obj
     inner = pad + "  "
     if kind is dict:
-        parts = [_json_key(key) + _json_text(value, inner) for key, value in obj.items()]
-    elif set(map(type, obj)) != {int}:
-        parts = [_json_text(value, inner) for value in obj]
-    else:
-        parts = map(str, obj)
-    sep = ",\n" + inner
-    return f"{start}\n{inner}{sep.join(parts)}\n{pad}{end}"
+        return _json_block([_json_key(k) + _json_text(v, inner) for k, v in obj.items()], pad, "{}")
+    if kind is not list and kind is not tuple:
+        return json.dumps(obj)
+    if set(map(type, obj)) == {int}:
+        return _json_block(map(str, obj), pad)
+    return _json_block([_json_text(v, inner) for v in obj], pad)
+
+
+def _json_block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
+    """The array, or with ``brackets`` "{}" the object, at indentation
+    ``pad`` whose items' texts, each laid out one level in, are ``items``."""
+    inner = pad + "  "
+    body = (",\n" + inner).join(items)
+    # no item's text is empty, so an empty body has no items
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}" if body else brackets
 
 
 @functools.lru_cache(maxsize=256)
@@ -216,9 +204,11 @@ def cmd_enumerate(args) -> int:
         "pairing": pairing,
     }
     if args.dump_poly:
-        # a generator: each web's term list is built as it is written
+        # a generator: each web's term list is built as it is written, and
+        # indented as an item of a top-level array
         doc["webPolynomials"] = (
-            _JsonText(minors.serialize_polynomial(minors.web_vector(w))) for w in web_list
+            _JsonText(minors.serialize_polynomial(minors.web_vector(w)).replace("\n", "\n    "))
+            for w in web_list
         )
     _write(_json_chunks(doc), args.out)
     return 0
@@ -268,10 +258,7 @@ def _matrix_pieces(n: int, entries: Iterable[dict[int, int]], fmt: str) -> Itera
     col_labels = [w.partner for w in web_list]
     # each row's text is laid out where the document writes it, as an item
     # of "entries", so it is written as it is
-    texts = (
-        _JsonText("[\n      " + ",\n      ".join(_cells(row, d)) + "\n    ]", "    ")
-        for row in entries
-    )
+    texts = (_JsonText(_json_block(_cells(row, d), "    ")) for row in entries)
     doc = {"n": n, "rowLabels": row_labels, "colLabels": col_labels, "entries": texts}
     yield from _json_chunks(doc)
 
@@ -287,8 +274,14 @@ def cmd_verify(args) -> int:
     _guard(args.n, _cap("TWOROW_MATRIX_CAP", DEFAULT_MATRIX_CAP), "matrix")
     if args.with_oracle:
         _guard(args.n, _cap("TWOROW_ORACLE_CAP", DEFAULT_ORACLE_CAP), "oracle")
-    report = transition.verify(args.n, with_oracle=args.with_oracle, fault=args.inject_fault)
-    _write(_json_chunks(report), args.out)
+    report = {}
+
+    def pieces():  # made once the output is open: an unwritable --out fails first
+        made = transition.verify(args.n, with_oracle=args.with_oracle, fault=args.inject_fault)
+        report.update(made)
+        yield from _json_chunks(report)
+
+    _write(pieces(), args.out)
     return 1 if report["counterexamples"] else 0
 
 
@@ -312,23 +305,26 @@ def cmd_bench(args) -> int:
             t_row = time.perf_counter()
         build_seconds += time.perf_counter() - t_row
 
-    # one pass: the rows are built as they are written, as in matrix
-    t_start = time.perf_counter()
-    _write(_matrix_pieces(n, timed(transition.rows(n)), "json"), os.devnull)
-    pass_seconds = time.perf_counter() - t_start
-    doc = {
-        "n": n,
-        "matrixSeconds": round(build_seconds, 6),
-        "writeSeconds": round(pass_seconds - build_seconds, 6),
-    }
-    if n <= oracle_cap:
+    def pieces():  # made once the output is open, as in verify
+        # one pass: the rows are built as they are written, as in matrix
         t_start = time.perf_counter()
-        transition.intertwiner_oracle(n)
-        doc["oracleSeconds"] = round(time.perf_counter() - t_start, 6)
-    # ru_maxrss is in kB on Linux, in bytes on macOS
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    doc["peakRssMb"] = round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
-    _write(_json_chunks(doc), args.out)
+        _write(_matrix_pieces(n, timed(transition.rows(n)), "json"), os.devnull)
+        pass_seconds = time.perf_counter() - t_start
+        doc = {
+            "n": n,
+            "matrixSeconds": round(build_seconds, 6),
+            "writeSeconds": round(pass_seconds - build_seconds, 6),
+        }
+        if n <= oracle_cap:
+            t_start = time.perf_counter()
+            transition.intertwiner_oracle(n)
+            doc["oracleSeconds"] = round(time.perf_counter() - t_start, 6)
+        # ru_maxrss is in kB on Linux, in bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        doc["peakRssMb"] = round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
+        yield from _json_chunks(doc)
+
+    _write(pieces(), args.out)
     return 0
 
 

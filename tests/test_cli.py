@@ -380,6 +380,27 @@ class TestUsageErrors:
         assert code == 2
         assert f"tworow: cannot write {path}" in err
 
+    @pytest.mark.parametrize("argv", [["verify"], ["verify", "--with-oracle"], ["bench"]])
+    def test_unwritable_out_fails_before_the_work(self, argv, capsys, monkeypatch, tmp_path):
+        # --out is opened before any row is built, so a bad path costs nothing
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before --out was opened")
+
+        for name in ("verify", "rows", "intertwiner_oracle"):
+            monkeypatch.setattr(transition, name, refuse)
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--n", "3", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"tworow: cannot write {path}: No such file or directory"]
+
+    @pytest.mark.parametrize("command", ["matrix", "verify", "bench"])
+    def test_refused_cap_leaves_out_untouched(self, command, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("kept")
+        code, _, err = run(capsys, command, "--n", "7", "--out", str(path))
+        assert code == 2 and "cap" in err
+        assert path.read_text() == "kept"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_unwritable_stdout(self):
         with open("/dev/full", "w") as full:
@@ -536,18 +557,33 @@ JSON_DOCS = st.recursive(
 
 
 def with_generators(doc, rng):
-    """doc with each list or tuple, at random, replaced by a generator of
-    the same items."""
-    if isinstance(doc, dict):
-        return {key: with_generators(value, rng) for key, value in doc.items()}
-    if not isinstance(doc, (list, tuple)):
-        return doc
-    items = [with_generators(value, rng) for value in doc]
-    return (item for item in items) if rng.random() < 0.5 else type(doc)(items)
+    """doc with each top-level list or tuple value, at random, replaced by
+    a generator of the same items."""
+    return {
+        key: (item for item in value)
+        if type(value) in (list, tuple) and rng.random() < 0.5
+        else value
+        for key, value in doc.items()
+    }
+
+
+class PieceSink(io.StringIO):
+    """A stdout that keeps each piece written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
 
 
 class TestJsonWriter:
-    @given(JSON_DOCS, st.randoms(use_true_random=False))
+    """``_json_chunks`` writes a top-level dict, with a generator of items
+    for any of its array values."""
+
+    @given(st.dictionaries(st.text(), JSON_DOCS), st.randoms(use_true_random=False))
     def test_matches_json_dumps(self, doc, rng):
         expected = json.dumps(doc, indent=2) + "\n"
         assert "".join(_json_chunks(doc)) == expected
@@ -555,24 +591,17 @@ class TestJsonWriter:
         assert "".join(_json_chunks(with_generators(doc, rng))) == expected
 
     def test_empty_generator_is_an_empty_array(self):
-        assert "".join(_json_chunks(x for x in ())) == "[]\n"
-        nested = {"a": (x for x in ()), "b": [(x for x in ())]}
-        assert "".join(_json_chunks(nested)) == json.dumps({"a": [], "b": [[]]}, indent=2) + "\n"
+        doc = {"a": (x for x in ()), "b": []}
+        assert "".join(_json_chunks(doc)) == json.dumps({"a": [], "b": []}, indent=2) + "\n"
 
     def test_json_text_is_written_at_its_depth(self):
-        terms = [{"exponents": [[1, 2, 1]], "coeff": -1}]
-        text = _JsonText(json.dumps(terms, indent=2))
-        # a piece of its own, and inside a piece
-        doc = {"a": [text, {"b": [text]}], "c": text}
-        expected = {"a": [terms, {"b": [terms]}], "c": terms}
-        assert "".join(_json_chunks(doc)) == json.dumps(expected, indent=2) + "\n"
-        # text laid out at another indentation, as a matrix row is, is
-        # written as it is there and re-indented anywhere else
-        row = _JsonText(json.dumps([0, 3], indent=2).replace("\n", "\n    "), "    ")
-        for wrap in (lambda rows: {"n": 1, "entries": rows}, lambda rows: [{"b": rows}], list):
-            expected = json.dumps(wrap([[0, 3]]), indent=2) + "\n"
-            assert "".join(_json_chunks(wrap([row]))) == expected
-            assert "".join(_json_chunks(wrap(x for x in [row]))) == expected
+        # text laid out as an item of a top-level array, as a matrix row or
+        # a web's term list is, is written as it is
+        terms = [{"exponents": [[1, 2, 1]], "coeff": -1}, [0, 3]]
+        text = _JsonText(json.dumps(terms, indent=2).replace("\n", "\n    "))
+        expected = json.dumps({"n": 1, "entries": [terms, terms]}, indent=2) + "\n"
+        for items in ([text, text], (text, text), (x for x in [text, text])):
+            assert "".join(_json_chunks({"n": 1, "entries": items})) == expected
 
     def test_non_str_key_refused(self):
         with pytest.raises(TypeError, match="keys must be str"):
@@ -585,13 +614,12 @@ class TestJsonWriter:
         in_two_pieces = {"a": [row, [row], row]}
         # fresh lists that die as soon as they are written, so later lists
         # can take their ids
-        def column(k):
-            for i in range(40):
-                yield [k, i]
-
-        fresh = {"a": [[column(k) for k in range(20)]], "b": ([k, k + 1] for k in range(200))}
+        fresh = {
+            "a": ([[k, i] for i in range(40)] for k in range(20)),
+            "b": ([k, k + 1] for k in range(200)),
+        }
         expected_fresh = {
-            "a": [[[[k, i] for i in range(40)] for k in range(20)]],
+            "a": [[[k, i] for i in range(40)] for k in range(20)],
             "b": [[k, k + 1] for k in range(200)],
         }
         # equal and hashed alike, but written differently
@@ -617,16 +645,7 @@ class TestJsonWriter:
         assert peak < size
 
     def test_matrix_is_written_a_row_at_a_time(self, monkeypatch):
-        class Sink(io.StringIO):
-            def __init__(self):
-                super().__init__()
-                self.sizes = []
-
-            def write(self, text):
-                self.sizes.append(len(text))
-                return super().write(text)
-
-        sink = Sink()
+        sink = PieceSink()
         monkeypatch.setattr(sys, "stdout", sink)
         assert main(["matrix", "--n", "6"]) == 0
         rows = transition_matrix(6).entries
@@ -635,20 +654,38 @@ class TestJsonWriter:
         row_text = max(
             len(",\n" + textwrap.indent(json.dumps(row, indent=2), "    ")) for row in rows
         )
-        assert len(sink.sizes) > len(rows)
-        assert max(sink.sizes) <= row_text
+        assert len(sink.pieces) > len(rows)
+        assert max(map(len, sink.pieces)) <= row_text
         digest = PINNED_OUTPUTS[("matrix", "--n", "6")][1]
         assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == digest
 
+    def test_enumerate_is_written_an_item_at_a_time(self, monkeypatch):
+        sink = PieceSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["enumerate", "--n", "6"]) == 0
+        tableaux, web_list = enumerate_syt(6), enumerate_webs(6)
+        doc = {
+            "n": 6,
+            "catalan": catalan(6),
+            "tableaux": [t.rows for t in tableaux],
+            "webs": [w.partner for w in web_list],
+            "pairing": list(range(len(tableaux))),
+        }
+        # an item's text in the document: the ",\n" before it, then the item
+        # indented to its depth under its key
+        item_text = max(
+            len(",\n" + textwrap.indent(json.dumps(item, indent=2), "    "))
+            for key in ("tableaux", "webs", "pairing")
+            for item in doc[key]
+        )
+        assert len(sink.pieces) > 3 * len(tableaux)
+        assert max(map(len, sink.pieces)) <= item_text
+        assert sink.getvalue() == json.dumps(doc, indent=2) + "\n"
+
     def test_dump_poly_is_written_a_web_at_a_time(self, monkeypatch):
-        pieces = []
+        sink = PieceSink()
+        pieces = sink.pieces
         made = []  # how many pieces were written when each web's D(M) was made
-
-        class Sink(io.StringIO):
-            def write(self, text):
-                pieces.append(text)
-                return super().write(text)
-
         web_vector = minors.web_vector
 
         def spy(m):
@@ -656,7 +693,7 @@ class TestJsonWriter:
             return web_vector(m)
 
         monkeypatch.setattr(minors, "web_vector", spy)
-        monkeypatch.setattr(sys, "stdout", Sink())
+        monkeypatch.setattr(sys, "stdout", sink)
         assert main(["enumerate", "--n", "6", "--dump-poly"]) == 0
         # a web's term list in the document: the separator before it, then
         # the list indented to its depth under "webPolynomials"

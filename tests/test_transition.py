@@ -315,6 +315,30 @@ class TestRowStream:
         assert faulted[0] == {**good[0], catalan(n) - 1: -1}
         assert faulted[1:] == good[1:]
 
+    def test_a_cancelled_entry_is_dropped(self, monkeypatch):
+        # no step of a true table leaves a zero at n <= 9, so one is made:
+        # row 3 of n = 3 is s_4 of row 2, {0: 1, 2: 1}, and with s_4 taking
+        # w_0 to w_0 + w_2 and negating w_2 its entry at 2 is 1 + 1 - 2 = 0
+        action_table = webs.action_table
+
+        def patched(i, n):
+            table = list(action_table(i, n))
+            if (i, n) == (4, 3):
+                table[0], table[2] = 2, -1
+            return tuple(table)
+
+        monkeypatch.setattr(webs, "action_table", patched)
+        streamed = list(transition.rows(3))
+        parent, table = dense(streamed[2], 5), patched(4, 3)
+        step = list(parent)
+        for k, v in enumerate(parent):
+            if table[k] < 0:
+                step[k] -= 2 * v
+            else:
+                step[table[k]] += v
+        assert step[2] == 0 and streamed[3] == sparse(step)
+        assert all(0 not in row.values() for row in streamed)
+
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_holds_a_few_rows_not_the_matrix(self):
         # the growth of a fresh process's peak resident size (VmHWM; its
