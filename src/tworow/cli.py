@@ -188,29 +188,7 @@ def cmd_enumerate(args) -> int:
     if args.dump_poly and args.format != "json":
         raise _UsageError("--dump-poly needs --format json")
     _guard(args.n, _cap("TWOROW_ENUM_CAP", DEFAULT_ENUM_CAP), "enumeration")
-    n = args.n
-    tableaux = enumerate_syt(n)
-    web_list = enumerate_webs(n)
-    # web k is the opener/closer image of tableau k
-    pairing = list(range(len(tableaux)))
-    if args.format == "csv":
-        _write(_enumerate_csv_lines(tableaux, web_list, pairing), args.out)
-        return 0
-    doc = {
-        "n": n,
-        "catalan": catalan(n),
-        "tableaux": [t.rows for t in tableaux],
-        "webs": [w.partner for w in web_list],
-        "pairing": pairing,
-    }
-    if args.dump_poly:
-        # a generator: each web's term list is built as it is written, and
-        # indented as an item of a top-level array
-        doc["webPolynomials"] = (
-            _JsonText(minors.serialize_polynomial(minors.web_vector(w)).replace("\n", "\n    "))
-            for w in web_list
-        )
-    _write(_json_chunks(doc), args.out)
+    _write(_enumerate_pieces(args.n, args.format, args.dump_poly), args.out)
     return 0
 
 
@@ -223,14 +201,38 @@ def _web_csv(w) -> str:
     return " ".join(map(str, w.partner))
 
 
-def _enumerate_csv_lines(tableaux, web_list, pairing) -> Iterator[str]:
-    yield "kind,index,label\n"
-    for k, t in enumerate(tableaux):
-        yield f"tableau,{k},{_tableau_csv(t)}\n"
-    for k, w in enumerate(web_list):
-        yield f"web,{k},{_web_csv(w)}\n"
-    for k, p in enumerate(pairing):
-        yield f"pair,{k},{p}\n"
+def _enumerate_pieces(n: int, fmt: str, dump_poly: bool) -> Iterator[str]:
+    """The enumerate document in ``fmt``, "json" or "csv", piece by piece;
+    both enumerations are built at the first piece, so after ``_write``
+    has opened its target."""
+    tableaux = enumerate_syt(n)
+    web_list = enumerate_webs(n)
+    # web k is the opener/closer image of tableau k
+    pairing = list(range(len(tableaux)))
+    if fmt == "csv":
+        yield "kind,index,label\n"
+        for k, t in enumerate(tableaux):
+            yield f"tableau,{k},{_tableau_csv(t)}\n"
+        for k, w in enumerate(web_list):
+            yield f"web,{k},{_web_csv(w)}\n"
+        for k, p in enumerate(pairing):
+            yield f"pair,{k},{p}\n"
+        return
+    doc = {
+        "n": n,
+        "catalan": catalan(n),
+        "tableaux": [t.rows for t in tableaux],
+        "webs": [w.partner for w in web_list],
+        "pairing": pairing,
+    }
+    if dump_poly:
+        # a generator: each web's term list is built as it is written, and
+        # indented as an item of a top-level array
+        doc["webPolynomials"] = (
+            _JsonText(minors.serialize_polynomial(minors.web_vector(w)).replace("\n", "\n    "))
+            for w in web_list
+        )
+    yield from _json_chunks(doc)
 
 
 def _cells(row: dict[int, int], d: int) -> list[str]:

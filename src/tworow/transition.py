@@ -76,7 +76,8 @@ class TransitionMatrix(_Frozen):
 def transition_row(t: Tableau) -> webs.WebVector:
     """Web coordinates of the polytabloid of t, the product of its column
     minors: the crossing rewrite of the matching of the columns of t, with
-    a fresh memo.
+    a fresh memo.  Each coefficient counts the paths from that matching to
+    its web in the rewrite DAG, whose edges are all the memo holds.
 
     >>> transition_row(interleaved_tableau(2)) == {consecutive_matching(2): 1}
     True
@@ -162,8 +163,8 @@ def transition_matrix(n: int) -> TransitionMatrix:
 def _rewrite_rows(n: int, sign: int = 1) -> Iterator[dict[int, int]]:
     """Every row by the crossing rewrite, the paper's construction, in
     canonical order and sparse like ``rows``, on partner tuples through one
-    memo; ``sign=-1`` negates the second reconnection, the
-    ``syzygy-sign-flip`` fault."""
+    rewrite DAG that every row shares and walks; ``sign=-1`` negates the
+    second reconnection, the ``syzygy-sign-flip`` fault."""
     syt, web_list = _canonical_bases(n)
     col = {m.partner: k for k, m in enumerate(web_list)}
     memo: dict = {}

@@ -23,15 +23,23 @@ move, ``_reconnect``: the action re-pairs the chords at i and i+1 once,
 and the rewrite re-pairs the lexicographically smallest crossing
 (``first_crossing``) twice.  The rewrite's memo is keyed by the tuples.
 
-The rewrite is the recursion itself, ``_expand``: the expansion of a
-crossing matching is that of its first reconnection plus that of its
-second, memoised per partner tuple.  It is a module-level function and
-not a closure inside ``resolve_crossings``: a nested function that calls
-itself is a reference cycle, which would keep each call's memo alive
-until the cycle collector runs.  Each child has fewer crossings than its
-parent, so the depth is at most n(n-1)/2 + 1 (37 at n = 9), far below
-Python's recursion limit at every n the rewrite can finish.  Its
-``sign`` is -1 only in the ``syzygy-sign-flip`` fault (``transition.FAULTS``).
+The rewrite is a DAG and a count.  Each node is a partner tuple; a
+crossing node has two edges, to the two reconnections of its first
+crossing, and a noncrossing node none.  A web's coefficient is the number
+of paths from the root to it, the leaves of the resolution tree that land
+on it.  ``_grow`` fills the memo with each node's edges, a node after its
+children, so a fresh memo's order is a postorder of the root's DAG;
+``_walk`` collects that postorder from a memo that other roots filled
+first.  ``_expand`` pushes path counts down in the reverse order, parents
+before children, and keeps the noncrossing nodes with a nonzero count.
+Both recursions are module-level functions and not closures inside
+``resolve_crossings``: a nested function that calls itself is a reference
+cycle, which would keep each call's memo alive until the cycle collector
+runs.  Each child has fewer crossings than its parent, so the depth is at
+most n(n-1)/2 + 1 (37 at n = 9), far below Python's recursion limit at
+every n the rewrite can finish.  Its ``sign`` weights each edge to a
+second reconnection, and is -1 only in the ``syzygy-sign-flip`` fault
+(``transition.FAULTS``).
 
 Three things keep the rewrite cheap.
 
@@ -42,13 +50,12 @@ Three things keep the rewrite cheap.
   The new chord's ends are two of a, b, c, d, so c' lies strictly
   between a and d, and a' ~ c' already crossed a ~ c or b ~ d in p.
   So each child is scanned from a.
-- The merge touches only the keys the two expansions share: the sum
-  starts as a copy of the first and takes the second with one
-  ``update``.  Only when the union is shorter than the two together
-  does it look for the shared keys, fixing their sums and deleting
-  those that sum to zero.  Updating a key does not move it, so the
-  order of every expansion is the one a walk over all the second's
-  keys gives.
+- The memo holds edges, not expansions: a crossing node holds two
+  references, where its whole expansion would hold a term for each web
+  below it.  The one count pass touches each edge once.  The leaves
+  come out in the order a first-child-first walk first reaches them,
+  which is the order that summing the two children's expansions, first
+  then second, gives.
 - The returned keys are built without ``Matching``'s check.  Each comes
   from partner swaps of the validated input, and each swap turns two
   pairs into two pairs, so each is a fixed-point-free involution; the
@@ -62,6 +69,8 @@ from .combinat import Matching, _trusted, enumerate_webs, first_crossing
 WebVector = dict[Matching, int]
 # the partner array of a matching, bare: the rewrite's internal key
 Partner = tuple[int, ...]
+# the rewrite DAG: each node's two reconnections, or () when it is noncrossing
+Dag = dict[Partner, tuple[Partner, ...]]
 
 
 def _reconnect(p: Partner, a: int, b: int, c: int, d: int) -> Partner:
@@ -72,54 +81,78 @@ def _reconnect(p: Partner, a: int, b: int, c: int, d: int) -> Partner:
     return tuple(q)
 
 
-def _expand(
-    p: Partner, start: int, memo: dict[Partner, dict[Partner, int]], sign: int
-) -> dict[Partner, int]:
-    """The expansion of p, keyed by partner tuples and stored in ``memo``:
-    p itself when noncrossing, else the expansion of the first
-    reconnection of its first crossing plus ``sign`` times that of the
-    second, zeros dropped.  No crossing of p starts below ``start``.
-    The value in ``memo`` is returned, not a copy."""
-    known = memo.get(p)
-    if known is not None:
-        return known
+def _grow(p: Partner, start: int, memo: Dag) -> None:
+    """Put p and every node below it that ``memo`` lacks into ``memo``,
+    each after its children: () for a noncrossing node, else the first
+    and the second reconnection of its first crossing.  No crossing of p
+    starts below ``start``."""
     quad = first_crossing(p, start)
     if quad is None:
-        out = {p: 1}
-    else:
-        a, b, c, d = quad
-        x = _expand(_reconnect(p, a, b, c, d), a, memo, sign)
-        y = _expand(_reconnect(p, a, d, b, c), a, memo, sign)
-        out = dict(x)
-        out.update(y if sign > 0 else {key: -coeff for key, coeff in y.items()})
-        # a short union means shared keys, whose sums are fixed in place
-        if len(out) < len(x) + len(y):
-            for key in x.keys() & y.keys():
-                total = x[key] + sign * y[key]
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-    memo[p] = out
-    return out
+        memo[p] = ()
+        return
+    a, b, c, d = quad
+    x = _reconnect(p, a, b, c, d)
+    if x not in memo:
+        _grow(x, a, memo)
+    y = _reconnect(p, a, d, b, c)
+    if y not in memo:
+        _grow(y, a, memo)
+    memo[p] = (x, y)
 
 
-def resolve_crossings(
-    m: Matching, *, memo: dict[Partner, dict[Partner, int]] | None = None
-) -> WebVector:
+def _walk(p: Partner, memo: Dag, order: Dag) -> None:
+    """Copy p and every node below it from ``memo`` into ``order``, each
+    after its children, first children first."""
+    kids = memo[p]
+    for q in kids:
+        if q not in order:
+            _walk(q, memo, order)
+    order[p] = kids
+
+
+def _expand(p: Partner, start: int, memo: Dag, sign: int) -> dict[Partner, int]:
+    """The expansion of p, keyed by partner tuples: each noncrossing node
+    below p in the rewrite DAG ``memo`` with its path count from p, an
+    edge to a second reconnection weighted by ``sign``, zeros dropped, in
+    the order a first-child-first walk first reaches them.  No crossing
+    of p starts below ``start``."""
+    # a fresh memo holds only p's nodes, in postorder already
+    order = {} if memo else memo
+    if p not in memo:
+        _grow(p, start, memo)
+    if order is not memo:
+        _walk(p, memo, order)
+    count = {p: 1}
+    leaves = []
+    # parents before children: the reverse of a postorder
+    for q, kids in reversed(order.items()):
+        c = count.pop(q, 0)
+        if not c:
+            continue
+        if kids:
+            x, y = kids
+            count[x] = count.get(x, 0) + c
+            count[y] = count.get(y, 0) + sign * c
+        else:
+            leaves.append((q, c))
+    return dict(reversed(leaves))
+
+
+def resolve_crossings(m: Matching, *, memo: Dag | None = None) -> WebVector:
     """Expand an arbitrary perfect matching into noncrossing matchings.
 
     Returns a dict keyed by noncrossing matchings; every coefficient is a
     nonnegative integer and a noncrossing input returns {m: 1}.
 
-    The expansion is the memoised recursion ``_expand``: each step
-    rewrites the lexicographically smallest crossing and sums the
-    expansions of its two reconnections.  The result does not depend on
+    Each rewrite step replaces the lexicographically smallest crossing
+    by its two reconnections, and a coefficient counts the paths of
+    steps from m to its web (``_expand``).  The result does not depend on
     that choice, which the test suite checks with a random one.
     ``memo`` supplies a memo table to share across calls; by default each
-    call uses a fresh one.  Memo tables map a partner tuple to its
-    expansion, itself keyed by partner tuples; only the returned dict, a
-    fresh one, is keyed by ``Matching``.  Those keys are trusted: each
+    call uses a fresh one.  A memo table is the rewrite DAG: it maps a
+    partner tuple to the partner tuples of its two reconnections, or to
+    () when it is noncrossing.  Only the returned dict, a fresh one, is
+    keyed by ``Matching``.  Those keys are trusted: each
     comes from partner swaps of a checked ``Matching`` (``m``, or an
     earlier input that filled a shared memo), so they skip the public
     constructor's check.

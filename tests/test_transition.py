@@ -168,20 +168,14 @@ class TestGeneratorRecurrence:
 
     @staticmethod
     def spy_on_rewrite(monkeypatch):
-        """The (memo, sign) of each outermost ``webs._expand`` call; the
-        recursion looks ``_expand`` up in the module too, so the calls
-        it makes itself are passed through unrecorded."""
-        calls, depth = [], []
+        """The (memo, sign) of each ``webs._expand`` call, one a row: the
+        recursions are ``_grow`` and ``_walk``, so it never calls itself."""
+        calls = []
         expand = webs._expand
 
         def spy(p, start, memo, sign):
-            if not depth:
-                calls.append((memo, sign))
-            depth.append(p)
-            try:
-                return expand(p, start, memo, sign)
-            finally:
-                depth.pop()
+            calls.append((memo, sign))
+            return expand(p, start, memo, sign)
 
         monkeypatch.setattr(webs, "_expand", spy)
         return calls

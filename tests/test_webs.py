@@ -151,9 +151,29 @@ def reference_expand(p, memo, sign):
     return out
 
 
-def memo_items(memo):
-    """A memo's keys and each value's items, in insertion order."""
-    return [(k, list(v.items())) for k, v in memo.items()]
+def reference_dag(p, dag):
+    """A reference for the memo ``webs._expand`` fills: each node below p,
+    put in ``dag`` after its children, maps to the two reconnections of
+    its smallest crossing from ``crossing_pairs``, or to () when it has
+    none."""
+    quads = crossing_pairs(Matching(p))
+    if not quads:
+        dag[p] = ()
+        return
+    a, b, c, d = quads[0]
+    first, second = list(p), list(p)
+    first[a - 1], first[b - 1], first[c - 1], first[d - 1] = b, a, d, c
+    second[a - 1], second[b - 1], second[c - 1], second[d - 1] = d, c, b, a
+    for child in (tuple(first), tuple(second)):
+        if child not in dag:
+            reference_dag(child, dag)
+    dag[p] = (tuple(first), tuple(second))
+
+
+def random_matching(rng, n):
+    letters = list(range(1, 2 * n + 1))
+    rng.shuffle(letters)
+    return Matching.from_pairs(sorted(letters[i : i + 2]) for i in range(0, 2 * n, 2))
 
 
 class TestTupleRewrite:
@@ -188,27 +208,89 @@ class TestTupleRewrite:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 6).flatmap(matchings), st.booleans())
     def test_same_memo_and_order_as_the_reference(self, m, sign_flip):
-        # the flipped sign is the syzygy-sign-flip fault, which only the
-        # private recursion takes
-        memo, expected_memo = {}, {}
+        # the memo is the reference DAG, node for node and in its order,
+        # whatever the sign; the result is the reference merge's, in its
+        # order for +1.  The flipped sign is the syzygy-sign-flip fault,
+        # which only the private recursion takes; there the merge deleted
+        # and re-added cancelled keys, so only the dicts compare
+        memo, dag = {}, {}
         if sign_flip:
             out = webs._expand(m.partner, 1, memo, -1)
         else:
             out = {k.partner: c for k, c in resolve_crossings(m, memo=memo).items()}
-        expected = reference_expand(m.partner, expected_memo, -1 if sign_flip else 1)
-        assert list(out.items()) == list(expected.items())
-        assert memo_items(memo) == memo_items(expected_memo)
+        reference_dag(m.partner, dag)
+        expected = reference_expand(m.partner, {}, -1 if sign_flip else 1)
+        assert list(memo.items()) == list(dag.items())
+        if sign_flip:
+            assert out == expected
+        else:
+            assert list(out.items()) == list(expected.items())
 
     def test_flipped_sign_cancels_like_the_reference(self):
-        # under sign_flip shared keys of the full twist on 8 letters sum
-        # to zero (84 terms against 87 unflipped); the merge must delete
-        # the same ones as the reference
+        # under sign_flip the paths to two of the 14 webs of the full twist
+        # on 8 letters cancel, and six of the other counts are -1; the
+        # counts must be the reference merge's
         twist = Matching.from_pairs([(i, i + 4) for i in range(1, 5)])
-        memo, expected_memo = {}, {}
-        webs._expand(twist.partner, 1, memo, -1)
-        reference_expand(twist.partner, expected_memo, -1)
-        assert sum(map(len, memo.values())) == 84
-        assert memo_items(memo) == memo_items(expected_memo)
+        flipped = webs._expand(twist.partner, 1, {}, -1)
+        assert flipped == reference_expand(twist.partner, {}, -1)
+        assert sorted(flipped.values()) == [-1] * 6 + [1] * 6
+
+    def test_result_leaves_the_memo_unchanged(self):
+        crossed = Matching.from_pairs([(1, 4), (2, 5), (3, 6)])
+        memo: dict = {}
+        out = resolve_crossings(crossed, memo=memo)
+        snapshot = dict(memo)
+        out[next(iter(out))] += 5
+        out.clear()
+        assert memo == snapshot
+        # a second call finds the root in the memo and walks it
+        assert resolve_crossings(crossed, memo=memo) == {w: 1 for w in enumerate_webs(3)}
+        assert memo == snapshot
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 10**6), st.booleans())
+    def test_shared_memo_gives_the_fresh_result(self, n, seed, sign_flip):
+        # a memo that other matchings filled first, some of them below m,
+        # gives the fresh memo's result in the same order, for both signs
+        rng = random.Random(seed)
+        sign = -1 if sign_flip else 1
+        m = random_matching(rng, n)
+        shared: dict = {}
+        for _ in range(3):
+            webs._expand(random_matching(rng, n).partner, 1, shared, sign)
+        fresh = webs._expand(m.partner, 1, {}, sign)
+        assert list(webs._expand(m.partner, 1, shared, sign).items()) == list(fresh.items())
+        # now m is in the memo: the second call only walks it
+        assert list(webs._expand(m.partner, 1, shared, sign).items()) == list(fresh.items())
+
+    def test_memo_size_on_fourteen_letters(self):
+        # the same rewrite tree as the Matching-keyed loop, which left
+        # 1772 keys; each crossing node holds its two edges
+        rng = random.Random(14)
+        letters = list(range(1, 15))
+        memo: dict = {}
+        for _ in range(12):
+            rng.shuffle(letters)
+            pairs = [sorted(letters[i : i + 2]) for i in range(0, 14, 2)]
+            resolve_crossings(Matching.from_pairs(pairs), memo=memo)
+        assert all(type(k) is tuple for k in memo)
+        assert len(memo) == 1772
+        assert sum(map(len, memo.values())) == 2712
+
+    def test_twist_on_eighteen_letters_stays_small(self):
+        # the memo holds edges, not expansions: resolving the full twist on
+        # 18 letters (4,862 webs) peaks at about 10 MB of Python objects,
+        # against 25 MB when each node stored its whole expansion
+        twist = Matching.from_pairs([(i, i + 9) for i in range(1, 10)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = resolve_crossings(twist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == catalan(9)
+        assert peak < 16 * 2**20
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 6).flatmap(matchings), st.booleans())
@@ -226,30 +308,6 @@ class TestTupleRewrite:
     def test_returns_matching_keys(self):
         out = resolve_crossings(Matching.from_pairs([(1, 4), (2, 6), (3, 5)]), memo={})
         assert out and all(isinstance(k, Matching) for k in out)
-
-    def test_result_is_a_copy_of_the_memo(self):
-        crossed = Matching.from_pairs([(1, 4), (2, 5), (3, 6)])
-        memo: dict = {}
-        out = resolve_crossings(crossed, memo=memo)
-        snapshot = {k: dict(v) for k, v in memo.items()}
-        out[next(iter(out))] += 5
-        out.clear()
-        assert memo == snapshot
-        assert resolve_crossings(crossed, memo=memo) == {w: 1 for w in enumerate_webs(3)}
-
-    def test_memo_size_on_fourteen_letters(self):
-        # the same rewrite tree as the Matching-keyed loop, which left
-        # 1772 keys holding 14873 terms on these twelve matchings
-        rng = random.Random(14)
-        letters = list(range(1, 15))
-        memo: dict = {}
-        for _ in range(12):
-            rng.shuffle(letters)
-            pairs = [sorted(letters[i : i + 2]) for i in range(0, 14, 2)]
-            resolve_crossings(Matching.from_pairs(pairs), memo=memo)
-        assert all(type(k) is tuple for k in memo)
-        assert len(memo) == 1772
-        assert sum(map(len, memo.values())) == 14873
 
     def test_memo_freed_without_cycle_collector(self):
         # the rewrite holds no reference cycle, so each call's memo is
