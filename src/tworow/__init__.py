@@ -5,9 +5,10 @@ polytabloid model built from tableaux and the web model built from
 noncrossing perfect matchings.  The package constructs both bases,
 computes the transition matrix between them in canonical order, one
 generator step per row (the crossing rewrite of the columns of each
-tableau is kept as the reference), and verifies exactly -- in integer
-arithmetic, with an independent intertwiner computation as a cross-check
--- that the matrix is unitriangular with nonnegative integer entries.
+tableau is kept as the reference), and verifies exactly, in integer
+arithmetic, that the matrix is unitriangular with nonnegative integer
+entries, cross-checked by an intertwiner computation that shares only
+the enumerations and the web action table with the build.
 """
 
 from .combinat import (

@@ -3,8 +3,9 @@ Batch front end.
 
 Subcommands: ``enumerate`` (dump the two indexing sets and their
 pairing), ``matrix`` (the transition matrix), ``verify`` (checks plus
-exit code; ``--with-oracle`` adds the rewrite vs. intertwiner
-comparison), ``bench`` (build and write times, oracle time, peak RSS).
+exit code; ``--with-oracle`` adds the comparison with the intertwiner
+oracle, which shares the enumerations and ``webs.action_table`` with the
+build), ``bench`` (build and write times, oracle time, peak RSS).
 JSON is the canonical output format and is byte-stable for a fixed
 command line; ``enumerate`` and ``matrix`` also write CSV (``--format
 csv``).  One function, ``_matrix_pieces``, writes the matrix of

@@ -3,13 +3,14 @@ The polytabloid model of the irreducible two-row representation, and the
 tabloid space both models are computed in.
 
 A (row) tabloid of shape (n, n) is determined by its first-row set, so we
-store it as the sorted tuple of first-row entries; s_i swaps the letters i
-and i + 1 in it (``action_matrix``).  The tabloids span a permutation
-module of dimension C(2n, n).  For disjoint pairs, the signed sum over the
-choices of one letter per pair (``pair_vector``) is the tabloid vector of
-both bases: the polytabloid of a tableau T is the pair vector of its
-columns, and the minor product D(M) of a perfect matching M is the pair
-vector of its pairs (``minors``).
+store it as the sorted tuple of first-row entries.  The tabloids span a
+permutation module of dimension C(2n, n).  For disjoint pairs, the signed
+sum over the choices of one letter per pair (``pair_vector``) is the
+tabloid vector of both bases: the polytabloid e_T of a tableau T is the
+pair vector of its columns, and the minor product D(M) of a perfect
+matching M is the pair vector of its pairs (``minors``).  So
+s_i . e_T = e_{s_i T} is the pair vector of T's columns with the letters
+i and i + 1 swapped (``action_matrix``).
 
 Both bases are unitriangular over the tabloids, ordered by dominance:
 the polytabloid of a standard T has coefficient 1 at the first row of T
@@ -144,15 +145,14 @@ def express_in_standard_polytabloids(vec: dict[Tabloid, int], n: int) -> list[in
 def action_matrix(i: int, n: int) -> list[list[int]]:
     """Matrix of the adjacent transposition s_i on the irreducible module
     in the standard polytabloid basis; column T holds the coordinates of
-    s_i acting on the polytabloid of T: each of its tabloids with the
-    letters i and i + 1 swapped and sorted again (a bijection, so no two
-    collide).  Built afresh on every call."""
+    s_i . e_T = e_{s_i T}, the pair vector of T's columns with the letters
+    i and i + 1 swapped (s_i T need not be standard).  Built afresh on
+    every call."""
     if type(i) is not int or not 1 <= i <= 2 * n - 1:
         raise ValueError(f"generator index {i} out of range 1..{2 * n - 1}")
     swap = {i: i + 1, i + 1: i}
     columns = []
     for t in enumerate_syt(n):
-        vec = polytabloid(t)
-        moved = {tuple(sorted(swap.get(x, x) for x in tab)): vec[tab] for tab in vec}
+        moved = pair_vector([(swap.get(a, a), swap.get(b, b)) for a, b in t.columns()])
         columns.append(express_in_standard_polytabloids(moved, n))
     return [list(row) for row in zip(*columns)]

@@ -53,9 +53,7 @@ Three things keep the rewrite cheap.
 - The memo holds edges, not expansions: a crossing node holds two
   references, where its whole expansion would hold a term for each web
   below it.  The one count pass touches each edge once.  The leaves
-  come out in the order a first-child-first walk first reaches them,
-  which is the order that summing the two children's expansions, first
-  then second, gives.
+  come out in the order a first-child-first walk first reaches them.
 - The returned keys are built without ``Matching``'s check.  Each comes
   from partner swaps of the validated input, and each swap turns two
   pairs into two pairs, so each is a fixed-point-free involution; the
@@ -110,16 +108,15 @@ def _walk(p: Partner, memo: Dag, order: Dag) -> None:
     order[p] = kids
 
 
-def _expand(p: Partner, start: int, memo: Dag, sign: int) -> dict[Partner, int]:
+def _expand(p: Partner, memo: Dag, sign: int) -> dict[Partner, int]:
     """The expansion of p, keyed by partner tuples: each noncrossing node
     below p in the rewrite DAG ``memo`` with its path count from p, an
     edge to a second reconnection weighted by ``sign``, zeros dropped, in
-    the order a first-child-first walk first reaches them.  No crossing
-    of p starts below ``start``."""
+    the order a first-child-first walk first reaches them."""
     # a fresh memo holds only p's nodes, in postorder already
     order = {} if memo else memo
     if p not in memo:
-        _grow(p, start, memo)
+        _grow(p, 1, memo)
     if order is not memo:
         _walk(p, memo, order)
     count = {p: 1}
@@ -162,7 +159,7 @@ def resolve_crossings(m: Matching, *, memo: Dag | None = None) -> WebVector:
     """
     if memo is None:
         memo = {}
-    expansion = _expand(m.partner, 1, memo, 1)
+    expansion = _expand(m.partner, memo, 1)
     return {_trusted(Matching, key): coeff for key, coeff in expansion.items()}
 
 

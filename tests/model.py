@@ -5,7 +5,8 @@ because no command of ``tworow`` runs it:
 - ``Permutation`` and its algebra: transpositions, composition,
   inverse, sign, reduced words and cycle-type representatives;
 - the action of any permutation on tabloids and tabloid vectors, the
-  general reference for the letter swap of ``specht.action_matrix``;
+  general reference for ``specht.action_matrix``, which swaps the letters
+  of a tableau's columns to build s_i . e_T = e_{s_i T};
 - every perfect matching, crossing or not, and the inversion-pair sign
   of permuting one;
 - dense matrix products and rank;

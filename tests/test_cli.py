@@ -509,6 +509,15 @@ PINNED_OUTPUTS = {
     ("verify", "--n", "3", "--inject-fault", "negative-entry"): (
         1, "0311549765bcb661b4685ff174bdff598b4720fcdcf21abda764b843d76a5885"
     ),
+    # the only report with an oracleAgrees counterexample: it runs the
+    # polytabloid action A_i on a faulty matrix
+    ("verify", "--n", "3", "--with-oracle", "--inject-fault", "negative-entry"): (
+        1, "a67b21c7333d7ca5646835f465b065d1b3b1b4e9f3023c2f6d79c92dfb62f167"
+    ),
+    # d = 1, so the fault's -1 lands on the diagonal
+    ("verify", "--n", "1", "--inject-fault", "negative-entry"): (
+        1, "cc9cfb5d992c7384a32ee95ba0db8fcc295f9b836d15ba5c1ff8686bdd7ee19b"
+    ),
     ("matrix", "--n", "6"): (
         0, "9c2dd696b9fb8f14d50a9afcea0cc420a10ec187c2617d70e7bd9e4d2c8bd37f"
     ),

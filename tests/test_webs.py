@@ -118,7 +118,7 @@ class TestResolveCrossings:
     def test_fault_signs_change_result(self):
         # the syzygy-sign-flip fault: sign -1 negates the second reconnection
         crossed = Matching.from_pairs([(1, 3), (2, 4)])
-        flipped = webs._expand(crossed.partner, 1, {}, -1)
+        flipped = webs._expand(crossed.partner, {}, -1)
         assert flipped == {
             consecutive_matching(2).partner: 1,
             Matching.from_pairs([(1, 4), (2, 3)]).partner: -1,
@@ -215,7 +215,7 @@ class TestTupleRewrite:
         # and re-added cancelled keys, so only the dicts compare
         memo, dag = {}, {}
         if sign_flip:
-            out = webs._expand(m.partner, 1, memo, -1)
+            out = webs._expand(m.partner, memo, -1)
         else:
             out = {k.partner: c for k, c in resolve_crossings(m, memo=memo).items()}
         reference_dag(m.partner, dag)
@@ -231,7 +231,7 @@ class TestTupleRewrite:
         # on 8 letters cancel, and six of the other counts are -1; the
         # counts must be the reference merge's
         twist = Matching.from_pairs([(i, i + 4) for i in range(1, 5)])
-        flipped = webs._expand(twist.partner, 1, {}, -1)
+        flipped = webs._expand(twist.partner, {}, -1)
         assert flipped == reference_expand(twist.partner, {}, -1)
         assert sorted(flipped.values()) == [-1] * 6 + [1] * 6
 
@@ -257,11 +257,11 @@ class TestTupleRewrite:
         m = random_matching(rng, n)
         shared: dict = {}
         for _ in range(3):
-            webs._expand(random_matching(rng, n).partner, 1, shared, sign)
-        fresh = webs._expand(m.partner, 1, {}, sign)
-        assert list(webs._expand(m.partner, 1, shared, sign).items()) == list(fresh.items())
+            webs._expand(random_matching(rng, n).partner, shared, sign)
+        fresh = webs._expand(m.partner, {}, sign)
+        assert list(webs._expand(m.partner, shared, sign).items()) == list(fresh.items())
         # now m is in the memo: the second call only walks it
-        assert list(webs._expand(m.partner, 1, shared, sign).items()) == list(fresh.items())
+        assert list(webs._expand(m.partner, shared, sign).items()) == list(fresh.items())
 
     def test_memo_size_on_fourteen_letters(self):
         # the same rewrite tree as the Matching-keyed loop, which left
@@ -298,7 +298,7 @@ class TestTupleRewrite:
         # the keys are built without Matching's check; the public
         # constructor raises ValueError on any that is not a matching
         if sign_flip:
-            partners = list(webs._expand(m.partner, 1, {}, -1))
+            partners = list(webs._expand(m.partner, {}, -1))
         else:
             partners = [key.partner for key in resolve_crossings(m)]
         for partner in partners:
