@@ -1,7 +1,7 @@
 """
 Indexing combinatorics for the two-row world: fillings of the 2 x n
 rectangle and perfect matchings on 1..2n, their canonical enumerations
-and the crossing scan.  The package needs no permutation type: each
+and their crossings.  The package needs no permutation type: each
 generator s_i acts by one elementary move per model (``specht`` swaps
 two letters, ``webs`` reconnects two chords).  The permutation algebra
 the tests check against (products, inverses, signs, reduced words) is
@@ -155,7 +155,10 @@ class Matching(_Frozen):
 
     @property
     def is_noncrossing(self) -> bool:
-        return first_crossing(self.partner) is None
+        # the openers of a perfect matching are ballot, and the stack
+        # pairing is the one noncrossing matching with those openers
+        openers = tuple(i for i, p in enumerate(self.partner, 1) if i < p)
+        return self.partner == _opener_closer_partner(openers)
 
     @classmethod
     def from_pairs(cls, pairs) -> "Matching":
@@ -174,8 +177,8 @@ def _trusted(cls, value):
     ``value``, built without the check of its ``__init__``: only for a
     value the caller has already proved valid.  The field is set through
     its slot descriptor, past the raising ``__setattr__``: faster than
-    ``object.__setattr__``, and the rewrite builds every key it returns
-    here."""
+    ``object.__setattr__``.  ``webs.resolve_crossings`` does the same
+    with the descriptor bound once, for every key it returns."""
     obj = object.__new__(cls)
     getattr(cls, cls.__slots__[0]).__set__(obj, value)
     return obj
@@ -192,33 +195,6 @@ def crossing_pairs(m: Matching) -> list[tuple[int, int, int, int]]:
     # pairs() is sorted by opener, so a < b always holds here
     two_pairs = itertools.combinations(m.pairs(), 2)
     return sorted((a, b, c, d) for (a, c), (b, d) in two_pairs if a < b < c < d)
-
-
-def first_crossing(partner: tuple[int, ...], start: int = 1) -> tuple[int, int, int, int] | None:
-    """The lexicographically smallest quadruple a < b < c < d with a ~ c
-    and b ~ d in a partner array, or None when it is noncrossing; the
-    same as ``crossing_pairs(Matching(partner))[0]``, found by a direct
-    scan that stops at the first crossing.
-
-    The scan looks only at openers a >= ``start``.  The caller promises
-    that no crossing starts below ``start``; under that promise the
-    answer is the same as with the default ``start=1``.  The rewrite
-    keeps the promise by passing its parent's a down to both children
-    (see ``webs``).
-
-    >>> first_crossing((3, 4, 1, 2)), first_crossing((2, 1, 4, 3))
-    ((1, 2, 3, 4), None)
-    >>> first_crossing((2, 1, 5, 6, 3, 4), 3)
-    (3, 4, 5, 6)
-    """
-    for a, c in enumerate(partner[start - 1 :], start):
-        # letters a+1..c-1 sit at partner[a : c - 1]; a chord from one of
-        # them crosses a ~ c exactly when its partner lies beyond c
-        if c > a + 1 and max(partner[a : c - 1]) > c:
-            for b, d in enumerate(partner[a : c - 1], a + 1):
-                if d > c:
-                    return a, b, c, d
-    return None
 
 
 def interleaved_tableau(n: int) -> Tableau:

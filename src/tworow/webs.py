@@ -18,12 +18,13 @@ have strictly fewer crossings, so the rewrite terminates.
 ``resolve_crossings`` carries this out and returns the (nonnegative,
 integer) coefficients; the test suite checks them against an
 independent expansion of the minor products (see ``minors``).
-The action and the rewrite work on bare partner tuples through one
-move, ``_reconnect``: the action re-pairs the chords at i and i+1 once,
-and the rewrite re-pairs the lexicographically smallest crossing
-(``first_crossing``) twice.  The rewrite's memo is keyed by the tuples.
+The action and the rewrite work on bare partner arrays and make the
+same move, which re-pairs two chords.  The action re-pairs the chords at
+i and i+1 of a partner tuple once (``_reconnect``).  The rewrite's
+``_grow`` scans a node for its lexicographically smallest crossing and
+re-pairs it twice, both inline, on one copy of the node.
 
-The rewrite is a DAG and a count.  Each node is a partner tuple; a
+The rewrite is a DAG and a count.  Each node is a partner array; a
 crossing node has two edges, to the two reconnections of its first
 crossing, and a noncrossing node none.  A web's coefficient is the number
 of paths from the root to it, the leaves of the resolution tree that land
@@ -41,7 +42,7 @@ every n the rewrite can finish.  Its ``sign`` weights each edge to a
 second reconnection, and is -1 only in the ``syzygy-sign-flip`` fault
 (``transition.FAULTS``).
 
-Three things keep the rewrite cheap.
+Four things keep the rewrite cheap.
 
 - The scan starts at the parent's crossing.  If (a, b, c, d) is the
   smallest crossing of p, no crossing of either reconnection starts
@@ -50,11 +51,18 @@ Three things keep the rewrite cheap.
   The new chord's ends are two of a, b, c, d, so c' lies strictly
   between a and d, and a' ~ c' already crossed a ~ c or b ~ d in p.
   So each child is scanned from a.
+- The nodes are bytes, one byte a letter: a key on 18 letters is a
+  51-byte object, not a 184-byte tuple, and bytes cache their hash,
+  which every memo and count lookup reuses.  ``_expand`` converts the
+  root from a tuple and each leaf back, so its callers see tuples.  A
+  letter above 255 fits no byte, so past 255 letters the nodes stay
+  tuples: ``_grow`` builds each child with its parent's type.
 - The memo holds edges, not expansions: a crossing node holds two
   references, where its whole expansion would hold a term for each web
   below it.  The one count pass touches each edge once.  The leaves
   come out in the order a first-child-first walk first reaches them.
-- The returned keys are built without ``Matching``'s check.  Each comes
+- The returned keys are built without ``Matching``'s check, through
+  the slot descriptor bound once per call.  Each comes
   from partner swaps of the validated input, and each swap turns two
   pairs into two pairs, so each is a fixed-point-free involution; the
   test suite rebuilds them through the public constructor.
@@ -62,13 +70,16 @@ Three things keep the rewrite cheap.
 
 from __future__ import annotations
 
-from .combinat import Matching, _trusted, enumerate_webs, first_crossing
+from .combinat import Matching, enumerate_webs
 
 WebVector = dict[Matching, int]
-# the partner array of a matching, bare: the rewrite's internal key
+# the partner array of a matching, bare
 Partner = tuple[int, ...]
+# the rewrite's key: a partner array as one byte a letter, or as a tuple
+# past 255 letters
+Key = bytes | Partner
 # the rewrite DAG: each node's two reconnections, or () when it is noncrossing
-Dag = dict[Partner, tuple[Partner, ...]]
+Dag = dict[Key, tuple[Key, ...]]
 
 
 def _reconnect(p: Partner, a: int, b: int, c: int, d: int) -> Partner:
@@ -79,26 +90,39 @@ def _reconnect(p: Partner, a: int, b: int, c: int, d: int) -> Partner:
     return tuple(q)
 
 
-def _grow(p: Partner, start: int, memo: Dag) -> None:
+def _grow(p: Key, start: int, memo: Dag) -> None:
     """Put p and every node below it that ``memo`` lacks into ``memo``,
     each after its children: () for a noncrossing node, else the first
-    and the second reconnection of its first crossing.  No crossing of p
-    starts below ``start``."""
-    quad = first_crossing(p, start)
-    if quad is None:
+    and the second reconnection of its first crossing, of p's type.  No
+    crossing of p starts below ``start``."""
+    # the smallest crossing a < b < c < d: letters a+1..c-1 sit at
+    # p[a : c - 1], and a chord from one of them crosses a ~ c exactly
+    # when its partner lies beyond c
+    for a in range(start, len(p) + 1):
+        c = p[a - 1]
+        if c > a + 1 and max(p[a : c - 1]) > c:
+            break
+    else:
         memo[p] = ()
         return
-    a, b, c, d = quad
-    x = _reconnect(p, a, b, c, d)
+    b = a + 1
+    while p[b - 1] < c:
+        b += 1
+    d = p[b - 1]
+    # both reconnections re-pair the same four letters: one copy serves both
+    q = list(p)
+    q[a - 1], q[b - 1], q[c - 1], q[d - 1] = b, a, d, c
+    x = type(p)(q)
     if x not in memo:
         _grow(x, a, memo)
-    y = _reconnect(p, a, d, b, c)
+    q[a - 1], q[b - 1], q[c - 1], q[d - 1] = d, c, b, a
+    y = type(p)(q)
     if y not in memo:
         _grow(y, a, memo)
     memo[p] = (x, y)
 
 
-def _walk(p: Partner, memo: Dag, order: Dag) -> None:
+def _walk(p: Key, memo: Dag, order: Dag) -> None:
     """Copy p and every node below it from ``memo`` into ``order``, each
     after its children, first children first."""
     kids = memo[p]
@@ -112,14 +136,16 @@ def _expand(p: Partner, memo: Dag, sign: int) -> dict[Partner, int]:
     """The expansion of p, keyed by partner tuples: each noncrossing node
     below p in the rewrite DAG ``memo`` with its path count from p, an
     edge to a second reconnection weighted by ``sign``, zeros dropped, in
-    the order a first-child-first walk first reaches them."""
+    the order a first-child-first walk first reaches them.  The DAG is
+    keyed by bytes, or by tuples past 255 letters."""
+    root = bytes(p) if len(p) < 256 else p
     # a fresh memo holds only p's nodes, in postorder already
     order = {} if memo else memo
-    if p not in memo:
-        _grow(p, 1, memo)
+    if root not in memo:
+        _grow(root, 1, memo)
     if order is not memo:
-        _walk(p, memo, order)
-    count = {p: 1}
+        _walk(root, memo, order)
+    count = {root: 1}
     leaves = []
     # parents before children: the reverse of a postorder
     for q, kids in reversed(order.items()):
@@ -131,7 +157,7 @@ def _expand(p: Partner, memo: Dag, sign: int) -> dict[Partner, int]:
             count[x] = count.get(x, 0) + c
             count[y] = count.get(y, 0) + sign * c
         else:
-            leaves.append((q, c))
+            leaves.append((tuple(q), c))
     return dict(reversed(leaves))
 
 
@@ -147,8 +173,9 @@ def resolve_crossings(m: Matching, *, memo: Dag | None = None) -> WebVector:
     that choice, which the test suite checks with a random one.
     ``memo`` supplies a memo table to share across calls; by default each
     call uses a fresh one.  A memo table is the rewrite DAG: it maps a
-    partner tuple to the partner tuples of its two reconnections, or to
-    () when it is noncrossing.  Only the returned dict, a fresh one, is
+    partner array to the partner arrays of its two reconnections, or to
+    () when it is noncrossing.  Its keys are bytes, one byte a letter, or
+    tuples past 255 letters.  Only the returned dict, a fresh one, is
     keyed by ``Matching``.  Those keys are trusted: each
     comes from partner swaps of a checked ``Matching`` (``m``, or an
     earlier input that filled a shared memo), so they skip the public
@@ -159,8 +186,14 @@ def resolve_crossings(m: Matching, *, memo: Dag | None = None) -> WebVector:
     """
     if memo is None:
         memo = {}
-    expansion = _expand(m.partner, memo, 1)
-    return {_trusted(Matching, key): coeff for key, coeff in expansion.items()}
+    # combinat._trusted for each key, with the slot descriptor bound once
+    new, set_partner = object.__new__, Matching.partner.__set__
+    out = {}
+    for partner, coeff in _expand(m.partner, memo, 1).items():
+        key = new(Matching)
+        set_partner(key, partner)
+        out[key] = coeff
+    return out
 
 
 def action_table(i: int, n: int) -> tuple[int, ...]:

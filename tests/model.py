@@ -7,8 +7,9 @@ because no command of ``tworow`` runs it:
 - the action of any permutation on tabloids and tabloid vectors, the
   general reference for ``specht.action_matrix``, which swaps the letters
   of a tableau's columns to build s_i . e_T = e_{s_i T};
-- every perfect matching, crossing or not, and the inversion-pair sign
-  of permuting one;
+- every perfect matching, crossing or not, the inversion-pair sign
+  of permuting one, and the scan for its smallest crossing, which
+  ``webs._grow`` makes inline;
 - dense matrix products and rank;
 - the term list of D(M) that ``enumerate --dump-poly`` writes, built
   as Python lists and dicts, the reference for the text of
@@ -222,6 +223,34 @@ def enumerate_perfect_matchings(n: int):
 
     for ps in rec(tuple(range(1, 2 * n + 1))):
         yield Matching.from_pairs(ps)
+
+
+def first_crossing(partner, start: int = 1) -> tuple[int, int, int, int] | None:
+    """The lexicographically smallest quadruple a < b < c < d with a ~ c
+    and b ~ d in a partner array (a tuple or bytes), or None when it is
+    noncrossing; the same as ``crossing_pairs(Matching(partner))[0]``,
+    found by a direct scan that stops at the first crossing.  It is the
+    reference for the scan ``webs._grow`` makes inline.
+
+    The scan looks only at openers a >= ``start``.  The caller promises
+    that no crossing starts below ``start``; under that promise the
+    answer is the same as with the default ``start=1``.  The rewrite
+    keeps the promise by passing its parent's a down to both children
+    (see ``webs``).
+
+    >>> first_crossing((3, 4, 1, 2)), first_crossing((2, 1, 4, 3))
+    ((1, 2, 3, 4), None)
+    >>> first_crossing((2, 1, 5, 6, 3, 4), 3)
+    (3, 4, 5, 6)
+    """
+    for a, c in enumerate(partner[start - 1 :], start):
+        # letters a+1..c-1 sit at partner[a : c - 1]; a chord from one of
+        # them crosses a ~ c exactly when its partner lies beyond c
+        if c > a + 1 and max(partner[a : c - 1]) > c:
+            for b, d in enumerate(partner[a : c - 1], a + 1):
+                if d > c:
+                    return a, b, c, d
+    return None
 
 
 def permute_matching(sigma: Permutation, m: Matching) -> tuple[int, Matching]:

@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from model import mat_mul, tableau_from_lists
+from model import first_crossing, mat_mul, tableau_from_lists
 from tworow.combinat import (
     Matching,
     Tableau,
@@ -19,7 +19,6 @@ from tworow.combinat import (
     consecutive_matching,
     enumerate_syt,
     enumerate_webs,
-    first_crossing,
     interleaved_tableau,
     tableau_to_web,
 )

@@ -11,6 +11,7 @@ from model import (
     compose,
     cycle_type_representative,
     enumerate_perfect_matchings,
+    first_crossing,
     identity_matrix,
     identity_permutation,
     mat_mul,
@@ -25,7 +26,6 @@ from tworow.combinat import (
     crossing_pairs,
     enumerate_syt,
     enumerate_webs,
-    first_crossing,
 )
 from tworow import webs
 from tworow.webs import action_matrix, action_table, resolve_crossings
@@ -101,19 +101,17 @@ class TestResolveCrossings:
         n = data.draw(st.integers(2, 5))
         m = data.draw(matchings(n))
         rng = random.Random(data.draw(st.integers(0, 10**6)))
-        lexicographic = resolve_crossings(m)
-        scanned = []
+        lexicographic = {k.partner: c for k, c in resolve_crossings(m).items()}
+        chosen = []
 
-        def random_crossing(p, start=1):
-            # rewrite a random crossing at each step in place of the smallest;
-            # the start hint only holds for the smallest, so it is ignored
-            scanned.append(p)
-            return rng.choice(crossing_pairs(Matching(p)) or [None])
+        def random_crossing(quads):
+            # rewrite a random crossing at each step in place of the smallest
+            chosen.append(rng.choice(quads))
+            return chosen[-1]
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(webs, "first_crossing", random_crossing)
-            randomized = resolve_crossings(m, memo={})
-        assert scanned and randomized == lexicographic
+        randomized = reference_expand(m.partner, {}, 1, random_crossing)
+        assert randomized == lexicographic
+        assert bool(chosen) == bool(crossing_pairs(m))
 
     def test_fault_signs_change_result(self):
         # the syzygy-sign-flip fault: sign -1 negates the second reconnection
@@ -125,10 +123,10 @@ class TestResolveCrossings:
         }
 
 
-def reference_expand(p, memo, sign):
-    """A reference for ``webs._expand``: the smallest crossing from
-    ``crossing_pairs`` and a merge that walks every key of the second
-    expansion, with no start hint."""
+def reference_expand(p, memo, sign, choose=lambda quads: quads[0]):
+    """A reference for ``webs._expand``: the crossing ``choose`` picks
+    from ``crossing_pairs``, by default the smallest, and a merge that
+    walks every key of the second expansion, with no start hint."""
     known = memo.get(p)
     if known is not None:
         return known
@@ -136,12 +134,12 @@ def reference_expand(p, memo, sign):
     if not quads:
         out = {p: 1}
     else:
-        a, b, c, d = quads[0]
+        a, b, c, d = choose(quads)
         first, second = list(p), list(p)
         first[a - 1], first[b - 1], first[c - 1], first[d - 1] = b, a, d, c
         second[a - 1], second[b - 1], second[c - 1], second[d - 1] = d, c, b, a
-        out = dict(reference_expand(tuple(first), memo, sign))
-        for key, coeff in reference_expand(tuple(second), memo, sign).items():
+        out = dict(reference_expand(tuple(first), memo, sign, choose))
+        for key, coeff in reference_expand(tuple(second), memo, sign, choose).items():
             total = out.get(key, 0) + sign * coeff
             if total:
                 out[key] = total
@@ -177,8 +175,8 @@ def random_matching(rng, n):
 
 
 class TestTupleRewrite:
-    """The rewrite runs on partner tuples; these pin it to the rewrite on
-    ``Matching`` objects it replaced."""
+    """The rewrite runs on bare partner arrays, bytes or tuples; these pin
+    it to the rewrite on ``Matching`` objects it replaced."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_first_crossing_is_smallest_quadruple(self, n):
@@ -212,7 +210,8 @@ class TestTupleRewrite:
         # whatever the sign; the result is the reference merge's, in its
         # order for +1.  The flipped sign is the syzygy-sign-flip fault,
         # which only the private recursion takes; there the merge deleted
-        # and re-added cancelled keys, so only the dicts compare
+        # and re-added cancelled keys, so only the dicts compare.  The memo
+        # is keyed by bytes, the reference DAG by tuples
         memo, dag = {}, {}
         if sign_flip:
             out = webs._expand(m.partner, memo, -1)
@@ -220,7 +219,9 @@ class TestTupleRewrite:
             out = {k.partner: c for k, c in resolve_crossings(m, memo=memo).items()}
         reference_dag(m.partner, dag)
         expected = reference_expand(m.partner, {}, -1 if sign_flip else 1)
-        assert list(memo.items()) == list(dag.items())
+        as_tuples = [(tuple(k), tuple(map(tuple, kids))) for k, kids in memo.items()]
+        assert all(type(k) is bytes for k in memo)
+        assert as_tuples == list(dag.items())
         if sign_flip:
             assert out == expected
         else:
@@ -273,14 +274,27 @@ class TestTupleRewrite:
             rng.shuffle(letters)
             pairs = [sorted(letters[i : i + 2]) for i in range(0, 14, 2)]
             resolve_crossings(Matching.from_pairs(pairs), memo=memo)
-        assert all(type(k) is tuple for k in memo)
+        assert all(type(k) is bytes for k in memo)
         assert len(memo) == 1772
         assert sum(map(len, memo.values())) == 2712
 
+    def test_tuple_keys_past_255_letters(self):
+        # a letter above 255 fits no byte, so on 258 letters the memo keeps
+        # tuple keys; one crossing beside 127 untouched chords gives two webs
+        rest = [(2 * k + 1, 2 * k + 2) for k in range(2, 129)]
+        memo: dict = {}
+        out = resolve_crossings(Matching.from_pairs([(1, 3), (2, 4), *rest]), memo=memo)
+        assert list(out.items()) == [
+            (Matching.from_pairs([(1, 2), (3, 4), *rest]), 1),
+            (Matching.from_pairs([(1, 4), (2, 3), *rest]), 1),
+        ]
+        assert len(memo) == 3 and all(type(k) is tuple and len(k) == 258 for k in memo)
+
     def test_twist_on_eighteen_letters_stays_small(self):
-        # the memo holds edges, not expansions: resolving the full twist on
-        # 18 letters (4,862 webs) peaks at about 10 MB of Python objects,
-        # against 25 MB when each node stored its whole expansion
+        # the memo holds edges, not expansions, keyed by bytes: resolving the
+        # full twist on 18 letters (4,862 webs) peaks at about 6 MB of Python
+        # objects, against 10 MB with tuple keys and 25 MB when each node
+        # stored its whole expansion
         twist = Matching.from_pairs([(i, i + 9) for i in range(1, 10)])
         gc.collect()
         tracemalloc.start()
@@ -290,7 +304,7 @@ class TestTupleRewrite:
         finally:
             tracemalloc.stop()
         assert len(out) == catalan(9)
-        assert peak < 16 * 2**20
+        assert peak < 8 * 2**20
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 6).flatmap(matchings), st.booleans())
