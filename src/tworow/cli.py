@@ -23,8 +23,8 @@ does: it compares a whole matrix).  ``verify`` and ``bench`` open their
 output before they run, so an unwritable --out fails at once.  Text that is
 already JSON, an item of a top-level array laid out where it is written,
 is marked by ``_JsonText``: a matrix row, made by ``_json_block``, and a
-web's term list for ``--dump-poly``, from ``minors.serialize_polynomial``
-indented one level.
+web's term list for ``--dump-poly``, laid out at its depth by
+``minors.serialize_polynomial``.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including an unwritable --out, an unwritable or closed stdout, a cap
@@ -227,11 +227,10 @@ def _enumerate_pieces(n: int, fmt: str, dump_poly: bool) -> Iterator[str]:
         "pairing": pairing,
     }
     if dump_poly:
-        # a generator: each web's term list is built as it is written, and
-        # indented as an item of a top-level array
+        # a generator: each web's term list is built as it is written, laid
+        # out as an item of a top-level array
         doc["webPolynomials"] = (
-            _JsonText(minors.serialize_polynomial(minors.web_vector(w)).replace("\n", "\n    "))
-            for w in web_list
+            _JsonText(minors.serialize_polynomial(minors.web_vector(w), "    ")) for w in web_list
         )
     yield from _json_chunks(doc)
 

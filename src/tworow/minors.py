@@ -47,31 +47,43 @@ def web_vector(m: Matching) -> dict[Tabloid, int]:
     return pair_vector(m.pairs())
 
 
-def serialize_polynomial(vec: dict[Tabloid, int]) -> str:
+def serialize_polynomial(vec: dict[Tabloid, int], pad: str = "") -> str:
     """A tabloid vector as the JSON text (``json.dumps(terms, indent=2)``)
     of its polynomial's term list, [{"exponents": [[r, j, e], ...],
     "coeff": c}]: the row-1 columns (the tabloid), then the row-2 columns
     (its complement in 1..2n), each with exponent 1; terms in ascending
-    tabloid order.  The tabloids all have the same n letters, so the text
-    of each triple is made once, at its depth, and each term is one join.
+    tabloid order.  Every line after the first starts with ``pad``, so the
+    text can be written as an item nested in a larger document.  The
+    tabloids all have the same n letters, so the text of each triple is
+    made once, at its depth, and each term's triples are one join.
 
     >>> import json
     >>> json.loads(serialize_polynomial({(2,): -1}))
     [{'exponents': [[1, 2, 1], [2, 1, 1]], 'coeff': -1}]
-    >>> serialize_polynomial({})
+    >>> serialize_polynomial({(1,): 1}, pad="  ").splitlines()[:2]
+    ['[', '    {']
+    >>> serialize_polynomial({}, pad="  ")
     '[]'
     """
     if not vec:
         return "[]"
     letters = range(1, 2 * len(next(iter(vec))) + 1)
+    nl = "\n" + pad
     # [r, j, 1] as json.dumps lays it out in a term's exponents
-    row1 = {j: f"[\n        1,\n        {j},\n        1\n      ]" for j in letters}
-    row2 = {j: f"[\n        2,\n        {j},\n        1\n      ]" for j in letters}
-    sep = ",\n      "
-    terms = [
-        '{\n    "exponents": [\n      '
-        + sep.join([row1[j] for j in tab] + [row2[k] for k in sorted(row2.keys() - tab)])
-        + f'\n    ],\n    "coeff": {vec[tab]}\n  }}'
-        for tab in sorted(vec)
-    ]
-    return "[\n  " + ",\n  ".join(terms) + "\n]"
+    row1 = {j: f"[{nl}        1,{nl}        {j},{nl}        1{nl}      ]" for j in letters}
+    row2 = {j: f"[{nl}        2,{nl}        {j},{nl}        1{nl}      ]" for j in letters}
+    rest = set(letters).difference
+    gap, head, sep = f",{nl}  ", f'{{{nl}    "exponents": [{nl}      ', f",{nl}      "
+    # each term after a gap, the first after the opening bracket instead:
+    # one join over all the pieces copies each term's text once
+    pieces = []
+    for tab in sorted(vec):
+        pieces += (
+            gap,
+            head,
+            sep.join([*map(row1.__getitem__, tab), *map(row2.__getitem__, sorted(rest(tab)))]),
+            f'{nl}    ],{nl}    "coeff": {vec[tab]}{nl}  }}',
+        )
+    pieces[0] = f"[{nl}  "
+    pieces.append(f"{nl}]")
+    return "".join(pieces)

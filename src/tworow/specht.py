@@ -10,7 +10,10 @@ tabloid vector of both bases: the polytabloid e_T of a tableau T is the
 pair vector of its columns, and the minor product D(M) of a perfect
 matching M is the pair vector of its pairs (``minors``).  So
 s_i . e_T = e_{s_i T} is the pair vector of T's columns with the letters
-i and i + 1 swapped (``action_matrix``).
+i and i + 1 swapped (``action_matrix``), pairs such as (i + 1, i)
+among them: a choice's sign follows the pair's order, not its letters'.
+``pair_vector`` walks the letters in ascending order, so it builds each
+tabloid already sorted.
 
 Both bases are unitriangular over the tabloids, ordered by dominance:
 the polytabloid of a standard T has coefficient 1 at the first row of T
@@ -24,7 +27,6 @@ vector.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from functools import cache
 
@@ -36,23 +38,39 @@ Tabloid = tuple[int, ...]
 def pair_vector(pairs: Sequence[tuple[int, int]]) -> dict[Tabloid, int]:
     """The signed sum of tabloids over the choices of one letter per pair.
 
-    Choosing the second letter b of a pair (a, b) costs a sign, so the
-    vector has exactly 2^k tabloids, each with coefficient +1 or -1.
-    Read as a polynomial in the entries x[r, j] of a 2 x 2n matrix, with
-    the tabloid giving the row-1 columns, it is the product of the minors
-    x[1,a] x[2,b] - x[1,b] x[2,a] of the pairs.
+    Choosing the second letter b of a pair (a, b) costs a sign, even when
+    b < a, so the vector has exactly 2^k tabloids, each with coefficient
+    +1 or -1.  Read as a polynomial in the entries x[r, j] of a 2 x 2n
+    matrix, with the tabloid giving the row-1 columns, it is the product
+    of the minors x[1,a] x[2,b] - x[1,b] x[2,a] of the pairs.
+
+    The letters are walked in ascending order.  At the smaller letter of a
+    pair each partial tabloid takes the letter or owes the partner, and
+    both branches are signed; at the larger letter it takes the letter
+    only if it owes it.  So every tabloid is built sorted, and they come
+    out in ascending order.
 
     >>> pair_vector([(1, 2)])
     {(1,): 1, (2,): -1}
+    >>> pair_vector([(2, 1)])
+    {(1,): -1, (2,): 1}
     """
-    letters = [x for pair in pairs for x in pair]
-    if len(set(letters)) != len(letters):
-        raise ValueError(f"pairs are not disjoint: {list(pairs)}")
-    vec: dict[Tabloid, int] = {}
-    for swaps in itertools.product((0, 1), repeat=len(pairs)):
-        first = tuple(sorted(b if s else a for (a, b), s in zip(pairs, swaps)))
-        vec[first] = -1 if sum(swaps) % 2 else 1
-    return vec
+    # each letter's partner, and the sign of taking the letter
+    partner: dict[int, tuple[int, int]] = {}
+    for a, b in pairs:
+        if a == b or a in partner or b in partner:
+            raise ValueError(f"pairs are not disjoint: {list(pairs)}")
+        partner[a], partner[b] = (b, 1), (a, -1)
+    tabs: list[Tabloid] = [()]
+    signs = [1]
+    for x in sorted(partner):
+        y, s = partner[x]
+        if x < y:
+            tabs = [u for t in tabs for u in (t + (x,), t)]
+            signs = [c for v in signs for c in (s * v, -s * v)]
+        else:
+            tabs = [t if y in t else t + (x,) for t in tabs]
+    return dict(zip(tabs, signs))
 
 
 def polytabloid(t: Tableau) -> dict[Tabloid, int]:

@@ -4,6 +4,9 @@ because no command of ``tworow`` runs it:
 
 - ``Permutation`` and its algebra: transpositions, composition,
   inverse, sign, reduced words and cycle-type representatives;
+- the signed tabloid vector of disjoint pairs built choice by choice,
+  over every product of one letter per pair, the reference for
+  ``specht.pair_vector``, which builds each tabloid in letter order;
 - the action of any permutation on tabloids and tabloid vectors, the
   general reference for ``specht.action_matrix``, which swaps the letters
   of a tableau's columns to build s_i . e_T = e_{s_i T};
@@ -27,6 +30,7 @@ raises ``ValueError``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 
@@ -189,6 +193,24 @@ def tabloid_of(t: Tableau) -> Tabloid:
     (1, 3)
     """
     return tuple(sorted(t.rows[0]))
+
+
+def pair_vector_by_products(pairs) -> dict[Tabloid, int]:
+    """The reference for ``specht.pair_vector``: one tabloid per choice of
+    a letter from each pair, taken over ``itertools.product``, sorted, and
+    signed by how many pairs gave their second letter.
+
+    >>> pair_vector_by_products([(3, 1), (2, 4)])
+    {(2, 3): 1, (3, 4): -1, (1, 2): -1, (1, 4): 1}
+    """
+    letters = [x for pair in pairs for x in pair]
+    if len(set(letters)) != len(letters):
+        raise ValueError(f"pairs are not disjoint: {list(pairs)}")
+    vec: dict[Tabloid, int] = {}
+    for swaps in itertools.product((0, 1), repeat=len(pairs)):
+        first = tuple(sorted(b if s else a for (a, b), s in zip(pairs, swaps)))
+        vec[first] = -1 if sum(swaps) % 2 else 1
+    return vec
 
 
 def act_on_tabloid(sigma: Permutation, tab: Tabloid) -> Tabloid:

@@ -232,13 +232,17 @@ class TestPolynomialRing:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_serialization_shares_triples(self, n):
-        # the terms share the 4n triple texts: the whole text is checked
+        # the terms share the 4n triple texts: the whole text is checked,
+        # at the top level and laid out one array item deep
         for m in enumerate_webs(n):
             vec = web_vector(m)
-            assert serialize_polynomial(vec) == json.dumps(polynomial_terms(vec), indent=2)
+            text = serialize_polynomial(vec)
+            assert text == json.dumps(polynomial_terms(vec), indent=2)
+            assert serialize_polynomial(vec, pad="    ") == text.replace("\n", "\n    ")
 
     def test_serialization_of_the_zero_vector(self):
         assert serialize_polynomial({}) == json.dumps(polynomial_terms({}), indent=2) == "[]"
+        assert serialize_polynomial({}, pad="    ") == serialize_polynomial({}, pad="\t") == "[]"
 
     def test_serialization_order_stable(self):
         terms = json.loads(serialize_polynomial(web_vector(consecutive_matching(2))))

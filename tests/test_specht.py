@@ -13,6 +13,7 @@ from model import (
     identity_permutation,
     inverse,
     mat_mul,
+    pair_vector_by_products,
     tabloid_of,
 )
 from strategies import permutations
@@ -192,10 +193,25 @@ class TestPairVector:
             assert polytabloid(t) == pair_vector(t.columns())
 
     def test_rejects_overlapping_pairs(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            pair_vector([(1, 2), (2, 3)])
-        with pytest.raises(ValueError, match="disjoint"):
-            pair_vector([(2, 2)])
+        for build in (pair_vector, pair_vector_by_products):
+            with pytest.raises(ValueError, match="disjoint"):
+                build([(1, 2), (2, 3)])
+            with pytest.raises(ValueError, match="disjoint"):
+                build([(2, 2)])
+
+    def test_no_pairs_is_the_empty_tabloid(self):
+        assert pair_vector([]) == pair_vector_by_products([]) == {(): 1}
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 6).flatmap(lambda k: st.permutations(range(1, 2 * k + 1))))
+    def test_matches_the_product_over_choices(self, letters):
+        # disjoint pairs on 1..2k, in a random order and orientation: the
+        # sign follows each pair's order, as in the swapped columns of
+        # action_matrix, even when its second letter is the smaller
+        pairs = list(zip(letters[0::2], letters[1::2]))
+        vec = pair_vector(pairs)
+        assert vec == pair_vector_by_products(pairs)
+        assert list(vec) == sorted(vec)
 
 
 class TestActionMatrix:
