@@ -12,7 +12,6 @@ tabloid vectors.
 """
 
 from tworow import Matching, crossing_pairs, enumerate_webs, specht
-from tworow.minors import web_vector
 from tworow.webs import resolve_crossings
 
 crossed = Matching.from_pairs([(1, 4), (2, 5), (3, 6)])
@@ -34,7 +33,8 @@ for m, c in sorted(expansion.items(), key=lambda kv: kv[0].partner):
 # product is multilinear, so a monomial is fixed by its row-1 columns (a
 # tabloid), and the noncrossing products are unitriangular over the
 # tabloids, so the expansion peels them off by their leading tabloids.
+# specht.pair_vector(m.pairs()) is the product of the minors of m's pairs.
 web_list = enumerate_webs(3)
-basis = specht.triangular_basis([web_vector(w) for w in web_list])
-oracle = specht.coordinates(basis, web_vector(crossed), 3)
+basis = specht.triangular_basis([specht.pair_vector(w.pairs()) for w in web_list])
+oracle = specht.coordinates(basis, specht.pair_vector(crossed.pairs()), 3)
 print("minor-product expansion agrees:", oracle == [expansion.get(w, 0) for w in web_list])

@@ -8,13 +8,21 @@ pairs, crossings disappear through the three-term minor identity, and
 permuting columns realizes the symmetric group action with an explicit
 sign.  The products are multilinear, so each monomial is fixed by the
 set of columns it takes from row 1, a tabloid: D(M) is a signed tabloid
-vector, in the same space as the polytabloids.
+vector, in the same space as the polytabloids.  The package itself needs
+only the JSON text of D(M), which ``minors.serialize_polynomial`` writes
+straight from the matching.
 """
 
 import json
 
 from tworow import Matching, consecutive_matching, enumerate_webs, specht
-from tworow.minors import serialize_polynomial, web_vector
+from tworow.minors import serialize_polynomial
+
+
+def web_vector(m):
+    """D(m), the product of the minors of m's pairs, by row-1 columns."""
+    return specht.pair_vector(m.pairs())
+
 
 # A permutation is written in one-line notation: sigma[a - 1] is the
 # image of column a.
@@ -35,7 +43,7 @@ print("D(1,2):", web_vector(consecutive_matching(1)))
 print("D(1,2)D(3,4) by row-1 columns:", web_vector(m0))
 print("the same as monomials:")
 # serialize_polynomial gives the JSON text that enumerate --dump-poly writes
-for term in json.loads(serialize_polynomial(web_vector(m0))):
+for term in json.loads(serialize_polynomial(m0)):
     print(f"  {term['coeff']:+d} *", " ".join(f"x[{r},{j}]" for r, j, _ in term["exponents"]))
 
 # The identity that powers the crossing rewrite.

@@ -23,8 +23,10 @@ does: it compares a whole matrix).  ``verify`` and ``bench`` open their
 output before they run, so an unwritable --out fails at once.  Text that is
 already JSON, an item of a top-level array laid out where it is written,
 is marked by ``_JsonText``: a matrix row, made by ``_json_block``, and a
-web's term list for ``--dump-poly``, laid out at its depth by
-``minors.serialize_polynomial``.
+web's term list for ``--dump-poly``, written at its depth straight from
+the web by ``minors.serialize_polynomial``.  Only ``--dump-poly`` imports
+``minors``, and only the oracle ``specht``, so no other command loads
+them.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including an unwritable --out, an unwritable or closed stdout, a cap
@@ -44,7 +46,7 @@ import time
 from collections.abc import Iterable, Iterator
 from types import GeneratorType
 
-from . import minors, transition
+from . import transition
 from .combinat import catalan, enumerate_syt, enumerate_webs
 
 DEFAULT_ENUM_CAP = 10
@@ -227,11 +229,11 @@ def _enumerate_pieces(n: int, fmt: str, dump_poly: bool) -> Iterator[str]:
         "pairing": pairing,
     }
     if dump_poly:
+        from . import minors  # only --dump-poly writes D(M)
+
         # a generator: each web's term list is built as it is written, laid
         # out as an item of a top-level array
-        doc["webPolynomials"] = (
-            _JsonText(minors.serialize_polynomial(minors.web_vector(w), "    ")) for w in web_list
-        )
+        doc["webPolynomials"] = (_JsonText(minors.serialize_polynomial(w, "    ")) for w in web_list)
     yield from _json_chunks(doc)
 
 

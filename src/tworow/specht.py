@@ -8,7 +8,8 @@ permutation module of dimension C(2n, n).  For disjoint pairs, the signed
 sum over the choices of one letter per pair (``pair_vector``) is the
 tabloid vector of both bases: the polytabloid e_T of a tableau T is the
 pair vector of its columns, and the minor product D(M) of a perfect
-matching M is the pair vector of its pairs (``minors``).  So
+matching M is the pair vector of its pairs (``minors`` writes the JSON
+text of D(M) straight from M, by the same walk over the letters).  So
 s_i . e_T = e_{s_i T} is the pair vector of T's columns with the letters
 i and i + 1 swapped (``action_matrix``), pairs such as (i + 1, i)
 among them: a choice's sign follows the pair's order, not its letters'.

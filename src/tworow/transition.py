@@ -37,16 +37,17 @@ The oracle recovers the unique intertwiner between the two models
 (normalized to send the interleaved polytabloid to the consecutive-pairs
 web) from the one-dimensional nullspace of the stacked constraints
 X A_i = B_i X, entries as unknowns, to compare entry for entry.  Its
-A_i come from ``specht``, which ``rows`` never runs, but its B_i from the
-``webs.action_table`` that ``rows`` steps through, and both read the same
-enumerations, so a wrong table entry can escape both.
+A_i come from ``specht``, which ``rows`` never runs and only the oracle
+imports, but its B_i from the ``webs.action_table`` that ``rows`` steps
+through, and both read the same enumerations, so a wrong table entry can
+escape both.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from . import specht, webs
+from . import webs
 from .combinat import (
     Matching,
     Tableau,
@@ -234,6 +235,8 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     transition_matrix checks the build against the polytabloid model's
     A_i, but not the table.
     """
+    from . import specht  # only the oracle builds the polytabloid model
+
     d = len(_canonical_bases(n)[0])
     constraints: list[list[int]] = []
     for i in range(1, 2 * n):

@@ -14,9 +14,12 @@ because no command of ``tworow`` runs it:
   of permuting one, and the scan for its smallest crossing, which
   ``webs._grow`` makes inline;
 - dense matrix products and rank;
-- the term list of D(M) that ``enumerate --dump-poly`` writes, built
-  as Python lists and dicts, the reference for the text of
-  ``minors.serialize_polynomial``;
+- D(M), the product of the pair minors of a perfect matching, as a
+  tabloid vector (``web_vector``), and its term list, which
+  ``enumerate --dump-poly`` writes, built as Python lists and dicts: with
+  ``json.dumps(polynomial_terms(web_vector(m)), indent=2)`` they are the
+  reference for ``minors.serialize_polynomial``, which writes the text
+  straight from the matching;
 - the identities of the polynomial model: the three-term minor
   identity, the sign rule for permuting columns, the compatibility of
   the column action with the web action, and the exact expansion of a
@@ -37,7 +40,6 @@ from functools import cache
 from tworow import specht
 from tworow.combinat import Matching, Tableau, enumerate_webs
 from tworow.linalg import _echelon
-from tworow.minors import web_vector
 from tworow.specht import Tabloid, pair_vector
 from tworow.webs import action_table
 
@@ -211,6 +213,16 @@ def pair_vector_by_products(pairs) -> dict[Tabloid, int]:
         first = tuple(sorted(b if s else a for (a, b), s in zip(pairs, swaps)))
         vec[first] = -1 if sum(swaps) % 2 else 1
     return vec
+
+
+def web_vector(m: Matching) -> dict[Tabloid, int]:
+    """D(m), the product of the pair minors of a perfect matching, as a
+    tabloid vector: 2^n tabloids, each with coefficient +1 or -1.
+
+    >>> web_vector(Matching((2, 1)))
+    {(1,): 1, (2,): -1}
+    """
+    return pair_vector(m.pairs())
 
 
 def act_on_tabloid(sigma: Permutation, tab: Tabloid) -> Tabloid:

@@ -20,8 +20,9 @@ from model import (
     partitions,
     reduced_word,
     sign_rule_holds,
+    web_vector,
 )
-from tworow import minors, specht, webs
+from tworow import specht, webs
 from tworow.cli import main
 from tworow.combinat import (
     Matching,
@@ -74,13 +75,13 @@ def test_criterion_02_positive_expansion():
                 if m.is_noncrossing:
                     assert out == {m: 1}
                 if n <= 4:
-                    expanded = expand_in_web_basis(minors.web_vector(m), n)
+                    expanded = expand_in_web_basis(web_vector(m), n)
                     assert expanded == {k: Fraction(v) for k, v in out.items()}
         # sampled at n=5
         rng = random.Random(0)
         pool = list(enumerate_perfect_matchings(5))
         for m in rng.sample(pool, 100):
-            expanded = expand_in_web_basis(minors.web_vector(m), 5)
+            expanded = expand_in_web_basis(web_vector(m), 5)
             resolved = webs.resolve_crossings(m)
             assert expanded == {k: Fraction(v) for k, v in resolved.items()}
 

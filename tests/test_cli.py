@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from model import polynomial_terms, tableau_from_lists
+from model import polynomial_terms, tableau_from_lists, web_vector
 from tworow import cli, minors, transition, webs
 from tworow.cli import _json_chunks, _JsonText, _write, build_parser, main
 from tworow.combinat import Matching, catalan, enumerate_syt, enumerate_webs
-from tworow.minors import web_vector
 from tworow.transition import transition_matrix
 
 
@@ -706,13 +705,13 @@ class TestJsonWriter:
         sink = PieceSink()
         pieces = sink.pieces
         made = []  # how many pieces were written when each web's D(M) was made
-        web_vector = minors.web_vector
+        serialize_polynomial = minors.serialize_polynomial
 
-        def spy(m):
+        def spy(m, pad=""):
             made.append(len(pieces))
-            return web_vector(m)
+            return serialize_polynomial(m, pad)
 
-        monkeypatch.setattr(minors, "web_vector", spy)
+        monkeypatch.setattr(minors, "serialize_polynomial", spy)
         monkeypatch.setattr(sys, "stdout", sink)
         assert main(["enumerate", "--n", "6", "--dump-poly"]) == 0
         # a web's term list in the document: the separator before it, then
@@ -770,9 +769,10 @@ def test_optimized_run_passes(argv):
 def test_start_up_loads_only_what_runs(flags):
     # dataclasses (with inspect, ast and dis) and fractions cost about a
     # tenth of a short run's start-up; only the oracle needs fractions,
-    # and it imports it when it runs.  typing is needed by nothing, but a
-    # .pth file under site-packages may import it first, so -S, with the
-    # source tree on the path, is the run that can see it
+    # and it imports it when it runs, as it does specht; minors only
+    # --dump-poly imports.  typing is needed by nothing, but a .pth file
+    # under site-packages may import it first, so -S, with the source tree
+    # on the path, is the run that can see it
     script = textwrap.dedent(
         """
         import json, os, sys
@@ -781,7 +781,7 @@ def test_start_up_loads_only_what_runs(flags):
         import tworow, tworow.cli
 
         code = tworow.cli.main(["matrix", "--n", "2", "--out", os.devnull])
-        unwanted = {"dataclasses", "inspect", "fractions", "typing"}
+        unwanted = {"dataclasses", "inspect", "fractions", "typing", "tworow.minors", "tworow.specht"}
         loaded = sorted(unwanted & (set(sys.modules) - before))
         oracle_code = tworow.cli.main(["verify", "--n", "2", "--with-oracle", "--out", os.devnull])
         print(json.dumps([code, loaded, oracle_code]))

@@ -1,6 +1,5 @@
 import itertools
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from model import (
     syzygy_holds,
     tabloid_of,
     web_polynomials_independent,
+    web_vector,
 )
 from strategies import matchings, permutations
 from tworow.combinat import (
@@ -27,7 +27,7 @@ from tworow.combinat import (
     enumerate_syt,
     enumerate_webs,
 )
-from tworow.minors import serialize_polynomial, web_vector
+from tworow.minors import serialize_polynomial
 from tworow.specht import pair_vector
 from tworow.webs import resolve_crossings
 
@@ -215,37 +215,47 @@ class TestPsiEquivariance:
 
 class TestPolynomialRing:
     """D(M) rendered as a polynomial in the x[r, j], as --dump-poly prints it:
-    the text of ``json.dumps(polynomial_terms(vec), indent=2)``."""
+    the text of ``json.dumps(polynomial_terms(web_vector(m)), indent=2)``."""
 
     def test_serialization_round_trip(self):
-        rng = random.Random(11)
+        # crossing matchings too: decoding the text gives D(M) back
         for m in itertools.islice(enumerate_perfect_matchings(3), 5):
-            k = rng.randint(1, 4)
-            p = combine((k, web_vector(m)))
-            text = serialize_polynomial(p)
-            assert text == json.dumps(polynomial_terms(p), indent=2)
+            text = serialize_polynomial(m)
+            assert text == json.dumps(polynomial_terms(web_vector(m)), indent=2)
             decoded = {
                 tuple(j for r, j, _ in t["exponents"] if r == 1): t["coeff"]
                 for t in json.loads(text)
             }
-            assert decoded == p
+            assert decoded == web_vector(m)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_serialization_shares_triples(self, n):
         # the terms share the 4n triple texts: the whole text is checked,
         # at the top level and laid out one array item deep
         for m in enumerate_webs(n):
-            vec = web_vector(m)
-            text = serialize_polynomial(vec)
-            assert text == json.dumps(polynomial_terms(vec), indent=2)
-            assert serialize_polynomial(vec, pad="    ") == text.replace("\n", "\n    ")
+            text = serialize_polynomial(m)
+            assert text == json.dumps(polynomial_terms(web_vector(m)), indent=2)
+            assert serialize_polynomial(m, pad="    ") == text.replace("\n", "\n    ")
 
-    def test_serialization_of_the_zero_vector(self):
-        assert serialize_polynomial({}) == json.dumps(polynomial_terms({}), indent=2) == "[]"
-        assert serialize_polynomial({}, pad="    ") == serialize_polynomial({}, pad="\t") == "[]"
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_serialization_matches_the_reference(self, data):
+        # any perfect matching on 0 to 16 letters, crossing or not, at any
+        # depth: the closers' rows follow their openers' choices
+        m = data.draw(st.integers(0, 8).flatmap(matchings))
+        pad = data.draw(st.sampled_from(["", "    ", "\t"]))
+        expected = json.dumps(polynomial_terms(web_vector(m)), indent=2)
+        assert serialize_polynomial(m, pad) == expected.replace("\n", "\n" + pad)
+
+    def test_serialization_of_the_empty_matching(self):
+        # D of no pairs is the empty product 1: one term with no exponents
+        expected = json.dumps([{"exponents": [], "coeff": 1}], indent=2)
+        assert polynomial_terms(web_vector(Matching(()))) == [{"exponents": [], "coeff": 1}]
+        assert serialize_polynomial(Matching(())) == expected
+        assert serialize_polynomial(Matching(()), pad="    ") == expected.replace("\n", "\n    ")
 
     def test_serialization_order_stable(self):
-        terms = json.loads(serialize_polynomial(web_vector(consecutive_matching(2))))
+        terms = json.loads(serialize_polynomial(consecutive_matching(2)))
         # ascending row-1 sets, each term row-1 columns first
         assert terms == [
             {"exponents": [[1, 1, 1], [1, 3, 1], [2, 2, 1], [2, 4, 1]], "coeff": 1},

@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from model import first_crossing, mat_mul, tableau_from_lists
+from model import first_crossing, mat_mul, tableau_from_lists, web_vector
 from tworow.combinat import (
     Matching,
     Tableau,
@@ -24,7 +24,6 @@ from tworow.combinat import (
 )
 from tworow import specht, transition, webs
 from tworow.cli import _matrix_pieces, main
-from tworow.minors import web_vector
 from tworow.transition import (
     TransitionMatrix,
     _rewrite_rows,
