@@ -1,18 +1,18 @@
 """
-Exact linear algebra over the rationals: the nullspace the intertwiner
-oracle is read from.
+Exact integer linear algebra: the nullspace the intertwiner oracle is
+read from.
 
-Matrices are plain lists of rows whose entries are ints or
-``fractions.Fraction``; everything here is exact, there is no floating
-point anywhere.  ``nullspace`` reads one sparse row echelon
-(``_echelon``): each row is kept as {column: int} over its nonzeros,
-scaled to integers with its content divided out, and reduced
-fraction-free against a pivot column -> pivot row dict.  The oracle's
-stacked equations have a few nonzeros per row, so the work follows the
-nonzeros, not rows x columns.  Back substitution over the sparse pivot
-rows reintroduces Fractions only at the end, and ``nullspace`` imports
-``fractions`` itself, so a run without the oracle never loads it.
-Coordinates in the two bases need none of this: both are unitriangular
+Matrices are plain lists of rows of ints or of other exact rationals
+with ``numerator`` and ``denominator``; there is no floating point and
+no ``Fraction`` is built, so no run loads ``fractions``.  ``nullspace``
+reads one sparse row echelon (``_echelon``): each row is kept as
+{column: int} over its nonzeros, scaled to integers with its content
+divided out, and reduced fraction-free against a pivot column -> pivot
+row dict, with a positive pivot factor, so a row led by -1 is not
+rebuilt.  The oracle's stacked equations have a few nonzeros per row, so
+the work follows the nonzeros, not rows x columns.  Back substitution is
+fraction-free too, and yields primitive integer vectors.  Coordinates in
+the two bases need none of this: both are unitriangular
 (``specht.coordinates``).
 """
 
@@ -28,11 +28,11 @@ def _echelon(matrix: Sequence[Sequence[int | Fraction]]) -> dict[int, dict[int, 
 
     Each row is scaled to integers and kept as {column: entry} over its
     nonzeros.  Rows are taken sparsest first and reduced against the pivot
-    rows in column order (pivot * row - factor * pivot_row, then the
-    content divided out) until the first column left has no pivot row, where
-    the row becomes one, or until it vanishes; a row that reduces to zero
-    costs only its own nonzeros.  The row order changes the work, not the
-    pivot columns.
+    rows in column order (p * row - f * pivot_row, p > 0, then the content
+    divided out) until the first column left has no pivot row, where the
+    row becomes one, or until it vanishes; a row that reduces to zero costs
+    only its own nonzeros, and one whose pivot divides its lead (p = 1) is
+    not rescaled.  The row order changes the work, not the pivot columns.
     """
     cols = range(len(matrix[0]) if matrix else 0)
     rows = []
@@ -49,7 +49,10 @@ def _echelon(matrix: Sequence[Sequence[int | Fraction]]) -> dict[int, dict[int, 
             c = min(row)
             prow = pivots.get(c)
             if prow is not None:
+                # the pivot's sign goes into g, so that p > 0
                 g = math.gcd(prow[c], row[c])
+                if prow[c] < 0:
+                    g = -g
                 p, f = prow[c] // g, row[c] // g
                 if p != 1:
                     row = {k: p * v for k, v in row.items()}
@@ -68,18 +71,21 @@ def _echelon(matrix: Sequence[Sequence[int | Fraction]]) -> dict[int, dict[int, 
     return pivots
 
 
-def nullspace(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    """An exact basis of the right nullspace {x : A x = 0}.
+def nullspace(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[int]]:
+    """An exact integer basis of the right nullspace {x : A x = 0}.
 
-    One basis vector per free (non-pivot) column, 1 at that column and 0
-    at every other free column; the pivot columns of a row echelon form
-    are canonical, so this basis does not depend on the elimination.
+    One basis vector per free (non-pivot) column: the primitive integer
+    vector (gcd 1) that is positive at that column and 0 at every other
+    free column.  The pivot columns of a row echelon form are canonical,
+    so this basis does not depend on the elimination.  Back substitution
+    keeps x in integers, starting from 1 at the free column: where a pivot
+    does not divide its sum, x is scaled up by just enough, |lead| / g
+    with g = gcd(sum, lead), and the new entry sum / g is prime to that
+    scale, so x stays primitive with no content to divide out.
 
     >>> nullspace([[1, 1]])
-    [[Fraction(-1, 1), Fraction(1, 1)]]
+    [[-1, 1]]
     """
-    from fractions import Fraction  # here, not at import: only the oracle needs it
-
     if not matrix:
         return []
     ncols = len(matrix[0])
@@ -89,10 +95,16 @@ def nullspace(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]
     for f in range(ncols):
         if f in pivots:
             continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
+        x = [0] * ncols
+        x[f] = 1
         for c in order:
             row = pivots[c]
-            x[c] = Fraction(-sum(v * x[k] for k, v in row.items() if k != c and x[k]), row[c])
+            lead = row[c]
+            s = sum(v * x[k] for k, v in row.items() if k != c and x[k])
+            if s % lead:
+                scale = abs(lead) // math.gcd(s, lead)
+                x = [v * scale for v in x]
+                s *= scale
+            x[c] = -s // lead
         basis.append(x)
     return basis

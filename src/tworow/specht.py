@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cache
+from itertools import combinations
 
 from .combinat import Tableau, enumerate_syt
 
@@ -111,8 +112,10 @@ def triangular_basis(vectors: Sequence[dict[Tabloid, int]]) -> list[tuple]:
     return sorted((min(vec), j, vec) for j, vec in enumerate(vectors))
 
 
-def _is_tabloid(tab: Tabloid, n: int) -> bool:
-    return len(tab) == n and list(tab) == sorted(set(tab)) and all(1 <= x <= 2 * n for x in tab)
+@cache
+def _tabloids(n: int) -> frozenset[Tabloid]:
+    """Every tabloid of shape (n, n), C(2n, n) first rows, cached per n."""
+    return frozenset(combinations(range(1, 2 * n + 1), n))
 
 
 def coordinates(basis, vec: dict[Tabloid, int], n: int) -> list[int]:
@@ -120,7 +123,9 @@ def coordinates(basis, vec: dict[Tabloid, int], n: int) -> list[int]:
 
     Peels the basis vectors off by their leads, most dominant first: every
     other tabloid of a basis vector is dominated by its lead, so a peel
-    never touches a lead already read.
+    never touches a lead already read.  Each key left in the residual must
+    be a tabloid of shape (n, n), n increasing letters from 1 to 2n: it is
+    looked up in the cached set of all of them (``_tabloids``).
 
     Raises ValueError when the vector is outside their span.
     """
@@ -133,8 +138,9 @@ def coordinates(basis, vec: dict[Tabloid, int], n: int) -> list[int]:
             for tab, v in basis_vec.items():
                 if tab != lead:
                     residual[tab] = residual.get(tab, 0) - c * v
-    for tab, c in residual.items():
-        if not _is_tabloid(tab, n):
+    tabloids = _tabloids(n)
+    for tab in residual:
+        if tab not in tabloids:
             raise ValueError(f"{tab} is not a tabloid of shape ({n}, {n})")
     if any(residual.values()):
         raise ValueError("vector is not in the span of the basis")

@@ -45,6 +45,7 @@ escape both.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 from . import webs
@@ -118,18 +119,20 @@ def rows(n: int) -> Iterator[dict[int, int]]:
     syt = _canonical_bases(n)[0]
     tables = [None] + [webs.action_table(i, n) for i in range(1, 2 * n)]
     slot = {t.rows[0]: r for r, t in enumerate(syt)}
-    steps = []  # (parent index, letter i) of rows 1, 2, ...
+    parents, letters = [], []  # the parent index and letter i of rows 1, 2, ...
     for t in syt[1:]:
         first, second = t.rows
         j, i = max(
             (j, a) for j, a in enumerate(first) if a + 1 in second and second[j] != a + 1
         )
-        steps.append((slot[first[:j] + (i + 1,) + first[j + 1 :]], i))
-    last_child = {p: r for r, (p, _) in enumerate(steps, 1)}
+        parents.append(slot[first[:j] + (i + 1,) + first[j + 1 :]])
+        letters.append(i)
+    del slot
+    last_child = {p: r for r, p in enumerate(parents, 1)}
     row = {0: 1}
     held = {0: row} if 0 in last_child else {}
     yield row
-    for r, (p, i) in enumerate(steps, 1):
+    for r, p, i in zip(range(1, len(syt)), parents, letters):
         parent = held.pop(p) if last_child[p] == r else held[p]
         # s_i keeps each w_k and adds w_target, or turns w_k into -w_k
         table = tables[i]
@@ -231,6 +234,12 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     isomorphic irreducibles), normalize the (interleaved, consecutive)
     entry to 1, and check that everything is an integer.
 
+    Each constraint row is dense, d² ints, but is filled from the
+    nonzeros of column t of A_i and row m of B_i only.  The nullspace is
+    one primitive integer vector, so the normalization is an exact
+    division by its (0, 0) entry, and an entry it does not divide is
+    reported as the fraction in lowest terms.
+
     The B_i share ``webs.action_table`` with the build, so agreement with
     transition_matrix checks the build against the polytabloid model's
     A_i, but not the table.
@@ -242,12 +251,18 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     for i in range(1, 2 * n):
         a_mat = specht.action_matrix(i, n)
         b_mat = webs.action_matrix(i, n)
-        for t in range(d):
-            for m in range(d):
+        # the nonzeros of each column t of A_i, at their offsets k * d, and
+        # of each row m of B_i
+        a_cols = [[(k * d, a[t]) for k, a in enumerate(a_mat) if a[t]] for t in range(d)]
+        b_rows = [[(k, v) for k, v in enumerate(b) if v] for b in b_mat]
+        for t, a_col in enumerate(a_cols):
+            base = t * d
+            for m, b_row in enumerate(b_rows):
                 row = [0] * (d * d)
-                for k in range(d):
-                    row[k * d + m] += a_mat[k][t]
-                    row[t * d + k] -= b_mat[m][k]
+                for kd, v in a_col:
+                    row[kd + m] = v
+                for k, v in b_row:
+                    row[base + k] -= v
                 constraints.append(row)
     basis = nullspace(constraints)
     if len(basis) != 1:
@@ -258,11 +273,15 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     scale = basis[0][0]  # the (interleaved tableau, consecutive matching) entry
     if scale == 0:
         raise ArithmeticError("intertwiner vanishes on the interleaved polytabloid")
-    values = [v / scale for v in basis[0]]
-    for value in values:
-        if value.denominator != 1:
-            raise ArithmeticError(f"non-integer oracle entry {value}")
-    entries = tuple(tuple(map(int, values[t * d : (t + 1) * d])) for t in range(d))
+    for v in basis[0]:
+        if v % scale:
+            # v / scale in lowest terms, its denominator positive
+            g = math.gcd(v, scale)
+            if scale < 0:
+                g = -g
+            raise ArithmeticError(f"non-integer oracle entry {v // g}/{scale // g}")
+    values = [v // scale for v in basis[0]]
+    entries = tuple(tuple(values[t * d : (t + 1) * d]) for t in range(d))
     return TransitionMatrix(n, entries)
 
 

@@ -8,7 +8,6 @@ import sys
 import textwrap
 import time
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -224,13 +223,22 @@ class TestVerify:
         "broken, reason",
         [
             # a second intertwiner: the space is not one-dimensional
-            (lambda basis: basis + [[Fraction(1)] * len(basis[0])], "has dimension 2, expected 1"),
+            (lambda basis: basis + [[1] * len(basis[0])], "has dimension 2, expected 1"),
             # the (consecutive, interleaved) entry is zero
-            (lambda basis: [[Fraction(0)] + basis[0][1:]], "vanishes on the interleaved"),
-            # the last entry becomes half the (0, 0) one
-            (lambda basis: [basis[0][:-1] + [basis[0][0] / 2]], "non-integer oracle entry 1/2"),
+            (lambda basis: [[0] + basis[0][1:]], "vanishes on the interleaved"),
+            # the others doubled, the last entry becomes half the (0, 0) one
+            (
+                lambda basis: [[2 * v for v in basis[0][:-1]] + [basis[0][0]]],
+                "non-integer oracle entry 1/2",
+            ),
+            # the others times -2, so the (0, 0) entry is negative: the sign
+            # goes to the numerator
+            (
+                lambda basis: [[-2 * v for v in basis[0][:-1]] + [basis[0][0]]],
+                "non-integer oracle entry -1/2",
+            ),
         ],
-        ids=["dimension", "scale", "integrality"],
+        ids=["dimension", "scale", "integrality", "negative-integrality"],
     )
     def test_oracle_without_a_matrix_fails_the_check(self, broken, reason, capsys, monkeypatch):
         nullspace = transition.nullspace
@@ -768,11 +776,12 @@ def test_optimized_run_passes(argv):
 @pytest.mark.parametrize("flags", [[], ["-O"], ["-S"]], ids=["plain", "optimized", "no-site"])
 def test_start_up_loads_only_what_runs(flags):
     # dataclasses (with inspect, ast and dis) and fractions cost about a
-    # tenth of a short run's start-up; only the oracle needs fractions,
-    # and it imports it when it runs, as it does specht; minors only
-    # --dump-poly imports.  typing is needed by nothing, but a .pth file
-    # under site-packages may import it first, so -S, with the source tree
-    # on the path, is the run that can see it
+    # tenth of a short run's start-up.  No run needs fractions (with
+    # decimal), not even the oracle, whose nullspace is in integers; the
+    # oracle imports specht when it runs, and only --dump-poly imports
+    # minors.  typing is needed by nothing, but a .pth file under
+    # site-packages may import it first, so -S, with the source tree on the
+    # path, is the run that can see it
     script = textwrap.dedent(
         """
         import json, os, sys
@@ -784,7 +793,8 @@ def test_start_up_loads_only_what_runs(flags):
         unwanted = {"dataclasses", "inspect", "fractions", "typing", "tworow.minors", "tworow.specht"}
         loaded = sorted(unwanted & (set(sys.modules) - before))
         oracle_code = tworow.cli.main(["verify", "--n", "2", "--with-oracle", "--out", os.devnull])
-        print(json.dumps([code, loaded, oracle_code]))
+        oracle_loaded = sorted({"fractions", "decimal"} & (set(sys.modules) - before))
+        print(json.dumps([code, loaded, oracle_code, oracle_loaded]))
         """
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -795,4 +805,4 @@ def test_start_up_loads_only_what_runs(flags):
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert json.loads(proc.stdout) == [0, [], 0]
+    assert json.loads(proc.stdout) == [0, [], 0, []]

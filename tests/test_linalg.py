@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from model import identity_matrix, mat_mul, rank
@@ -55,6 +56,27 @@ def reference_echelon(matrix):
     return len(pivots), basis
 
 
+def primitive(vec):
+    """A reference basis vector (1 at its free column) scaled to the
+    primitive integer vector, gcd 1, that ``nullspace`` returns."""
+    denom = math.lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(x * denom) for x in vec]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
+
+
+def free_columns(matrix):
+    """The columns in the span of the columns before them, by the
+    reference's rank of each leading block of columns."""
+    free, before = [], 0
+    for c in range(len(matrix[0])):
+        upto = reference_echelon([row[: c + 1] for row in matrix])[0]
+        if upto == before:
+            free.append(c)
+        before = upto
+    return free
+
+
 @st.composite
 def sparse_matrices(draw, max_dim=8):
     """Mostly zeros, with some Fraction entries, all-zero rows and
@@ -80,8 +102,40 @@ class TestAgainstReference:
         ref_rank, ref_basis = reference_echelon(matrix)
         assert rank(matrix) == ref_rank
         basis = nullspace(matrix)
-        assert basis == ref_basis
-        assert all(type(x) is Fraction for vec in basis for x in vec)
+        assert basis == [primitive(vec) for vec in ref_basis]
+        assert all(type(x) is int for vec in basis for x in vec)
+
+
+@st.composite
+def negative_lead_matrices(draw):
+    """Sparse matrices, Fraction entries among them, with the first
+    nonzero of some rows made negative, so that pivot rows led by a
+    negative entry reduce the rows after them."""
+    matrix = draw(sparse_matrices())
+    flips = draw(st.lists(st.booleans(), min_size=len(matrix), max_size=len(matrix)))
+    for row, flip in zip(matrix, flips):
+        lead = next((x for x in row if x), 0)
+        if flip and lead > 0:
+            row[:] = [-x for x in row]
+    return matrix
+
+
+class TestIntegerKernel:
+    @settings(max_examples=200)
+    @given(negative_lead_matrices())
+    @example([[-1, 2, 0], [-2, 1, 1]])
+    @example([[Fraction(-1, 2), 1], [-3, 6]])
+    @example([[-2, 3, 0], [-3, 0, 5]])
+    def test_primitive_integer_vectors(self, matrix):
+        basis = nullspace(matrix)
+        free = free_columns(matrix)
+        assert len(basis) == len(free)
+        for f, vec in zip(free, basis):
+            assert all(type(x) is int for x in vec)
+            assert math.gcd(*vec) == 1
+            assert vec[f] > 0
+            assert all(vec[g] == 0 for g in free if g != f)
+            assert mat_vec(matrix, vec) == [0] * len(matrix)
 
 
 class TestRank:
@@ -136,12 +190,13 @@ class TestNullspace:
     def test_rank_nullity(self, matrix):
         cols = len(matrix[0])
         basis = nullspace(matrix)
-        assert (rank(matrix), basis) == reference_echelon(matrix)
+        ref_rank, ref_basis = reference_echelon(matrix)
+        assert (rank(matrix), basis) == (ref_rank, [primitive(vec) for vec in ref_basis])
         assert rank(matrix) + len(basis) == cols
         for vec in basis:
             assert mat_vec(matrix, vec) == [0] * len(matrix)
         # basis vectors are independent: each has a free column where it
-        # is 1 and the others are 0, but check the rank anyway
+        # is positive and the others are 0, but check the rank anyway
         if basis:
             assert rank(basis) == len(basis)
 

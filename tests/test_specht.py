@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from model import (
 from strategies import permutations
 from tworow.combinat import Tableau, catalan, enumerate_syt, interleaved_tableau
 from tworow.specht import (
+    _tabloids,
     action_matrix,
     coordinates,
     express_in_standard_polytabloids,
@@ -185,6 +187,21 @@ class TestBasis:
     def test_foreign_tabloid_raises(self):
         with pytest.raises(ValueError, match="not a tabloid"):
             express_in_standard_polytabloids({(1, 2): 1}, 1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_tabloid_set_is_the_old_predicate(self, n):
+        # the cached set the peel looks keys up in accepts exactly the
+        # tuples that the sort-and-range predicate it replaced did, over
+        # every tuple of length 0 to n + 1 with entries from -1 to 2n + 1
+        def is_tabloid(tab):
+            increasing = list(tab) == sorted(set(tab))
+            return len(tab) == n and increasing and all(1 <= x <= 2 * n for x in tab)
+
+        tabloids = _tabloids(n)
+        letters = range(-1, 2 * n + 2)
+        for size in range(n + 2):
+            for tab in product(letters, repeat=size):
+                assert (tab in tabloids) == is_tabloid(tab), tab
 
 
 class TestPairVector:
