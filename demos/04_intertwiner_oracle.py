@@ -19,6 +19,19 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def web_action_matrix(i, n):
+    """B_i from s_i's table: column k is -w_k when the entry is -1, and
+    otherwise w_k plus the web the entry names."""
+    table = webs.action_table(i, n)
+    b = [[0] * len(table) for _ in table]
+    for k, target in enumerate(table):
+        if target < 0:
+            b[k][k] = -1
+        else:
+            b[k][k] = b[target][k] = 1
+    return b
+
+
 for n in (1, 2, 3, 4):
     oracle = intertwiner_oracle(n)
     direct = transition_matrix(n)
@@ -30,5 +43,5 @@ n = 3
 x = [list(col) for col in zip(*transition_matrix(n).entries)]
 for i in range(1, 2 * n):
     a = specht.action_matrix(i, n)
-    b = webs.action_matrix(i, n)
+    b = web_action_matrix(i, n)
     print(f"  X A_{i} == B_{i} X:", mat_mul(x, a) == mat_mul(b, x))

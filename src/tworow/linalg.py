@@ -2,13 +2,13 @@
 Exact integer linear algebra: the nullspace the intertwiner oracle is
 read from.
 
-Matrices are plain lists of rows of ints or of other exact rationals
-with ``numerator`` and ``denominator``; there is no floating point and
-no ``Fraction`` is built, so no run loads ``fractions``.  ``nullspace``
-reads one sparse row echelon (``_echelon``): each row is kept as
-{column: int} over its nonzeros, scaled to integers with its content
-divided out, and reduced fraction-free against a pivot column -> pivot
-row dict, with a positive pivot factor, so a row led by -1 is not
+Matrices are plain lists of rows of ints; there is no floating point
+and no rational number type, so no run loads ``fractions``, and a
+nonzero entry that is not an integer raises ``TypeError``.
+``nullspace`` reads one sparse row echelon (``_echelon``): each row goes
+straight into one dict {column: int} of its nonzeros, and is reduced
+fraction-free against a pivot column -> pivot row dict, with a positive
+pivot factor and its content divided out, so a row led by -1 is not
 rebuilt.  The oracle's stacked equations have a few nonzeros per row, so
 the work follows the nonzeros, not rows x columns.  Back substitution is
 fraction-free too, and yields primitive integer vectors.  Coordinates in
@@ -21,27 +21,27 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from itertools import compress
+from operator import index
 
 
-def _echelon(matrix: Sequence[Sequence[int | Fraction]]) -> dict[int, dict[int, int]]:
+def _echelon(matrix: Sequence[Sequence[int]]) -> dict[int, dict[int, int]]:
     """Sparse fraction-free row echelon: pivot column -> pivot row.
 
-    Each row is scaled to integers and kept as {column: entry} over its
-    nonzeros.  Rows are taken sparsest first and reduced against the pivot
-    rows in column order (p * row - f * pivot_row, p > 0, then the content
-    divided out) until the first column left has no pivot row, where the
-    row becomes one, or until it vanishes; a row that reduces to zero costs
-    only its own nonzeros, and one whose pivot divides its lead (p = 1) is
-    not rescaled.  The row order changes the work, not the pivot columns.
+    Each row is kept as {column: int} over its nonzeros, each entry
+    passed through ``operator.index``.  Rows are taken sparsest first and
+    reduced against the pivot rows in column order (p * row - f *
+    pivot_row, p > 0, then the content divided out) until the first column
+    left has no pivot row, where the row becomes one, or until it
+    vanishes; a row that reduces to zero costs only its own nonzeros, and
+    one whose pivot divides its lead (p = 1) is not rescaled.  The row
+    order changes the work, not the pivot columns.
     """
     cols = range(len(matrix[0]) if matrix else 0)
     rows = []
     for dense in matrix:
         if len(dense) != len(cols):
             raise ValueError("rows of different lengths")
-        row = {c: dense[c] for c in compress(cols, dense)}
-        denom = math.lcm(*(x.denominator for x in row.values()))
-        rows.append({c: x.numerator * (denom // x.denominator) for c, x in row.items()})
+        rows.append({c: index(dense[c]) for c in compress(cols, dense)})
     rows.sort(key=len)
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -71,7 +71,7 @@ def _echelon(matrix: Sequence[Sequence[int | Fraction]]) -> dict[int, dict[int, 
     return pivots
 
 
-def nullspace(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[int]]:
+def nullspace(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     """An exact integer basis of the right nullspace {x : A x = 0}.
 
     One basis vector per free (non-pivot) column: the primitive integer

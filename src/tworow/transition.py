@@ -15,7 +15,7 @@ no set order, and a row's index is its position.  So a row step, a check
 and the rendering of a row walk only the nonzeros, 11.7-18.5% of the
 cells at n = 8..11.  ``transition_matrix`` makes each row of the stream
 dense once, ``matrix`` writes the stream row by row, and ``verify``
-checks it row by row.
+checks it row by row, or, with the oracle, the rows of one such matrix.
 
 The paper's construction is kept as the reference the tests compare
 against: resolve the crossings of the matching whose pairs are the
@@ -38,9 +38,9 @@ The oracle recovers the unique intertwiner between the two models
 web) from the one-dimensional nullspace of the stacked constraints
 X A_i = B_i X, entries as unknowns, to compare entry for entry.  Its
 A_i come from ``specht``, which ``rows`` never runs and only the oracle
-imports, but its B_i from the ``webs.action_table`` that ``rows`` steps
-through, and both read the same enumerations, so a wrong table entry can
-escape both.
+imports, but the rows of its B_i straight from the ``webs.action_table``
+that ``rows`` steps through, and both read the same enumerations, so a
+wrong table entry can escape both.
 """
 
 from __future__ import annotations
@@ -235,7 +235,8 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     entry to 1, and check that everything is an integer.
 
     Each constraint row is dense, d² ints, but is filled from the
-    nonzeros of column t of A_i and row m of B_i only.  The nullspace is
+    nonzeros of column t of A_i and row m of B_i only, the rows of B_i
+    all built in O(d) from s_i's ``webs.action_table``.  The nullspace is
     one primitive integer vector, so the normalization is an exact
     division by its (0, 0) entry, and an entry it does not divide is
     reported as the fraction in lowest terms.
@@ -250,11 +251,15 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     constraints: list[list[int]] = []
     for i in range(1, 2 * n):
         a_mat = specht.action_matrix(i, n)
-        b_mat = webs.action_matrix(i, n)
+        table = webs.action_table(i, n)
         # the nonzeros of each column t of A_i, at their offsets k * d, and
-        # of each row m of B_i
+        # of each row m of B_i: -1 or 1 at m, and 1 at each web k that s_i
+        # sends to w_k + w_m
         a_cols = [[(k * d, a[t]) for k, a in enumerate(a_mat) if a[t]] for t in range(d)]
-        b_rows = [[(k, v) for k, v in enumerate(b) if v] for b in b_mat]
+        b_rows = [[(m, -1 if target < 0 else 1)] for m, target in enumerate(table)]
+        for k, target in enumerate(table):
+            if target >= 0:
+                b_rows[target].append((k, 1))
         for t, a_col in enumerate(a_cols):
             base = t * d
             for m, b_row in enumerate(b_rows):
@@ -275,7 +280,7 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
         raise ArithmeticError("intertwiner vanishes on the interleaved polytabloid")
     for v in basis[0]:
         if v % scale:
-            # v / scale in lowest terms, its denominator positive
+            # v / scale in lowest terms, the divisor made positive
             g = math.gcd(v, scale)
             if scale < 0:
                 g = -g
@@ -296,7 +301,8 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> dict:
     The checks of ``CHECKS`` run in one pass over one row stream, so only
     the rows it holds are in memory; the counterexamples are grouped by
     check in table order, each group in row-major order.  The oracle
-    compares a whole matrix, so with it the stream is collected first.
+    compares a whole matrix, so with it the rows are built once into a
+    ``TransitionMatrix`` and the checks read the nonzeros of its rows.
 
     ``fault`` names an entry of ``FAULTS``, whose rows are checked in
     place of ``rows(n)``, so that callers can confirm the checks detect
@@ -305,16 +311,17 @@ def verify(n: int, with_oracle: bool = False, fault: str | None = None) -> dict:
     """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault mode: {fault}")
-    stream = rows(n) if fault is None else FAULTS[fault](n)
     if with_oracle:
-        stream = list(stream)
-        # through the module global, not the stream: perfbench's span
-        # recorder wraps transition_matrix and counts the rows it builds
-        tm = (
-            transition_matrix(n)
-            if fault is None
-            else TransitionMatrix(n, tuple(_dense(row, len(stream)) for row in stream))
-        )
+        if fault is None:
+            # the module global: perfbench's span recorder wraps
+            # transition_matrix and counts the rows it builds
+            tm = transition_matrix(n)
+        else:
+            d = catalan(n)
+            tm = TransitionMatrix(n, tuple(_dense(row, d) for row in FAULTS[fault](n)))
+        stream = ({c: v for c, v in enumerate(row) if v} for row in tm.entries)
+    else:
+        stream = rows(n) if fault is None else FAULTS[fault](n)
 
     found: dict[str, list[dict]] = {key: [] for key, _ in CHECKS}
     for r, row in enumerate(stream):

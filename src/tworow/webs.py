@@ -7,8 +7,10 @@ The adjacent transposition s_i acts on a basis matching M by
     s_i . w_M = -w_M                if i ~ i+1 in M,
     s_i . w_M = w_M + w_M'          otherwise,
 
-where M' replaces the pairs a ~ i and b ~ i+1 with a ~ b and i ~ i+1;
-``action_table`` codes this as one web index per basis matching.
+where M' replaces the pairs a ~ i and b ~ i+1 with a ~ b and i ~ i+1.
+``action_table`` codes this as one web index per basis matching, the
+one form of s_i in the package: the row stream steps through it, and the
+intertwiner oracle fills its sparse rows of B_i from it.
 
 An arbitrary (crossing) perfect matching is not a basis element, but the
 product of its column minors expands into the basis by repeatedly
@@ -220,15 +222,3 @@ def action_table(i: int, n: int) -> tuple[int, ...]:
             raise RuntimeError(f"s_{i} took the noncrossing {w.partner} to a crossing matching")
         table.append(k)
     return tuple(table)
-
-
-def action_matrix(i: int, n: int) -> list[list[int]]:
-    """Matrix of s_i on the web model in the web basis; entries -1, 0, 1."""
-    table = action_table(i, n)
-    matrix = [[0] * len(table) for _ in table]
-    for k, target in enumerate(table):
-        if target < 0:
-            matrix[k][k] = -1
-        else:
-            matrix[k][k] = matrix[target][k] = 1
-    return matrix

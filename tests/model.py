@@ -13,7 +13,8 @@ because no command of ``tworow`` runs it:
 - every perfect matching, crossing or not, the inversion-pair sign
   of permuting one, and the scan for its smallest crossing, which
   ``webs._grow`` makes inline;
-- dense matrix products and rank;
+- dense matrix products and rank, and the dense matrix of s_i on the
+  web basis, which the package codes only as ``webs.action_table``;
 - D(M), the product of the pair minors of a perfect matching, as a
   tabloid vector (``web_vector``), and its term list, which
   ``enumerate --dump-poly`` writes, built as Python lists and dicts: with
@@ -34,6 +35,7 @@ raises ``ValueError``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -327,12 +329,31 @@ def mat_mul(a, b) -> list[list]:
 
 
 def rank(matrix) -> int:
-    """Rank over the rationals: the pivot count of the package's echelon.
+    """Rank over the rationals: the pivot count of the package's echelon,
+    which takes ints only, so each row is first scaled by the lcm of its
+    entries' denominators.
 
     >>> rank([[1, 2], [2, 4], [0, 1]])
     2
     """
-    return len(_echelon(matrix))
+    scaled = []
+    for row in matrix:
+        denom = math.lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (denom // x.denominator) for x in row])
+    return len(_echelon(scaled))
+
+
+def web_action_matrix(i: int, n: int) -> list[list[int]]:
+    """Matrix of s_i on the web model in the web basis, entries -1, 0, 1,
+    column k the image of w_k: the dense form of ``webs.action_table``."""
+    table = action_table(i, n)
+    matrix = [[0] * len(table) for _ in table]
+    for k, target in enumerate(table):
+        if target < 0:
+            matrix[k][k] = -1
+        else:
+            matrix[k][k] = matrix[target][k] = 1
+    return matrix
 
 
 # the term list that enumerate --dump-poly writes

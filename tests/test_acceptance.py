@@ -20,6 +20,7 @@ from model import (
     partitions,
     reduced_word,
     sign_rule_holds,
+    web_action_matrix,
     web_vector,
 )
 from tworow import specht, webs
@@ -149,7 +150,7 @@ def test_criterion_06_coxeter_relations():
             ident = identity_matrix(d)
             for mats in (
                 {i: specht.action_matrix(i, n) for i in range(1, 2 * n)},
-                {i: webs.action_matrix(i, n) for i in range(1, 2 * n)},
+                {i: web_action_matrix(i, n) for i in range(1, 2 * n)},
             ):
                 for i, a in mats.items():
                     assert mat_mul(a, a) == ident
@@ -211,7 +212,7 @@ def test_criterion_09_characters_agree():
         for n in range(1, 5):
             d = catalan(n)
             a_mats = {i: specht.action_matrix(i, n) for i in range(1, 2 * n)}
-            b_mats = {i: webs.action_matrix(i, n) for i in range(1, 2 * n)}
+            b_mats = {i: web_action_matrix(i, n) for i in range(1, 2 * n)}
             for cycle_type in partitions(2 * n):
                 sigma = cycle_type_representative(cycle_type, 2 * n)
                 word = reduced_word(sigma)

@@ -521,6 +521,14 @@ PINNED_OUTPUTS = {
     ("verify", "--n", "3", "--with-oracle", "--inject-fault", "negative-entry"): (
         1, "a67b21c7333d7ca5646835f465b065d1b3b1b4e9f3023c2f6d79c92dfb62f167"
     ),
+    # the oracle on a fault's rows, which make the matrix that the checks
+    # read and the oracle compares
+    ("verify", "--n", "4", "--with-oracle", "--inject-fault", "syzygy-sign-flip"): (
+        1, "64542cabdf42868603b98bcd7999d702a915bffb5d2fec42260a2d7223423d69"
+    ),
+    ("verify", "--n", "4", "--with-oracle", "--inject-fault", "negative-entry"): (
+        1, "7949e05909fd5c4b0e831f21349006a632d961d757b0fab831e0c16123f1be62"
+    ),
     # d = 1, so the fault's -1 lands on the diagonal
     ("verify", "--n", "1", "--inject-fault", "negative-entry"): (
         1, "cc9cfb5d992c7384a32ee95ba0db8fcc295f9b836d15ba5c1ff8686bdd7ee19b"

@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from model import first_crossing, mat_mul, tableau_from_lists, web_vector
+from model import first_crossing, mat_mul, tableau_from_lists, web_action_matrix, web_vector
 from tworow.combinat import (
     Matching,
     Tableau,
@@ -517,7 +517,7 @@ class TestIntertwinerOracle:
         x = [list(col) for col in zip(*transition_matrix(n).entries)]
         for i in range(1, 2 * n):
             a = specht.action_matrix(i, n)
-            b = webs.action_matrix(i, n)
+            b = web_action_matrix(i, n)
             assert mat_mul(x, a) == mat_mul(b, x)
 
     @pytest.mark.parametrize("n", range(1, 5))
@@ -663,6 +663,34 @@ class TestVerify:
         assert (not verify(4, fault=fault)["counterexamples"]) == (fault is None)
         with pytest.raises(AssertionError, match="TransitionMatrix"):
             verify(2, with_oracle=True, fault=fault)
+
+    @pytest.mark.parametrize(
+        "fault, calls",
+        [
+            (None, ["rows"]),
+            ("syzygy-sign-flip", ["syzygy-sign-flip"]),
+            # this fault's stream edits the stream of rows
+            ("negative-entry", ["negative-entry", "rows"]),
+        ],
+    )
+    def test_with_oracle_builds_the_rows_once(self, fault, calls, monkeypatch):
+        # one stream makes the matrix the oracle compares, and the checks
+        # read its rows
+        made = []
+
+        def spy(name, stream):
+            def spied(n):
+                made.append(name)
+                return stream(n)
+
+            return spied
+
+        monkeypatch.setattr(transition, "rows", spy("rows", transition.rows))
+        for name, stream in list(transition.FAULTS.items()):
+            monkeypatch.setitem(transition.FAULTS, name, spy(name, stream))
+        report = verify(4, with_oracle=True, fault=fault)
+        assert made == calls
+        assert report["oracleAgrees"] is (fault is None)
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):

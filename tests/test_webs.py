@@ -17,6 +17,7 @@ from model import (
     mat_mul,
     partitions,
     reduced_word,
+    web_action_matrix,
 )
 from strategies import matchings, permutations
 from tworow.combinat import (
@@ -28,7 +29,7 @@ from tworow.combinat import (
     enumerate_webs,
 )
 from tworow import webs
-from tworow.webs import action_matrix, action_table, resolve_crossings
+from tworow.webs import action_table, resolve_crossings
 from tworow import specht
 
 
@@ -58,7 +59,7 @@ class TestGeneratorAction:
             for w in data.draw(st.sets(st.sampled_from(enumerate_webs(n)), min_size=1, max_size=4))
         }
         i = data.draw(st.integers(1, 2 * n - 1))
-        b = action_matrix(i, n)
+        b = web_action_matrix(i, n)
         assert mat_mul(b, mat_mul(b, column(vec, n))) == column(vec, n)
 
     def test_rejects_bad_index(self):
@@ -345,7 +346,7 @@ class TestTupleRewrite:
 
 class TestActionMatrix:
     def test_n1_sign(self):
-        assert action_matrix(1, 1) == [[-1]]
+        assert web_action_matrix(1, 1) == [[-1]]
 
     def test_image_missing_from_the_webs_raises(self, monkeypatch):
         # s_1 takes 1~4, 2~3 to the consecutive web, dropped here
@@ -358,13 +359,13 @@ class TestActionMatrix:
     def test_entries_small_and_involutive(self, n):
         d = catalan(n)
         for i in range(1, 2 * n):
-            b = action_matrix(i, n)
+            b = web_action_matrix(i, n)
             assert {e for row in b for e in row} <= {-1, 0, 1}
             assert mat_mul(b, b) == identity_matrix(d)
 
     @pytest.mark.parametrize("n", range(2, 5))
     def test_braid_and_commutation(self, n):
-        mats = {i: action_matrix(i, n) for i in range(1, 2 * n)}
+        mats = {i: web_action_matrix(i, n) for i in range(1, 2 * n)}
         for i in range(1, 2 * n - 1):
             a, b = mats[i], mats[i + 1]
             assert mat_mul(mat_mul(a, b), a) == mat_mul(mat_mul(b, a), b)
@@ -378,7 +379,7 @@ def act_by_permutation(sigma, vec, n):
     """Act with sigma on a coordinate column letter by letter along its
     bubble-sort word."""
     for i in reduced_word(sigma):
-        vec = mat_mul(action_matrix(i, n), vec)
+        vec = mat_mul(web_action_matrix(i, n), vec)
     return vec
 
 
@@ -422,6 +423,6 @@ def test_characters_agree_between_models(n):
     # the traces of matched conjugacy-class representatives coincide, as
     # they must for two models of the same irreducible
     a_mats = {i: specht.action_matrix(i, n) for i in range(1, 2 * n)}
-    b_mats = {i: action_matrix(i, n) for i in range(1, 2 * n)}
+    b_mats = {i: web_action_matrix(i, n) for i in range(1, 2 * n)}
     for cycle_type in partitions(2 * n):
         assert model_trace(n, cycle_type, a_mats) == model_trace(n, cycle_type, b_mats)
