@@ -10,7 +10,8 @@ JSON is the canonical output format and is byte-stable for a fixed
 command line; ``enumerate`` and ``matrix`` also write CSV (``--format
 csv``).  One function, ``_matrix_pieces``, writes the matrix of
 ``matrix`` and ``bench``, its labels read from the enumerations, each
-dense row text joined once from the sparse row's nonzeros.  Every output
+dense row text joined once from the sparse row's nonzeros, with the text
+of each value made once a run.  Every output
 is streamed.  Each JSON document is one dict: ``_json_chunks`` yields the
 text of ``json.dumps(doc, indent=2)`` one piece per key of it or per item
 of one of its top-level arrays (one tableau, matrix row, web's term list
@@ -22,9 +23,12 @@ stream, so none of them holds the matrix either (``verify --with-oracle``
 does: it compares a whole matrix).  ``verify`` and ``bench`` open their
 output before they run, so an unwritable --out fails at once.  Text that is
 already JSON, an item of a top-level array laid out where it is written,
-is marked by ``_JsonText``: a matrix row, made by ``_json_block``, and a
-web's term list for ``--dump-poly``, written at its depth straight from
-the web by ``minors.serialize_polynomial``.  Only ``--dump-poly`` imports
+is marked by ``_JsonText``: each label of ``enumerate`` and ``matrix``
+(a tableau's two rows or a web's partner array) and each matrix row,
+made by ``_json_block`` as it is written, and a web's term list for
+``--dump-poly``, written at its depth straight from the web by
+``minors.serialize_polynomial``.  So every nested array of a document is
+one of these, and ``_json_text`` writes only scalars and dicts.  Only ``--dump-poly`` imports
 ``minors``, and only the oracle ``specht``, so no other command loads
 them.
 
@@ -123,7 +127,7 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     """The text of ``json.dumps(doc, indent=2) + "\\n"`` for a dict ``doc``,
     in pieces, where a generator value stands for a list of the items it
     yields.  A piece is one key of ``doc`` or one item of a list, tuple or
-    generator value, such as one matrix row or one web's term list, made
+    generator value, such as one label, matrix row or web's term list, made
     whole by ``_json_text``.
 
     >>> list(_json_chunks({"a": [1, 2], "b": []}))
@@ -145,19 +149,18 @@ def _json_chunks(doc: dict) -> Iterator[str]:
 
 
 def _json_text(obj, pad: str) -> str:
-    """The whole text of ``obj`` at indentation ``pad``; a ``_JsonText`` is
-    written as it is."""
+    """The whole text at indentation ``pad`` of ``obj``: a scalar, a
+    ``_JsonText``, written as it is, or a dict of them.  A nested array is
+    refused: every one the commands write is a ``_JsonText``."""
     kind = type(obj)
     if kind is _JsonText:
         return obj
-    inner = pad + "  "
     if kind is dict:
+        inner = pad + "  "
         return _json_block([_json_key(k) + _json_text(v, inner) for k, v in obj.items()], pad, "{}")
-    if kind is not list and kind is not tuple:
-        return json.dumps(obj)
-    if set(map(type, obj)) == {int}:
-        return _json_block(map(str, obj), pad)
-    return _json_block([_json_text(v, inner) for v in obj], pad)
+    if kind is list or kind is tuple:
+        raise TypeError("a nested array must be written as _JsonText")
+    return json.dumps(obj)
 
 
 def _json_block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
@@ -195,7 +198,17 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-# the CSV label of a tableau and of a web, one each for enumerate and matrix
+# the JSON and the CSV label of a tableau and of a web, each written by
+# enumerate and matrix; a JSON label is laid out as an item of a top-level
+# array, like a matrix row
+def _tableau_json(t) -> _JsonText:
+    return _JsonText(_json_block([_json_block(map(str, r), "      ") for r in t.rows], "    "))
+
+
+def _web_json(w) -> _JsonText:
+    return _JsonText(_json_block(map(str, w.partner), "    "))
+
+
 def _tableau_csv(t) -> str:
     return "|".join(" ".join(map(str, r)) for r in t.rows)
 
@@ -224,8 +237,8 @@ def _enumerate_pieces(n: int, fmt: str, dump_poly: bool) -> Iterator[str]:
     doc = {
         "n": n,
         "catalan": catalan(n),
-        "tableaux": [t.rows for t in tableaux],
-        "webs": [w.partner for w in web_list],
+        "tableaux": (_tableau_json(t) for t in tableaux),
+        "webs": (_web_json(w) for w in web_list),
         "pairing": pairing,
     }
     if dump_poly:
@@ -237,12 +250,16 @@ def _enumerate_pieces(n: int, fmt: str, dump_poly: bool) -> Iterator[str]:
     yield from _json_chunks(doc)
 
 
-def _cells(row: dict[int, int], d: int) -> list[str]:
+def _cells(row: dict[int, int], d: int, texts: dict[int, str]) -> list[str]:
     """The text of each of the d entries of a sparse row: "0" everywhere,
-    then the nonzero cells set."""
+    then the nonzero cells set, each value's text read from ``texts``,
+    which gains the text of each value it lacks."""
     cells = ["0"] * d
     for c, v in row.items():
-        cells[c] = str(v)
+        text = texts.get(v)
+        if text is None:
+            text = texts[v] = str(v)
+        cells[c] = text
     return cells
 
 
@@ -253,17 +270,20 @@ def _matrix_pieces(n: int, entries: Iterable[dict[int, int]], fmt: str) -> Itera
     piece, whose dense text is joined once from its cells."""
     tableaux, web_list = enumerate_syt(n), enumerate_webs(n)
     d = len(web_list)
+    texts: dict[int, str] = {}  # the text of each value, made once a run
     if fmt == "csv":
         yield ",".join(["tableau\\web"] + [_web_csv(w) for w in web_list]) + "\n"
         for t, row in zip(tableaux, entries):
-            yield _tableau_csv(t) + "," + ",".join(_cells(row, d)) + "\n"
+            yield _tableau_csv(t) + "," + ",".join(_cells(row, d, texts)) + "\n"
         return
-    row_labels = [t.rows for t in tableaux]
-    col_labels = [w.partner for w in web_list]
-    # each row's text is laid out where the document writes it, as an item
-    # of "entries", so it is written as it is
-    texts = (_JsonText(_json_block(_cells(row, d), "    ")) for row in entries)
-    doc = {"n": n, "rowLabels": row_labels, "colLabels": col_labels, "entries": texts}
+    # each label's and each row's text is laid out where the document writes
+    # it, as an item of a top-level array, so it is written as it is
+    doc = {
+        "n": n,
+        "rowLabels": (_tableau_json(t) for t in tableaux),
+        "colLabels": (_web_json(w) for w in web_list),
+        "entries": (_JsonText(_json_block(_cells(row, d, texts), "    ")) for row in entries),
+    }
     yield from _json_chunks(doc)
 
 

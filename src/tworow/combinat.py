@@ -11,8 +11,7 @@ Conventions used throughout the package:
 
 - Letters are 1-based: tableau entries and matching endpoints all live
   in {1, ..., 2n}.  Internal tuples are 0-indexed by position, so
-  ``m.partner[i - 1]`` is the partner of the letter ``i``; use
-  ``m.of(i)`` to stay in letter language.
+  ``m.partner[i - 1]`` is the partner of the letter ``i``.
 - The canonical enumeration order on standard tableaux is descending
   lexicographic on the first-row tuple.  Noncrossing matchings are
   enumerated as the opener/closer images of the tableaux in that order;
@@ -141,9 +140,6 @@ class Matching(_Frozen):
 
     def __hash__(self):  # _Frozen's, in one call: the rewrite hashes every key it returns
         return hash((self.partner,))
-
-    def of(self, letter: int) -> int:
-        return self.partner[letter - 1]
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The pairs (a, b) with a < b, sorted by a.

@@ -7,15 +7,17 @@ polytabloid of s_i T is s_i times the polytabloid of T, so
 row(s_i T) = s_i . row(T) in the web model.  ``rows`` streams the rows
 in canonical order: row 0, of the interleaved tableau, is the
 consecutive-pairs web, and every later row is one generator step, through
-``webs.action_table``, from its latest parent built before it.  A parent
-is dropped after its last child, so at most n - 2 rows (one at n = 2, 3)
-are held at once.  A row stream yields bare sparse rows in canonical
-order: each row is a dict {column: entry} of its nonzero entries, keys in
-no set order, and a row's index is its position.  So a row step, a check
-and the rendering of a row walk only the nonzeros, 11.7-18.5% of the
-cells at n = 8..11.  ``transition_matrix`` makes each row of the stream
-dense once, ``matrix`` writes the stream row by row, and ``verify``
-checks it row by row, or, with the oracle, the rows of one such matrix.
+``webs.action_table``, from its latest parent built before it; no step
+takes s_1 or s_{2n-1}, so only s_2 .. s_{2n-2} are tabled (none at
+n = 1).  A parent is dropped after its last child, so at most n - 2 rows
+(one at n = 2, 3) are held at once.  A row stream yields bare sparse
+rows in canonical order: each row is a dict {column: entry} of its
+nonzero entries, keys in no set order, and a row's index is its
+position.  So a row step, a check and the rendering of a row walk only
+the nonzeros, 11.7-18.5% of the cells at n = 8..11.
+``transition_matrix`` makes each row of the stream dense once, ``matrix``
+writes the stream row by row, and ``verify`` checks it row by row, or,
+with the oracle, the rows of one such matrix.
 
 The paper's construction is kept as the reference the tests compare
 against: resolve the crossings of the matching whose pairs are the
@@ -91,14 +93,14 @@ def transition_row(t: Tableau) -> webs.WebVector:
     return webs.resolve_crossings(Matching.from_pairs(t.columns()))
 
 
-def _canonical_bases(n: int) -> tuple[tuple[Tableau, ...], tuple[Matching, ...]]:
-    """Both bases in canonical order, checked to start with the interleaved
-    tableau and the consecutive-pairs web, which every build pins together."""
+def _canonical_syt(n: int) -> tuple[Tableau, ...]:
+    """The tableaux in canonical order, checked with the webs to start with
+    the interleaved tableau and the consecutive-pairs web, which every build
+    pins together."""
     syt = enumerate_syt(n)
-    web_list = enumerate_webs(n)
-    if syt[0] != interleaved_tableau(n) or web_list[0] != consecutive_matching(n):
+    if syt[0] != interleaved_tableau(n) or enumerate_webs(n)[0] != consecutive_matching(n):
         raise RuntimeError("row 0 must be the indicator of web 0: canonical orders moved")
-    return syt, web_list
+    return syt
 
 
 def rows(n: int) -> Iterator[dict[int, int]]:
@@ -113,11 +115,19 @@ def rows(n: int) -> Iterator[dict[int, int]]:
     nonzeros only, and held only until its last child is built; a yielded
     dict may be a held parent, so a consumer must not change it.
 
+    Only s_2 .. s_{2n-2} are tabled: no step takes s_1 or s_{2n-1}.  1
+    heads the first row, and when 2 is in the second row it is that row's
+    smallest letter, so it heads the second row: 1 and 2 share column 0.
+    2n always ends the second row, and when 2n - 1 is in the first row it
+    is that row's largest letter, so it ends the first row: 2n - 1 and 2n
+    share the last column.
+
     >>> list(rows(2))
     [{0: 1}, {0: 1, 1: 1}]
     """
-    syt = _canonical_bases(n)[0]
-    tables = [None] + [webs.action_table(i, n) for i in range(1, 2 * n)]
+    syt = _canonical_syt(n)
+    # the module global, so that a test's stand-in table is read
+    tables = [None, None] + [webs.action_table(i, n) for i in range(2, 2 * n - 1)]
     slot = {t.rows[0]: r for r, t in enumerate(syt)}
     parents, letters = [], []  # the parent index and letter i of rows 1, 2, ...
     for t in syt[1:]:
@@ -171,8 +181,8 @@ def _rewrite_rows(n: int, sign: int = 1) -> Iterator[dict[int, int]]:
     canonical order and sparse like ``rows``, on partner tuples through one
     rewrite DAG that every row shares and walks; ``sign=-1`` negates the
     second reconnection, the ``syzygy-sign-flip`` fault."""
-    syt, web_list = _canonical_bases(n)
-    col = {m.partner: k for k, m in enumerate(web_list)}
+    syt = _canonical_syt(n)
+    col = webs._web_index(n)
     memo: dict = {}
     for t in syt:
         expansion = webs._expand(Matching.from_pairs(t.columns()).partner, memo, sign)
@@ -247,7 +257,7 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     """
     from . import specht  # only the oracle builds the polytabloid model
 
-    d = len(_canonical_bases(n)[0])
+    d = len(_canonical_syt(n))
     constraints: list[list[int]] = []
     for i in range(1, 2 * n):
         a_mat = specht.action_matrix(i, n)

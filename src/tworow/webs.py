@@ -10,7 +10,9 @@ The adjacent transposition s_i acts on a basis matching M by
 where M' replaces the pairs a ~ i and b ~ i+1 with a ~ b and i ~ i+1.
 ``action_table`` codes this as one web index per basis matching, the
 one form of s_i in the package: the row stream steps through it, and the
-intertwiner oracle fills its sparse rows of B_i from it.
+intertwiner oracle fills its sparse rows of B_i from it.  Every table
+of an n reads the webs' partner arrays from one index of them,
+``_web_index``, cached once per n like the enumeration it indexes.
 
 An arbitrary (crossing) perfect matching is not a basis element, but the
 product of its column minors expands into the basis by repeatedly
@@ -71,6 +73,8 @@ Four things keep the rewrite cheap.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .combinat import Matching, enumerate_webs
 
@@ -198,6 +202,13 @@ def resolve_crossings(m: Matching, *, memo: Dag | None = None) -> WebVector:
     return out
 
 
+@lru_cache(maxsize=None, typed=True)  # untyped, True may hit the entry for 1
+def _web_index(n: int) -> dict[Partner, int]:
+    """The partner array of each web of ``enumerate_webs(n)``, in canonical
+    order, mapped to its index: built once per n, like the enumeration."""
+    return {w.partner: k for k, w in enumerate(enumerate_webs(n))}
+
+
 def action_table(i: int, n: int) -> tuple[int, ...]:
     """s_i on the web basis as one integer per web: entry k is -1 when
     s_i negates w_k (i ~ i+1 in it), and otherwise the index of the web
@@ -208,17 +219,17 @@ def action_table(i: int, n: int) -> tuple[int, ...]:
     """
     if type(i) is not int or not 1 <= i <= 2 * n - 1:
         raise ValueError(f"generator index {i} out of range 1..{2 * n - 1}")
-    web_list = enumerate_webs(n)
-    index = {w.partner: k for k, w in enumerate(web_list)}
+    index = _web_index(n)
     table = []
-    for w in web_list:
-        if w.of(i) == i + 1:
+    for p in index:
+        a, b = p[i - 1], p[i]
+        if a == i + 1:
             table.append(-1)
             continue
         # the index holds every noncrossing matching, so a miss is a
         # crossing image: no scan for one is needed
-        k = index.get(_reconnect(w.partner, w.of(i), w.of(i + 1), i, i + 1))
+        k = index.get(_reconnect(p, a, b, i, i + 1))
         if k is None:
-            raise RuntimeError(f"s_{i} took the noncrossing {w.partner} to a crossing matching")
+            raise RuntimeError(f"s_{i} took the noncrossing {p} to a crossing matching")
         table.append(k)
     return tuple(table)

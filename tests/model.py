@@ -10,6 +10,8 @@ because no command of ``tworow`` runs it:
 - the action of any permutation on tabloids and tabloid vectors, the
   general reference for ``specht.action_matrix``, which swaps the letters
   of a tableau's columns to build s_i . e_T = e_{s_i T};
+- a matching's partner in letter language (``partner_of``), which the
+  package reads as ``m.partner[letter - 1]``;
 - every perfect matching, crossing or not, the inversion-pair sign
   of permuting one, and the scan for its smallest crossing, which
   ``webs._grow`` makes inline;
@@ -240,6 +242,11 @@ def act_on_tabloid_vector(sigma: Permutation, vec: dict[Tabloid, int]) -> dict[T
 def openers(m: Matching) -> tuple[int, ...]:
     """The minima of the pairs, ascending."""
     return tuple(a for a, _ in m.pairs())
+
+
+def partner_of(m: Matching, letter: int) -> int:
+    """The letter that m matches with ``letter``, in letter language."""
+    return m.partner[letter - 1]
 
 
 def enumerate_perfect_matchings(n: int):

@@ -591,6 +591,30 @@ JSON_DOCS = st.recursive(
 )
 
 
+def as_json_text(value):
+    """value as the _JsonText of an item of a top-level array."""
+    return _JsonText(json.dumps(value, indent=2).replace("\n", "\n    "))
+
+
+def written_and_plain(values):
+    """(what the writer takes, the plain value) for a drawn list of such pairs."""
+    return [w for w, _ in values], [p for _, p in values]
+
+
+# what the writer takes: scalars and dicts of them, at any depth, and in a
+# top-level array also any JSON value as its _JsonText, the form of every
+# nested array the commands write; each drawn with its plain value
+JSON_FLAT = st.recursive(
+    JSON_SCALARS, lambda inner: st.dictionaries(st.text(), inner), max_leaves=20
+).map(lambda v: (v, v))
+JSON_ITEMS = JSON_FLAT | JSON_DOCS.map(lambda v: (as_json_text(v), v))
+JSON_ARRAYS = st.lists(JSON_ITEMS).map(written_and_plain)
+JSON_VALUES = JSON_FLAT | JSON_ARRAYS | JSON_ARRAYS.map(lambda wp: (tuple(wp[0]), wp[1]))
+WRITER_DOCS = st.dictionaries(st.text(), JSON_VALUES).map(
+    lambda doc: tuple(dict(zip(doc, side)) for side in written_and_plain(doc.values()))
+)
+
+
 def with_generators(doc, rng):
     """doc with each top-level list or tuple value, at random, replaced by
     a generator of the same items."""
@@ -618,22 +642,32 @@ class TestJsonWriter:
     """``_json_chunks`` writes a top-level dict, with a generator of items
     for any of its array values."""
 
-    @given(st.dictionaries(st.text(), JSON_DOCS), st.randoms(use_true_random=False))
-    def test_matches_json_dumps(self, doc, rng):
-        expected = json.dumps(doc, indent=2) + "\n"
+    @given(WRITER_DOCS, st.randoms(use_true_random=False))
+    def test_matches_json_dumps(self, docs, rng):
+        doc, plain = docs
+        expected = json.dumps(plain, indent=2) + "\n"
         assert "".join(_json_chunks(doc)) == expected
         # a generator is written as the list of its items
         assert "".join(_json_chunks(with_generators(doc, rng))) == expected
+
+    @pytest.mark.parametrize(
+        "doc", [{"a": [[1]]}, {"a": [(1,)]}, {"a": {"b": [1]}}, {"a": [{"b": ()}]}]
+    )
+    def test_nested_array_refused(self, doc):
+        # every nested array a command writes is _JsonText, laid out where
+        # it is written
+        with pytest.raises(TypeError, match="nested array"):
+            "".join(_json_chunks(doc))
 
     def test_empty_generator_is_an_empty_array(self):
         doc = {"a": (x for x in ()), "b": []}
         assert "".join(_json_chunks(doc)) == json.dumps({"a": [], "b": []}, indent=2) + "\n"
 
     def test_json_text_is_written_at_its_depth(self):
-        # text laid out as an item of a top-level array, as a matrix row or
-        # a web's term list is, is written as it is
+        # text laid out as an item of a top-level array, as a label, a
+        # matrix row or a web's term list is, is written as it is
         terms = [{"exponents": [[1, 2, 1]], "coeff": -1}, [0, 3]]
-        text = _JsonText(json.dumps(terms, indent=2).replace("\n", "\n    "))
+        text = as_json_text(terms)
         expected = json.dumps({"n": 1, "entries": [terms, terms]}, indent=2) + "\n"
         for items in ([text, text], (text, text), (x for x in [text, text])):
             assert "".join(_json_chunks({"n": 1, "entries": items})) == expected
@@ -643,22 +677,22 @@ class TestJsonWriter:
             "".join(_json_chunks({"n": {1: 2}}))
 
     def test_shared_objects(self):
-        # one list held many times, in one piece and across pieces
-        row = [3, 1, 4]
-        in_one_piece = {"a": [[row, [row], {"b": row}]]}
-        in_two_pieces = {"a": [row, [row], row]}
-        # fresh lists that die as soon as they are written, so later lists
+        # one dict held many times, in one piece and across pieces
+        row = {"c": 3, "d": 1}
+        in_one_piece = {"a": [{"b": row, "e": {"f": row}}]}
+        in_two_pieces = {"a": [row, {"b": row}, row], "g": row}
+        # fresh dicts that die as soon as they are written, so later dicts
         # can take their ids
         fresh = {
-            "a": ([[k, i] for i in range(40)] for k in range(20)),
-            "b": ([k, k + 1] for k in range(200)),
+            "a": ({"k": k, "i": {"i": i}} for k in range(20) for i in range(40)),
+            "b": ({"k": k} for k in range(200)),
         }
         expected_fresh = {
-            "a": [[[k, i] for i in range(40)] for k in range(20)],
-            "b": [[k, k + 1] for k in range(200)],
+            "a": [{"k": k, "i": {"i": i}} for k in range(20) for i in range(40)],
+            "b": [{"k": k} for k in range(200)],
         }
         # equal and hashed alike, but written differently
-        lookalikes = {"a": [[[1, 1], [True, True], [1.0, 1.0], [1, 1]]]}
+        lookalikes = {"a": [1, True, 1.0, {"b": 1, "c": True, "d": 1.0}], "e": 1.0}
         for doc in (in_one_piece, in_two_pieces, lookalikes):
             assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2) + "\n"
         assert "".join(_json_chunks(fresh)) == json.dumps(expected_fresh, indent=2) + "\n"
@@ -671,13 +705,37 @@ class TestJsonWriter:
             "entries": transition_matrix(6).entries,
         }
         size = len(json.dumps(doc, indent=2)) + 1
+        rows = list(transition.rows(6))
         tracemalloc.start()
         try:
-            _write(_json_chunks(doc), os.devnull)
+            _write(cli._matrix_pieces(6, iter(rows), "json"), os.devnull)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < size
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matrix_and_enumerate_are_json_dumps(self, n):
+        # every label and row is _JsonText: each document is the plain one
+        tableaux = [t.rows for t in enumerate_syt(n)]
+        web_list = [w.partner for w in enumerate_webs(n)]
+        matrix = {
+            "n": n,
+            "rowLabels": tableaux,
+            "colLabels": web_list,
+            "entries": transition_matrix(n).entries,
+        }
+        pairs = {
+            "n": n,
+            "catalan": catalan(n),
+            "tableaux": tableaux,
+            "webs": web_list,
+            "pairing": list(range(catalan(n))),
+        }
+        text = "".join(cli._matrix_pieces(n, transition.rows(n), "json"))
+        assert text == json.dumps(matrix, indent=2) + "\n"
+        text = "".join(cli._enumerate_pieces(n, "json", False))
+        assert text == json.dumps(pairs, indent=2) + "\n"
 
     def test_matrix_is_written_a_row_at_a_time(self, monkeypatch):
         sink = PieceSink()

@@ -281,6 +281,42 @@ class TestRowStream:
         assert len(streamed) == len(entries) == catalan(n)
         assert tuple(dense(row, catalan(n)) for row in streamed) == entries
 
+    @staticmethod
+    def spy_on_tables(monkeypatch):
+        """The generator index of each ``webs.action_table`` call."""
+        asked = []
+        action_table = webs.action_table
+
+        def spy(i, n):
+            asked.append(i)
+            return action_table(i, n)
+
+        monkeypatch.setattr(webs, "action_table", spy)
+        return asked
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_no_step_takes_s1_or_the_last_generator(self, n, monkeypatch):
+        # the parent letter of each later row: the largest i in the first
+        # row of T whose i + 1 sits in the second row in another column
+        letters = [
+            max(a for a, b in zip(top, bottom) if a + 1 in bottom and b != a + 1)
+            for top, bottom in (t.rows for t in enumerate_syt(n)[1:])
+        ]
+        assert all(2 <= i <= 2 * n - 2 for i in letters)
+        assert set(letters) == set(range(2, 2 * n - 1))
+        # so the stream tables s_2 .. s_{2n-2} only, none at n = 1 and s_2
+        # at n = 2, through the module global that a test may patch
+        # and every one of them is read
+        asked = self.spy_on_tables(monkeypatch)
+        assert len(list(transition.rows(n))) == catalan(n)
+        assert asked == list(range(2, 2 * n - 1))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_oracle_reads_every_table(self, n, monkeypatch):
+        asked = self.spy_on_tables(monkeypatch)
+        intertwiner_oracle(n)
+        assert asked == list(range(1, 2 * n))
+
     @pytest.mark.parametrize("stream", ["rows", "rewrite", *transition.FAULTS])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_stream_yields_bare_rows(self, n, stream):

@@ -16,6 +16,7 @@ from model import (
     identity_permutation,
     mat_mul,
     partitions,
+    partner_of,
     reduced_word,
     web_action_matrix,
 )
@@ -61,6 +62,22 @@ class TestGeneratorAction:
         i = data.draw(st.integers(1, 2 * n - 1))
         b = web_action_matrix(i, n)
         assert mat_mul(b, mat_mul(b, column(vec, n))) == column(vec, n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_table_is_the_action_in_letters(self, n):
+        # every entry against s_i read in letter language, past the n <= 4
+        # of the polynomial model's check: -1 when i ~ i+1, else the web
+        # with a ~ b and i ~ i+1 in place of a ~ i and b ~ i+1
+        web_list = enumerate_webs(n)
+        for i in range(1, 2 * n):
+            for w, target in zip(web_list, action_table(i, n)):
+                a, b = partner_of(w, i), partner_of(w, i + 1)
+                if a == i + 1:
+                    assert target == -1
+                    continue
+                kept = [p for p in w.pairs() if not {i, i + 1} & set(p)]
+                image = Matching.from_pairs(kept + [(a, b), (i, i + 1)])
+                assert web_list[target] == image
 
     def test_rejects_bad_index(self):
         # an index that is not an int is out of range too, even True or 1.0
@@ -349,9 +366,10 @@ class TestActionMatrix:
         assert web_action_matrix(1, 1) == [[-1]]
 
     def test_image_missing_from_the_webs_raises(self, monkeypatch):
-        # s_1 takes 1~4, 2~3 to the consecutive web, dropped here
-        webs_without_first = enumerate_webs(2)[1:]
-        monkeypatch.setattr(webs, "enumerate_webs", lambda n: webs_without_first)
+        # s_1 takes 1~4, 2~3 to the consecutive web, dropped here from the
+        # index that every table reads the webs from
+        index_without_first = {w.partner: k for k, w in enumerate(enumerate_webs(2)[1:])}
+        monkeypatch.setattr(webs, "_web_index", lambda n: index_without_first)
         with pytest.raises(RuntimeError, match="to a crossing matching"):
             action_table(1, 2)
 
