@@ -178,14 +178,13 @@ def transition_matrix(n: int) -> TransitionMatrix:
 
 def _rewrite_rows(n: int, sign: int = 1) -> Iterator[dict[int, int]]:
     """Every row by the crossing rewrite, the paper's construction, in
-    canonical order and sparse like ``rows``, on partner tuples through one
-    rewrite DAG that every row shares and walks; ``sign=-1`` negates the
-    second reconnection, the ``syzygy-sign-flip`` fault."""
+    canonical order and sparse like ``rows``, on partner tuples, each row
+    through its own rewrite DAG; ``sign=-1`` negates the second
+    reconnection, the ``syzygy-sign-flip`` fault."""
     syt = _canonical_syt(n)
     col = webs._web_index(n)
-    memo: dict = {}
     for t in syt:
-        expansion = webs._expand(Matching.from_pairs(t.columns()).partner, memo, sign)
+        expansion = webs._expand(Matching.from_pairs(t.columns()).partner, {}, sign)
         yield {col[p]: c for p, c in expansion.items()}
 
 

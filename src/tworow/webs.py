@@ -21,7 +21,8 @@ the two uncrossed reconnections (a ~ b, c ~ d) and (a ~ d, b ~ c); both
 have strictly fewer crossings, so the rewrite terminates.
 ``resolve_crossings`` carries this out and returns the (nonnegative,
 integer) coefficients; the test suite checks them against an
-independent expansion of the minor products (see ``minors``).
+independent expansion of the minor products (``web_vector`` in
+``tests/model.py``).
 The action and the rewrite work on bare partner arrays and make the
 same move, which re-pairs two chords.  The action re-pairs the chords at
 i and i+1 of a partner tuple once (``_reconnect``).  The rewrite's
@@ -33,18 +34,17 @@ crossing node has two edges, to the two reconnections of its first
 crossing, and a noncrossing node none.  A web's coefficient is the number
 of paths from the root to it, the leaves of the resolution tree that land
 on it.  ``_grow`` fills the memo with each node's edges, a node after its
-children, so a fresh memo's order is a postorder of the root's DAG;
-``_walk`` collects that postorder from a memo that other roots filled
-first.  ``_expand`` pushes path counts down in the reverse order, parents
-before children, and keeps the noncrossing nodes with a nonzero count.
-Both recursions are module-level functions and not closures inside
-``resolve_crossings``: a nested function that calls itself is a reference
-cycle, which would keep each call's memo alive until the cycle collector
-runs.  Each child has fewer crossings than its parent, so the depth is at
-most n(n-1)/2 + 1 (37 at n = 9), far below Python's recursion limit at
-every n the rewrite can finish.  Its ``sign`` weights each edge to a
-second reconnection, and is -1 only in the ``syzygy-sign-flip`` fault
-(``transition.FAULTS``).
+children, so the memo's order, whichever roots filled it, lists every
+node after both its children.  ``_expand`` pushes path counts down in
+the reverse order, parents before children, and keeps the noncrossing
+nodes with a nonzero count.  The one recursion, ``_grow``, is a
+module-level function and not a closure inside ``resolve_crossings``: a
+nested function that calls itself is a reference cycle, which would keep
+each call's memo alive until the cycle collector runs.  Each child has
+fewer crossings than its parent, so the depth is at most n(n-1)/2 + 1
+(37 at n = 9), far below Python's recursion limit at every n the rewrite
+can finish.  Its ``sign`` weights each edge to a second reconnection,
+and is -1 only in the ``syzygy-sign-flip`` fault (``transition.FAULTS``).
 
 Four things keep the rewrite cheap.
 
@@ -128,33 +128,22 @@ def _grow(p: Key, start: int, memo: Dag) -> None:
     memo[p] = (x, y)
 
 
-def _walk(p: Key, memo: Dag, order: Dag) -> None:
-    """Copy p and every node below it from ``memo`` into ``order``, each
-    after its children, first children first."""
-    kids = memo[p]
-    for q in kids:
-        if q not in order:
-            _walk(q, memo, order)
-    order[p] = kids
-
-
 def _expand(p: Partner, memo: Dag, sign: int) -> dict[Partner, int]:
     """The expansion of p, keyed by partner tuples: each noncrossing node
     below p in the rewrite DAG ``memo`` with its path count from p, an
     edge to a second reconnection weighted by ``sign``, zeros dropped, in
-    the order a first-child-first walk first reaches them.  The DAG is
-    keyed by bytes, or by tuples past 255 letters."""
+    the memo's order, which for a fresh memo is the order a
+    first-child-first walk first reaches them.  The DAG is keyed by
+    bytes, or by tuples past 255 letters."""
     root = bytes(p) if len(p) < 256 else p
-    # a fresh memo holds only p's nodes, in postorder already
-    order = {} if memo else memo
     if root not in memo:
         _grow(root, 1, memo)
-    if order is not memo:
-        _walk(root, memo, order)
     count = {root: 1}
     leaves = []
-    # parents before children: the reverse of a postorder
-    for q, kids in reversed(order.items()):
+    # parents before children: ``_grow`` puts each node after its
+    # children, whichever root filled the memo, so the reverse of its
+    # order is one; a node not below p has no count
+    for q, kids in reversed(memo.items()):
         c = count.pop(q, 0)
         if not c:
             continue
@@ -178,14 +167,15 @@ def resolve_crossings(m: Matching, *, memo: Dag | None = None) -> WebVector:
     steps from m to its web (``_expand``).  The result does not depend on
     that choice, which the test suite checks with a random one.
     ``memo`` supplies a memo table to share across calls; by default each
-    call uses a fresh one.  A memo table is the rewrite DAG: it maps a
-    partner array to the partner arrays of its two reconnections, or to
-    () when it is noncrossing.  Its keys are bytes, one byte a letter, or
-    tuples past 255 letters.  Only the returned dict, a fresh one, is
-    keyed by ``Matching``.  Those keys are trusted: each
-    comes from partner swaps of a checked ``Matching`` (``m``, or an
-    earlier input that filled a shared memo), so they skip the public
-    constructor's check.
+    call uses a fresh one.  A memo that earlier calls filled gives the
+    same counts, but not the same key order, at one step per node it
+    holds.  A memo table is the rewrite DAG: it maps a partner array to
+    the partner arrays of its two reconnections, or to () when it is
+    noncrossing.  Its keys are bytes, one byte a letter, or tuples past
+    255 letters.  Only the returned dict, a fresh one, is keyed by
+    ``Matching``.  Those keys are trusted: each comes from partner swaps
+    of a checked ``Matching`` (``m``, or an earlier input that filled a
+    shared memo), so they skip the public constructor's check.
 
     >>> resolve_crossings(Matching.from_pairs([(1, 3), (2, 4)]))
     {Matching(partner=(2, 1, 4, 3)): 1, Matching(partner=(4, 3, 2, 1)): 1}

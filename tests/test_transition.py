@@ -166,30 +166,33 @@ class TestGeneratorRecurrence:
 
     @staticmethod
     def spy_on_rewrite(monkeypatch):
-        """The (memo, sign) of each ``webs._expand`` call, one a row: the
-        recursions are ``_grow`` and ``_walk``, so it never calls itself."""
+        """The (memo, its size on entry, sign) of each ``webs._expand``
+        call, one a row: the recursion is ``_grow``, so it never calls
+        itself."""
         calls = []
         expand = webs._expand
 
         def spy(p, memo, sign):
-            calls.append((memo, sign))
+            calls.append((memo, len(memo), sign))
             return expand(p, memo, sign)
 
         monkeypatch.setattr(webs, "_expand", spy)
         return calls
 
-    def test_reference_build_shares_one_memo(self, monkeypatch):
+    def test_reference_build_gives_each_row_its_own_memo(self, monkeypatch):
+        # one DAG a row: each call gets a new, empty memo and fills it
         calls = self.spy_on_rewrite(monkeypatch)
         list(_rewrite_rows(4))
-        memos = [memo for memo, _ in calls]
-        assert len(memos) == len(enumerate_syt(4))
-        assert all(memo is memos[0] for memo in memos) and memos[0]
+        assert len(calls) == len(enumerate_syt(4))
+        assert [size for _, size, _ in calls] == [0] * len(calls)
+        assert len({id(memo) for memo, _, _ in calls}) == len(calls)
+        assert all(memo for memo, _, _ in calls)
 
     def test_sign_fault_goes_through_rewrite(self, monkeypatch):
         calls = self.spy_on_rewrite(monkeypatch)
         report = verify(3, fault="syzygy-sign-flip")
         assert report["counterexamples"]
-        assert [sign for _, sign in calls] == [-1] * len(enumerate_syt(3))
+        assert [sign for _, _, sign in calls] == [-1] * len(enumerate_syt(3))
 
     def test_moved_canonical_order_raises(self, monkeypatch):
         # the build and the oracle share one guard, and its message

@@ -227,7 +227,7 @@ class TestTupleRewrite:
         # the memo is the reference DAG, node for node and in its order,
         # whatever the sign; the result is the reference merge's, in its
         # order for +1.  The flipped sign is the syzygy-sign-flip fault,
-        # which only the private recursion takes; there the merge deleted
+        # which only the private `_expand` takes; there the merge deleted
         # and re-added cancelled keys, so only the dicts compare.  The memo
         # is keyed by bytes, the reference DAG by tuples
         memo, dag = {}, {}
@@ -262,7 +262,7 @@ class TestTupleRewrite:
         out[next(iter(out))] += 5
         out.clear()
         assert memo == snapshot
-        # a second call finds the root in the memo and walks it
+        # a second call finds the root in the memo and only counts its paths
         assert resolve_crossings(crossed, memo=memo) == {w: 1 for w in enumerate_webs(3)}
         assert memo == snapshot
 
@@ -270,7 +270,8 @@ class TestTupleRewrite:
     @given(st.integers(2, 6), st.integers(0, 10**6), st.booleans())
     def test_shared_memo_gives_the_fresh_result(self, n, seed, sign_flip):
         # a memo that other matchings filled first, some of them below m,
-        # gives the fresh memo's result in the same order, for both signs
+        # gives the fresh memo's counts, for both signs; their order
+        # follows the memo's, which is not promised
         rng = random.Random(seed)
         sign = -1 if sign_flip else 1
         m = random_matching(rng, n)
@@ -278,9 +279,21 @@ class TestTupleRewrite:
         for _ in range(3):
             webs._expand(random_matching(rng, n).partner, shared, sign)
         fresh = webs._expand(m.partner, {}, sign)
-        assert list(webs._expand(m.partner, shared, sign).items()) == list(fresh.items())
-        # now m is in the memo: the second call only walks it
-        assert list(webs._expand(m.partner, shared, sign).items()) == list(fresh.items())
+        assert webs._expand(m.partner, shared, sign) == fresh
+        # now m is in the memo: the second call only counts its paths
+        assert webs._expand(m.partner, shared, sign) == fresh
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 10**6))
+    def test_shared_memo_lists_each_node_after_its_children(self, n, seed):
+        # the order ``_expand`` counts in: every root's growth puts each
+        # new node after both its children, so the whole memo keeps it
+        rng = random.Random(seed)
+        memo: dict = {}
+        for _ in range(4):
+            webs._expand(random_matching(rng, n).partner, memo, 1)
+        position = {q: k for k, q in enumerate(memo)}
+        assert all(position[kid] < position[q] for q, kids in memo.items() for kid in kids)
 
     def test_memo_size_on_fourteen_letters(self):
         # the same rewrite tree as the Matching-keyed loop, which left
