@@ -9,9 +9,13 @@ build), ``bench`` (build and write times, oracle time, peak RSS).
 JSON is the canonical output format and is byte-stable for a fixed
 command line; ``enumerate`` and ``matrix`` also write CSV (``--format
 csv``).  One function, ``_matrix_pieces``, writes the matrix of
-``matrix`` and ``bench``, its labels read from the enumerations, each
-dense row text joined once from the sparse row's nonzeros, with the text
-of each value made once a run.  Every output
+``matrix`` and ``bench``, each dense row text joined once from the
+sparse row's nonzeros, with the text of each value made once a run.
+One function, ``_labels``, writes the labels of ``matrix`` and
+``enumerate`` straight from the first rows and partner arrays of
+``combinat``, with the text of each letter made once a run, so neither
+command builds a ``Tableau`` or a ``Matching`` (``--dump-poly`` builds
+the webs it expands).  Every output
 is streamed.  Each JSON document is one dict: ``_json_chunks`` yields the
 text of ``json.dumps(doc, indent=2)`` one piece per key of it or per item
 of one of its top-level arrays (one tableau, matrix row, web's term list
@@ -24,13 +28,14 @@ does: it compares a whole matrix).  ``verify`` and ``bench`` open their
 output before they run, so an unwritable --out fails at once.  Text that is
 already JSON, an item of a top-level array laid out where it is written,
 is marked by ``_JsonText``: each label of ``enumerate`` and ``matrix``
-(a tableau's two rows or a web's partner array) and each matrix row,
-made by ``_json_block`` as it is written, and a web's term list for
+(a tableau's two rows or a web's partner array), each matrix row, made
+by ``_json_block`` as it is written, and a web's term list for
 ``--dump-poly``, written at its depth straight from the web by
 ``minors.serialize_polynomial``.  So every nested array of a document is
-one of these, and ``_json_text`` writes only scalars and dicts.  Only ``--dump-poly`` imports
-``minors``, and only the oracle ``specht``, so no other command loads
-them.
+one of these, and ``_json_text`` writes only scalars and dicts; it makes
+the scalars the commands write itself (``_json_scalar``), so no command
+loads ``json``.  Only ``--dump-poly`` imports ``minors``, and only the
+oracle ``specht``, so no other command loads them.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (including an unwritable --out, an unwritable or closed stdout, a cap
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import os
 import sys
 import time
@@ -51,7 +56,7 @@ from collections.abc import Iterable, Iterator
 from types import GeneratorType
 
 from . import transition
-from .combinat import catalan, enumerate_syt, enumerate_webs
+from .combinat import catalan, enumerate_webs, tableau_rows, web_partners
 
 DEFAULT_ENUM_CAP = 10
 DEFAULT_MATRIX_CAP = 6
@@ -160,6 +165,30 @@ def _json_text(obj, pad: str) -> str:
         return _json_block([_json_key(k) + _json_text(v, inner) for k, v in obj.items()], pad, "{}")
     if kind is list or kind is tuple:
         raise TypeError("a nested array must be written as _JsonText")
+    return _json_scalar(obj)
+
+
+def _json_scalar(obj) -> str:
+    """The text of ``json.dumps(obj)``.  The scalars the commands write are
+    made here: an int, true, false, null, a finite float and a string of
+    printable ASCII with no quote and no backslash, each as ``json`` makes
+    it.  Only anything else, which no command writes, loads ``json``."""
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        if obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
+            return '"' + obj + '"'
+    elif obj is True:
+        return "true"
+    elif obj is False:
+        return "false"
+    elif obj is None:
+        return "null"
+    elif kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    import json  # escapes, and the names of the floats that are not finite
+
     return json.dumps(obj)
 
 
@@ -179,7 +208,7 @@ def _json_key(key) -> str:
     # json.dumps would turn an int, float, bool or None key into a string
     if not isinstance(key, str):
         raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-    return json.dumps(key) + ": "
+    return _json_scalar(key) + ": "
 
 
 def _guard(n: int, cap: int, what: str) -> None:
@@ -198,90 +227,95 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-# the JSON and the CSV label of a tableau and of a web, each written by
-# enumerate and matrix; a JSON label is laid out as an item of a top-level
-# array, like a matrix row
-def _tableau_json(t) -> _JsonText:
-    return _JsonText(_json_block([_json_block(map(str, r), "      ") for r in t.rows], "    "))
-
-
-def _web_json(w) -> _JsonText:
-    return _JsonText(_json_block(map(str, w.partner), "    "))
-
-
-def _tableau_csv(t) -> str:
-    return "|".join(" ".join(map(str, r)) for r in t.rows)
-
-
-def _web_csv(w) -> str:
-    return " ".join(map(str, w.partner))
+def _labels(n: int, fmt: str) -> tuple[Iterator[str], Iterator[str]]:
+    """The labels of the tableaux and of the webs, in canonical order and
+    in ``fmt``, "json" or "csv", each made as it is read: a tableau's two
+    rows and a web's partner array, straight from ``tableau_rows`` and
+    ``web_partners``, with one text per letter.  A JSON label is laid out
+    as an item of a top-level array, like a matrix row, and is
+    ``_JsonText``."""
+    text = [str(a) for a in range(2 * n + 1)].__getitem__
+    if fmt == "csv":
+        tableaux = (
+            " ".join(map(text, top)) + "|" + " ".join(map(text, bottom))
+            for top, bottom in tableau_rows(n)
+        )
+        return tableaux, (" ".join(map(text, partner)) for partner in web_partners(n))
+    row_items = ",\n        ".join
+    tableaux = (
+        _JsonText(
+            "[\n      [\n        " + row_items(map(text, top)) + "\n      ],\n      [\n        "
+            + row_items(map(text, bottom)) + "\n      ]\n    ]"
+        )
+        for top, bottom in tableau_rows(n)
+    )
+    items = ",\n      ".join
+    webs = (_JsonText("[\n      " + items(map(text, p)) + "\n    ]") for p in web_partners(n))
+    return tableaux, webs
 
 
 def _enumerate_pieces(n: int, fmt: str, dump_poly: bool) -> Iterator[str]:
     """The enumerate document in ``fmt``, "json" or "csv", piece by piece;
-    both enumerations are built at the first piece, so after ``_write``
-    has opened its target."""
-    tableaux = enumerate_syt(n)
-    web_list = enumerate_webs(n)
-    # web k is the opener/closer image of tableau k
-    pairing = list(range(len(tableaux)))
+    the enumeration is built at the first piece, so after ``_write`` has
+    opened its target."""
+    d = catalan(n)
+    tableaux, webs = _labels(n, fmt)
+    # the pairing: web k is the opener/closer image of tableau k
     if fmt == "csv":
         yield "kind,index,label\n"
-        for k, t in enumerate(tableaux):
-            yield f"tableau,{k},{_tableau_csv(t)}\n"
-        for k, w in enumerate(web_list):
-            yield f"web,{k},{_web_csv(w)}\n"
-        for k, p in enumerate(pairing):
-            yield f"pair,{k},{p}\n"
+        for k, label in enumerate(tableaux):
+            yield f"tableau,{k},{label}\n"
+        for k, label in enumerate(webs):
+            yield f"web,{k},{label}\n"
+        for k in range(d):
+            yield f"pair,{k},{k}\n"
         return
-    doc = {
-        "n": n,
-        "catalan": catalan(n),
-        "tableaux": (_tableau_json(t) for t in tableaux),
-        "webs": (_web_json(w) for w in web_list),
-        "pairing": pairing,
-    }
+    doc = {"n": n, "catalan": d, "tableaux": tableaux, "webs": webs, "pairing": list(range(d))}
     if dump_poly:
         from . import minors  # only --dump-poly writes D(M)
 
         # a generator: each web's term list is built as it is written, laid
         # out as an item of a top-level array
-        doc["webPolynomials"] = (_JsonText(minors.serialize_polynomial(w, "    ")) for w in web_list)
+        doc["webPolynomials"] = (
+            _JsonText(minors.serialize_polynomial(w, "    ")) for w in enumerate_webs(n)
+        )
     yield from _json_chunks(doc)
 
 
 def _cells(row: dict[int, int], d: int, texts: dict[int, str]) -> list[str]:
     """The text of each of the d entries of a sparse row: "0" everywhere,
-    then the nonzero cells set, each value's text read from ``texts``,
-    which gains the text of each value it lacks."""
+    then the nonzero cells set, each value's text read from ``texts``.  A
+    row with a value that ``texts`` lacks adds the text of each such value,
+    and is then made again."""
     cells = ["0"] * d
-    for c, v in row.items():
-        text = texts.get(v)
-        if text is None:
-            text = texts[v] = str(v)
-        cells[c] = text
+    try:
+        for c, v in row.items():
+            cells[c] = texts[v]
+    except KeyError:
+        texts.update({v: str(v) for v in row.values() if v not in texts})
+        return _cells(row, d, texts)
     return cells
 
 
 def _matrix_pieces(n: int, entries: Iterable[dict[int, int]], fmt: str) -> Iterator[str]:
     """The matrix document in ``fmt``, "json" or "csv", piece by piece.  Row
-    r is labeled by tableau r of ``enumerate_syt(n)`` and column c by web c
-    of ``enumerate_webs(n)``; ``entries`` is read once, a sparse row per
+    r is labeled by tableau r and column c by web c of the canonical
+    enumeration (``_labels``); ``entries`` is read once, a sparse row per
     piece, whose dense text is joined once from its cells."""
-    tableaux, web_list = enumerate_syt(n), enumerate_webs(n)
-    d = len(web_list)
+    d = catalan(n)
+    tableaux, webs = _labels(n, fmt)
     texts: dict[int, str] = {}  # the text of each value, made once a run
     if fmt == "csv":
-        yield ",".join(["tableau\\web"] + [_web_csv(w) for w in web_list]) + "\n"
-        for t, row in zip(tableaux, entries):
-            yield _tableau_csv(t) + "," + ",".join(_cells(row, d, texts)) + "\n"
+        yield ",".join(["tableau\\web", *webs]) + "\n"
+        for label, row in zip(tableaux, entries):
+            yield label + "," + ",".join(_cells(row, d, texts)) + "\n"
         return
     # each label's and each row's text is laid out where the document writes
     # it, as an item of a top-level array, so it is written as it is
     doc = {
         "n": n,
-        "rowLabels": (_tableau_json(t) for t in tableaux),
-        "colLabels": (_web_json(w) for w in web_list),
+        "rowLabels": tableaux,
+        "colLabels": webs,
         "entries": (_JsonText(_json_block(_cells(row, d, texts), "    ")) for row in entries),
     }
     yield from _json_chunks(doc)

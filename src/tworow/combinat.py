@@ -20,6 +20,14 @@ Conventions used throughout the package:
   interleaved tableau 1,3,5,.. / 2,4,6,.. and the consecutive-pairs
   matching {1~2, 3~4, ...} at index 0, pairs tableau k with web k, and
   makes every serialized enumeration reproducible byte for byte.
+- So one enumeration indexes both bases: the ballot first rows
+  (``first_rows``), each the first row F of tableau k and the opener set
+  of web k.  ``row_index`` maps each F's bitmask m(F) = sum of 2^a over
+  a in F to k, once per n; the row stream and the web action table key
+  on it, and ``cli`` writes the labels from ``tableau_rows`` and
+  ``web_partners``, so none of them builds a ``Tableau`` or a
+  ``Matching``.  ``enumerate_syt`` and ``enumerate_webs`` wrap the same
+  rows in those objects for the library, the oracle and ``--dump-poly``.
 - ``Tableau`` and ``Matching``, like ``transition``'s
   ``TransitionMatrix``, are immutable values on ``_Frozen``: slotted
   classes whose ``__init__`` sets each field once (``Tableau`` and
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 
 
@@ -210,26 +219,65 @@ def consecutive_matching(n: int) -> Matching:
 
 
 @lru_cache(maxsize=None, typed=True)  # untyped, True may hit the entry for 1
+def first_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The first row of every standard tableau on the 2 x n rectangle,
+    canonically ordered: the one enumeration of both bases.
+
+    >>> first_rows(3)
+    ((1, 3, 5), (1, 3, 4), (1, 2, 5), (1, 2, 4), (1, 2, 3))
+    """
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be an int >= 1")
+    # the increasing tuples whose k-th entry (from 0) is at most 2k + 1,
+    # descending.  Every such prefix extends, so they grow an entry at a
+    # time, each prefix's children largest entry first
+    rows = [(1,)]
+    for k in range(1, n):
+        rows = [row + (v,) for row in rows for v in range(2 * k + 1, row[-1], -1)]
+    if len(rows) != catalan(n):
+        raise RuntimeError(f"found {len(rows)} tableaux, expected Catalan({n}) = {catalan(n)}")
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None, typed=True)  # untyped, True may hit the entry for 1
+def row_index(n: int) -> dict[int, int]:
+    """The bitmask m(F), the sum of 2^a over the letters a of F, of each
+    first row F of ``first_rows(n)`` mapped to its position, in canonical
+    order: the index of tableau k and of web k, whose openers are F.
+
+    >>> row_index(2)
+    {10: 0, 6: 1}
+    """
+    bit = (1).__lshift__
+    return {sum(map(bit, first)): k for k, first in enumerate(first_rows(n))}
+
+
+def tableau_rows(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The two rows of every standard tableau, canonically ordered, one
+    tableau at a time: each first row of ``first_rows(n)`` and the other
+    letters, ascending.  Each pair of rows holds 1..2n once."""
+    rows = first_rows(n)
+    letters = set(range(1, 2 * n + 1))
+    for first in rows:
+        yield first, tuple(sorted(letters.difference(first)))
+
+
+def web_partners(n: int) -> Iterator[tuple[int, ...]]:
+    """The partner array of every noncrossing matching, canonically
+    ordered, one web at a time: the opener/closer image of each first row
+    of ``first_rows(n)``, unchecked, because a ballot first row is one."""
+    return map(_opener_closer_partner, first_rows(n))
+
+
+@lru_cache(maxsize=None, typed=True)  # untyped, True may hit the entry for 1
 def enumerate_syt(n: int) -> tuple[Tableau, ...]:
-    """All standard tableaux on the 2 x n rectangle, canonically ordered.
+    """All standard tableaux on the 2 x n rectangle, canonically ordered:
+    the rows of ``tableau_rows(n)``, which need no check.
 
     >>> [t.rows[0] for t in enumerate_syt(3)]
     [(1, 3, 5), (1, 3, 4), (1, 2, 5), (1, 2, 4), (1, 2, 3)]
     """
-    if type(n) is not int or n < 1:
-        raise ValueError("n must be an int >= 1")
-    # the first rows, descending: the increasing tuples whose k-th entry
-    # (from 0) is at most 2k + 1.  Every such prefix extends, so they grow
-    # an entry at a time, each prefix's children largest entry first.  With
-    # the sorted complement below, each holds 1..2n once: no check needed.
-    rows = [(1,)]
-    for k in range(1, n):
-        rows = [row + (v,) for row in rows for v in range(2 * k + 1, row[-1], -1)]
-    letters = set(range(1, 2 * n + 1))
-    tableaux = tuple(_trusted(Tableau, (r, tuple(sorted(letters.difference(r))))) for r in rows)
-    if len(tableaux) != catalan(n):
-        raise RuntimeError(f"found {len(tableaux)} tableaux, expected Catalan({n}) = {catalan(n)}")
-    return tableaux
+    return tuple(_trusted(Tableau, rows) for rows in tableau_rows(n))
 
 
 def tableau_to_web(t: Tableau) -> Matching:
@@ -266,11 +314,9 @@ def _opener_closer_partner(first_row: tuple[int, ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=None, typed=True)  # untyped, True may hit the entry for 1
 def enumerate_webs(n: int) -> tuple[Matching, ...]:
     """All noncrossing perfect matchings on 1..2n, canonically ordered:
-    the opener/closer images of enumerate_syt(n), in order, unchecked:
-    the first rows of standard tableaux are ballot.
+    the partner arrays of ``web_partners(n)``, which need no check.
 
     >>> [w.pairs() for w in enumerate_webs(2)]
     [((1, 2), (3, 4)), ((1, 4), (2, 3))]
     """
-    return tuple(_trusted(Matching, _opener_closer_partner(t.rows[0])) for t in enumerate_syt(n))
-
+    return tuple(_trusted(Matching, partner) for partner in web_partners(n))

@@ -9,7 +9,10 @@ in canonical order: row 0, of the interleaved tableau, is the
 consecutive-pairs web, and every later row is one generator step, through
 ``webs.action_table``, from its latest parent built before it; no step
 takes s_1 or s_{2n-1}, so only s_2 .. s_{2n-2} are tabled (none at
-n = 1).  A parent is dropped after its last child, so at most n - 2 rows
+n = 1).  The stream reads only the first rows: each parent, like each
+table's image, is found by its first row's bitmask in
+``combinat.row_index``, so it builds no ``Tableau`` and no ``Matching``.
+A parent is dropped after its last child, so at most n - 2 rows
 (one at n = 2, 3) are held at once.  A row stream yields bare sparse
 rows in canonical order: each row is a dict {column: entry} of its
 nonzero entries, keys in no set order, and a row's index is its
@@ -56,10 +59,9 @@ from .combinat import (
     Tableau,
     _Frozen,
     catalan,
-    consecutive_matching,
-    enumerate_syt,
-    enumerate_webs,
-    interleaved_tableau,
+    first_rows,
+    row_index,
+    tableau_rows,
 )
 from .linalg import nullspace
 
@@ -85,6 +87,7 @@ def transition_row(t: Tableau) -> webs.WebVector:
     a fresh memo.  Each coefficient counts the paths from that matching to
     its web in the rewrite DAG, whose edges are all the memo holds.
 
+    >>> from tworow.combinat import consecutive_matching, interleaved_tableau
     >>> transition_row(interleaved_tableau(2)) == {consecutive_matching(2): 1}
     True
     """
@@ -93,27 +96,57 @@ def transition_row(t: Tableau) -> webs.WebVector:
     return webs.resolve_crossings(Matching.from_pairs(t.columns()))
 
 
-def _canonical_syt(n: int) -> tuple[Tableau, ...]:
-    """The tableaux in canonical order, checked with the webs to start with
-    the interleaved tableau and the consecutive-pairs web, which every build
-    pins together."""
-    syt = enumerate_syt(n)
-    if syt[0] != interleaved_tableau(n) or enumerate_webs(n)[0] != consecutive_matching(n):
+def _canonical_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The first rows in canonical order, checked to start with 1, 3, ...,
+    2n - 1: the interleaved tableau's, and the openers of the
+    consecutive-pairs web, which every build pins together as row 0."""
+    firsts = first_rows(n)
+    if firsts[0] != tuple(range(1, 2 * n, 2)):
         raise RuntimeError("row 0 must be the indicator of web 0: canonical orders moved")
-    return syt
+    return firsts
+
+
+def _parents(n: int) -> tuple[list[int], list[int]]:
+    """The index of the latest parent P = s_i T of each row T = 1, 2, ...
+    of ``rows``, and its letter i: the largest letter in the first row of T
+    whose i + 1 sits in the second row in another column.  P has i + 1 in
+    place of i in its first row, so it comes earlier in canonical order;
+    the largest i changes the furthest right, so P is the latest candidate.
+
+    The search reads only the first row F of T and its bitmask m of
+    ``combinat.row_index``: i = F[j] for the largest j (from 0) with
+    F[j] + 1 not in F and F[j] <= 2j.  The letters up to i hold j + 1 of
+    F, so i + 1 is the (i - j)-th letter of the second row, in its column
+    i - j - 1, and that is column j exactly when F[j] = 2j + 1; a standard
+    T has F[j] <= 2j + 1.  P's bitmask is m with the bits i and i + 1
+    swapped, m ^ (3 << i).  Only row 0, F = 1, 3, ..., 2n - 1, has no such
+    j; every other row has one, at j >= 1, since F[0] = 1.
+
+    >>> _parents(3)
+    ([0, 0, 2, 3], [4, 2, 4, 3])
+    """
+    index = row_index(n)
+    parents, letters = [], []
+    later = zip(_canonical_rows(n), index)
+    next(later)  # row 0
+    for first, m in later:
+        j = n - 1
+        while first[j] > 2 * j or m >> first[j] + 1 & 1:
+            j -= 1
+        i = first[j]
+        parents.append(index[m ^ (3 << i)])
+        letters.append(i)
+    return parents, letters
 
 
 def rows(n: int) -> Iterator[dict[int, int]]:
     """Every row of the matrix, in canonical order, as a dict {column:
     entry} of its nonzero entries, keys in no set order.
 
-    Row T is s_i . row(P) for its latest parent P = s_i T: i is the
-    largest letter in the first row of T whose i + 1 sits in the second
-    row in another column.  P has i + 1 in place of i in its first row, so
-    it comes earlier in canonical order; the largest i changes the furthest
-    right, so P is the latest candidate.  A row is built from its parent's
-    nonzeros only, and held only until its last child is built; a yielded
-    dict may be a held parent, so a consumer must not change it.
+    Row T is s_i . row(P) for its latest parent P = s_i T (``_parents``).
+    A row is built from its parent's nonzeros only, and held only until
+    its last child is built; a yielded dict may be a held parent, so a
+    consumer must not change it.
 
     Only s_2 .. s_{2n-2} are tabled: no step takes s_1 or s_{2n-1}.  1
     heads the first row, and when 2 is in the second row it is that row's
@@ -125,24 +158,14 @@ def rows(n: int) -> Iterator[dict[int, int]]:
     >>> list(rows(2))
     [{0: 1}, {0: 1, 1: 1}]
     """
-    syt = _canonical_syt(n)
+    parents, letters = _parents(n)
     # the module global, so that a test's stand-in table is read
     tables = [None, None] + [webs.action_table(i, n) for i in range(2, 2 * n - 1)]
-    slot = {t.rows[0]: r for r, t in enumerate(syt)}
-    parents, letters = [], []  # the parent index and letter i of rows 1, 2, ...
-    for t in syt[1:]:
-        first, second = t.rows
-        j, i = max(
-            (j, a) for j, a in enumerate(first) if a + 1 in second and second[j] != a + 1
-        )
-        parents.append(slot[first[:j] + (i + 1,) + first[j + 1 :]])
-        letters.append(i)
-    del slot
     last_child = {p: r for r, p in enumerate(parents, 1)}
     row = {0: 1}
     held = {0: row} if 0 in last_child else {}
     yield row
-    for r, p, i in zip(range(1, len(syt)), parents, letters):
+    for r, (p, i) in enumerate(zip(parents, letters), 1):
         parent = held.pop(p) if last_child[p] == r else held[p]
         # s_i keeps each w_k and adds w_target, or turns w_k into -w_k
         table = tables[i]
@@ -181,11 +204,14 @@ def _rewrite_rows(n: int, sign: int = 1) -> Iterator[dict[int, int]]:
     canonical order and sparse like ``rows``, on partner tuples, each row
     through its own rewrite DAG; ``sign=-1`` negates the second
     reconnection, the ``syzygy-sign-flip`` fault."""
-    syt = _canonical_syt(n)
-    col = webs._web_index(n)
-    for t in syt:
-        expansion = webs._expand(Matching.from_pairs(t.columns()).partner, {}, sign)
-        yield {col[p]: c for p, c in expansion.items()}
+    index = row_index(n)
+    for top, bottom in tableau_rows(n):
+        expansion = webs._expand(Matching.from_pairs(zip(top, bottom)).partner, {}, sign)
+        # a web's column is the index of the bitmask of its openers
+        yield {
+            index[sum(1 << a for a, b in enumerate(p, 1) if a < b)]: c
+            for p, c in expansion.items()
+        }
 
 
 # each --inject-fault name and the stream of its broken rows; negative-entry
@@ -256,7 +282,7 @@ def intertwiner_oracle(n: int) -> TransitionMatrix:
     """
     from . import specht  # only the oracle builds the polytabloid model
 
-    d = len(_canonical_syt(n))
+    d = len(_canonical_rows(n))
     constraints: list[list[int]] = []
     for i in range(1, 2 * n):
         a_mat = specht.action_matrix(i, n)

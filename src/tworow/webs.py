@@ -10,9 +10,17 @@ The adjacent transposition s_i acts on a basis matching M by
 where M' replaces the pairs a ~ i and b ~ i+1 with a ~ b and i ~ i+1.
 ``action_table`` codes this as one web index per basis matching, the
 one form of s_i in the package: the row stream steps through it, and the
-intertwiner oracle fills its sparse rows of B_i from it.  Every table
-of an n reads the webs' partner arrays from one index of them,
-``_web_index``, cached once per n like the enumeration it indexes.
+intertwiner oracle fills its sparse rows of B_i from it.  A web is its
+openers, the first row of its tableau, so every table of an n reads the
+webs from ``combinat.row_index``, the one index of both bases, cached
+once per n: each web is the bitmask m of its openers, and M' is m with
+four bits flipped.  The openers min(i, a) and min(i+1, b) leave and the
+openers i and min(a, b) enter.  That is exact, because every old opener
+among i, a and b is one of the two that leave, so a bit that both leaves
+and enters is flipped twice and stays.  At most one of a and b is
+needed, and it is found by a walk from i down or from i+1 up, to where
+the depth of open chords first returns to 0 (``action_table`` has the
+cases).
 
 An arbitrary (crossing) perfect matching is not a basis element, but the
 product of its column minors expands into the basis by repeatedly
@@ -23,11 +31,11 @@ have strictly fewer crossings, so the rewrite terminates.
 integer) coefficients; the test suite checks them against an
 independent expansion of the minor products (``web_vector`` in
 ``tests/model.py``).
-The action and the rewrite work on bare partner arrays and make the
-same move, which re-pairs two chords.  The action re-pairs the chords at
-i and i+1 of a partner tuple once (``_reconnect``).  The rewrite's
-``_grow`` scans a node for its lexicographically smallest crossing and
-re-pairs it twice, both inline, on one copy of the node.
+The action and the rewrite make the same move, which re-pairs two
+chords.  The action makes it on the opener bitmask, by the four-bit
+rule above.  The rewrite's ``_grow`` scans a node, a bare partner
+array, for its lexicographically smallest crossing and re-pairs it
+twice, both inline, on one copy of the node.
 
 The rewrite is a DAG and a count.  Each node is a partner array; a
 crossing node has two edges, to the two reconnections of its first
@@ -74,9 +82,7 @@ Four things keep the rewrite cheap.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .combinat import Matching, enumerate_webs
+from .combinat import Matching, row_index
 
 WebVector = dict[Matching, int]
 # the partner array of a matching, bare
@@ -86,14 +92,6 @@ Partner = tuple[int, ...]
 Key = bytes | Partner
 # the rewrite DAG: each node's two reconnections, or () when it is noncrossing
 Dag = dict[Key, tuple[Key, ...]]
-
-
-def _reconnect(p: Partner, a: int, b: int, c: int, d: int) -> Partner:
-    """p with its two chords on a, b, c, d re-paired as a ~ b and c ~ d,
-    the move of both the action and the rewrite; it may cross."""
-    q = list(p)
-    q[a - 1], q[b - 1], q[c - 1], q[d - 1] = b, a, d, c
-    return tuple(q)
 
 
 def _grow(p: Key, start: int, memo: Dag) -> None:
@@ -192,34 +190,55 @@ def resolve_crossings(m: Matching, *, memo: Dag | None = None) -> WebVector:
     return out
 
 
-@lru_cache(maxsize=None, typed=True)  # untyped, True may hit the entry for 1
-def _web_index(n: int) -> dict[Partner, int]:
-    """The partner array of each web of ``enumerate_webs(n)``, in canonical
-    order, mapped to its index: built once per n, like the enumeration."""
-    return {w.partner: k for k, w in enumerate(enumerate_webs(n))}
-
-
 def action_table(i: int, n: int) -> tuple[int, ...]:
     """s_i on the web basis as one integer per web: entry k is -1 when
     s_i negates w_k (i ~ i+1 in it), and otherwise the index of the web
     w' in s_i . w_k = w_k + w', both in canonical order.
+
+    Each web is the bitmask m of its openers in ``row_index(n)``, and w'
+    is m with the four bits of the module docstring flipped.  By which of
+    i and i+1 open (the two low bits of m >> i), with a ~ i and b ~ i+1:
+
+    - i opens and i+1 closes: nothing lies between them, so i ~ i+1.
+    - i closes and i+1 opens: a < i < i+1 < b, so a leaves and enters,
+      i+1 leaves and i enters.
+    - both open: the chord at i+1 nests in the one at i, i < i+1 < b < a,
+      so i stays, i+1 leaves and b enters; b is where the depth from
+      i+1 up first returns to 0.
+    - both close: b < a < i < i+1, so b stays, a leaves and i enters; a
+      is where the depth from i down first returns to 0.
 
     >>> action_table(1, 2) == (-1, 0)
     True
     """
     if type(i) is not int or not 1 <= i <= 2 * n - 1:
         raise ValueError(f"generator index {i} out of range 1..{2 * n - 1}")
-    index = _web_index(n)
+    index = row_index(n)
     table = []
-    for p in index:
-        a, b = p[i - 1], p[i]
-        if a == i + 1:
-            table.append(-1)
-            continue
-        # the index holds every noncrossing matching, so a miss is a
-        # crossing image: no scan for one is needed
-        k = index.get(_reconnect(p, a, b, i, i + 1))
-        if k is None:
-            raise RuntimeError(f"s_{i} took the noncrossing {p} to a crossing matching")
-        table.append(k)
+    append = table.append
+    try:
+        for m in index:
+            ends = m >> i & 3
+            if ends == 1:
+                append(-1)
+                continue
+            if ends == 2:
+                image = m ^ (3 << i)
+            elif ends == 3:
+                b, depth = i + 1, 1
+                while depth:
+                    b += 1
+                    depth += 1 if m >> b & 1 else -1
+                image = m ^ (2 << i) ^ (1 << b)
+            else:
+                a, depth = i, 1
+                while depth:
+                    a -= 1
+                    depth += -1 if m >> a & 1 else 1
+                image = m ^ (1 << a) ^ (1 << i)
+            # the image of a noncrossing matching is one, and the index
+            # holds all of them, so a miss is a wrong index
+            append(index[image])
+    except KeyError:
+        raise RuntimeError(f"s_{i} took the openers {m:#b} to {image:#b}, not a web") from None
     return tuple(table)

@@ -15,6 +15,11 @@ because no command of ``tworow`` runs it:
 - every perfect matching, crossing or not, the inversion-pair sign
   of permuting one, and the scan for its smallest crossing, which
   ``webs._grow`` makes inline;
+- the re-pairing of two chords of a partner tuple (``reconnect``), the
+  move that ``webs._grow`` makes inline and ``webs.action_table`` makes as
+  four flipped bits of a web's openers;
+- the latest-parent rule on a tableau's two rows (``latest_parent``),
+  which ``transition._parents`` reads from the first row's bitmask;
 - dense matrix products and rank, and the dense matrix of s_i on the
   web basis, which the package codes only as ``webs.action_table``;
 - D(M), the product of the pair minors of a perfect matching, as a
@@ -294,6 +299,29 @@ def first_crossing(partner, start: int = 1) -> tuple[int, int, int, int] | None:
                 if d > c:
                     return a, b, c, d
     return None
+
+
+def reconnect(p: tuple[int, ...], a: int, b: int, c: int, d: int) -> tuple[int, ...]:
+    """The partner tuple p with its two chords on a, b, c, d re-paired as
+    a ~ b and c ~ d; it may cross.
+
+    >>> reconnect((3, 4, 1, 2), 1, 2, 3, 4)
+    (2, 1, 4, 3)
+    """
+    q = list(p)
+    q[a - 1], q[b - 1], q[c - 1], q[d - 1] = b, a, d, c
+    return tuple(q)
+
+
+def latest_parent(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, int]:
+    """(j, i) for the largest letter i = first[j] of a standard tableau's
+    first row whose i + 1 sits in the second row in another column: the
+    row stream's parent letter, found on the two rows.
+
+    >>> latest_parent((1, 2, 4), (3, 5, 6))
+    (2, 4)
+    """
+    return max((j, a) for j, a in enumerate(first) if a + 1 in second and second[j] != a + 1)
 
 
 def permute_matching(sigma: Permutation, m: Matching) -> tuple[int, Matching]:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from model import polynomial_terms, tableau_from_lists, web_vector
 from tworow import cli, minors, transition, webs
 from tworow.cli import _json_chunks, _JsonText, _write, build_parser, main
-from tworow.combinat import Matching, catalan, enumerate_syt, enumerate_webs
+from tworow.combinat import Matching, catalan, enumerate_syt, enumerate_webs, first_rows, row_index
 from tworow.transition import transition_matrix
 
 
@@ -171,7 +171,7 @@ def test_row_stream_holds_no_matrix(argv, code, monkeypatch):
     monkeypatch.setenv("TWOROW_MATRIX_CAP", "7")
     monkeypatch.setattr(transition, "transition_matrix", None)
     monkeypatch.setattr(transition, "TransitionMatrix", refuse)
-    enumerate_syt(7), enumerate_webs(7)  # the cached enumerations
+    first_rows(7), row_index(7)  # the cached enumeration and its index
     tracemalloc.start()
     try:
         assert main([*argv, "--n", "7", "--out", os.devnull]) == code
@@ -399,7 +399,7 @@ class TestUsageErrors:
 
         for name in ("verify", "rows", "intertwiner_oracle"):
             monkeypatch.setattr(transition, name, refuse)
-        for name in ("enumerate_syt", "enumerate_webs"):
+        for name in ("tableau_rows", "web_partners", "enumerate_webs"):
             monkeypatch.setattr(cli, name, refuse)
         path = tmp_path / "missing" / "x.json"
         code, out, err = run(capsys, *argv, "--n", "3", "--out", str(path))
@@ -672,6 +672,21 @@ class TestJsonWriter:
         for items in ([text, text], (text, text), (x for x in [text, text])):
             assert "".join(_json_chunks({"n": 1, "entries": items})) == expected
 
+    @given(
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats()
+        | st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 1e300])
+        # any code point, lone surrogates too, and the ones that need escapes
+        | st.text(st.characters(exclude_categories=()))
+        | st.text(st.sampled_from('"\\/\x00\x1f\x7f\x80 a\u00e9\u2028\ud800\U0001f600'))
+    )
+    def test_scalars_are_json_dumps(self, value):
+        assert cli._json_scalar(value) == json.dumps(value)
+        if type(value) is str:
+            assert cli._json_key(value) == json.dumps(value) + ": "
+
     def test_non_str_key_refused(self):
         with pytest.raises(TypeError, match="keys must be str"):
             "".join(_json_chunks({"n": {1: 2}}))
@@ -845,22 +860,25 @@ def test_start_up_loads_only_what_runs(flags):
     # tenth of a short run's start-up.  No run needs fractions (with
     # decimal), not even the oracle, whose nullspace is in integers; the
     # oracle imports specht when it runs, and only --dump-poly imports
-    # minors.  typing is needed by nothing, but a .pth file under
-    # site-packages may import it first, so -S, with the source tree on the
-    # path, is the run that can see it
+    # minors.  json costs about 1.5 ms and no command needs it: the JSON
+    # writer makes every scalar a command writes itself.  typing is needed
+    # by nothing, but a .pth file under site-packages may import it first,
+    # so -S, with the source tree on the path, is the run that can see it
     script = textwrap.dedent(
         """
-        import json, os, sys
+        import os, sys
 
         before = set(sys.modules)
         import tworow, tworow.cli
 
         code = tworow.cli.main(["matrix", "--n", "2", "--out", os.devnull])
-        unwanted = {"dataclasses", "inspect", "fractions", "typing", "tworow.minors", "tworow.specht"}
+        unwanted = {
+            "dataclasses", "inspect", "fractions", "typing", "json", "tworow.minors", "tworow.specht"
+        }
         loaded = sorted(unwanted & (set(sys.modules) - before))
         oracle_code = tworow.cli.main(["verify", "--n", "2", "--with-oracle", "--out", os.devnull])
         oracle_loaded = sorted({"fractions", "decimal"} & (set(sys.modules) - before))
-        print(json.dumps([code, loaded, oracle_code, oracle_loaded]))
+        print(repr([code, loaded, oracle_code, oracle_loaded]))
         """
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -871,4 +889,4 @@ def test_start_up_loads_only_what_runs(flags):
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert json.loads(proc.stdout) == [0, [], 0, []]
+    assert proc.stdout == "[0, [], 0, []]\n"

@@ -28,12 +28,16 @@ from test_cli import PINNED_OUTPUTS
 SRC = Path(__file__).resolve().parent.parent / "src" / "tworow"
 
 # named only from outside the package: the library entry point
-# transition_row, crossing_pairs, which perfbench imports, and the checked
-# bijection tableau_to_web, whose unchecked twin builds enumerate_webs
+# transition_row, crossing_pairs, which perfbench imports, the checked
+# bijection tableau_to_web, whose unchecked twin builds enumerate_webs, and
+# the index-0 elements interleaved_tableau and consecutive_matching, which
+# the row stream checks by their first row alone
 ALLOWED = {
     "transition_row",
     "crossing_pairs",
     "tableau_to_web",
+    "interleaved_tableau",
+    "consecutive_matching",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -97,15 +101,21 @@ UNREACHED = {
     "combinat._Frozen.__hash__",
     "combinat._Frozen.__repr__",
     "combinat._Frozen.__reduce__",
-    # the rows key on indices, not on matchings or checked tableaux
+    # the rows key on first rows, not on matchings or checked tableaux,
+    # and compare none
     "combinat.Matching.__hash__",
+    "combinat.Matching._key",
     "combinat.Matching.is_noncrossing",
     "combinat.Matching.pairs",
+    "combinat.Tableau.__init__",
+    "combinat.Tableau._key",
     "combinat.Tableau.is_standard",
     "combinat.Tableau.n",
     # the library entry points of ALLOWED, and the one-matching rewrite
     # that transition_row runs
+    "combinat.consecutive_matching",
     "combinat.crossing_pairs",
+    "combinat.interleaved_tableau",
     "combinat.tableau_to_web",
     "transition.transition_row",
     "webs.resolve_crossings",

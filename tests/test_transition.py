@@ -11,7 +11,14 @@ import weakref
 
 import pytest
 
-from model import first_crossing, mat_mul, tableau_from_lists, web_action_matrix, web_vector
+from model import (
+    first_crossing,
+    latest_parent,
+    mat_mul,
+    tableau_from_lists,
+    web_action_matrix,
+    web_vector,
+)
 from tworow.combinat import (
     Matching,
     Tableau,
@@ -19,10 +26,12 @@ from tworow.combinat import (
     consecutive_matching,
     enumerate_syt,
     enumerate_webs,
+    first_rows,
     interleaved_tableau,
+    tableau_rows,
     tableau_to_web,
 )
-from tworow import specht, transition, webs
+from tworow import combinat, specht, transition, webs
 from tworow.cli import _matrix_pieces, main
 from tworow.transition import (
     TransitionMatrix,
@@ -196,8 +205,8 @@ class TestGeneratorRecurrence:
 
     def test_moved_canonical_order_raises(self, monkeypatch):
         # the build and the oracle share one guard, and its message
-        syt = enumerate_syt(3)
-        monkeypatch.setattr(transition, "enumerate_syt", lambda n: syt[::-1])
+        firsts = first_rows(3)
+        monkeypatch.setattr(transition, "first_rows", lambda n: firsts[::-1])
         for build in (transition_matrix, intertwiner_oracle):
             with pytest.raises(RuntimeError, match="row 0"):
                 build(3)
@@ -229,6 +238,44 @@ class TestGeneratorRecurrence:
         held = [sum(1 for p, last in last_child.items() if p <= r < last) for r in range(len(syt))]
         assert max(held, default=0) <= max(n - 2, 1)
         assert n < 4 or max(held) == n - 2
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_parents_are_the_rule_on_two_rows(self, n):
+        # the bitmask search gives the parent letter and index of the rule
+        # read on the tuples of each tableau's two rows
+        slot = {first: r for r, first in enumerate(first_rows(n))}
+        expected_parents, expected_letters = [], []
+        for first, second in list(tableau_rows(n))[1:]:
+            j, i = latest_parent(first, second)
+            expected_parents.append(slot[first[:j] + (i + 1,) + first[j + 1 :]])
+            expected_letters.append(i)
+        assert transition._parents(n) == (expected_parents, expected_letters)
+
+    def test_the_row_path_builds_no_tableau_or_matching(self, monkeypatch):
+        # the stream, the checks and the matrix document key on first rows
+        # and their bitmasks: no Tableau or Matching, checked or trusted
+        built = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        enumerate_syt.cache_clear()
+        enumerate_webs.cache_clear()
+        monkeypatch.setattr(Tableau, "__init__", spy("Tableau", Tableau.__init__))
+        monkeypatch.setattr(Matching, "__init__", spy("Matching", Matching.__init__))
+        monkeypatch.setattr(combinat, "_trusted", spy("_trusted", combinat._trusted))
+        assert len(list(transition.rows(6))) == catalan(6)
+        assert verify(6)["counterexamples"] == []
+        for fmt in ("json", "csv"):
+            assert "".join(_matrix_pieces(6, transition.rows(6), fmt))
+        assert built == []
+        # the spies see what the enumerations build
+        enumerate_syt(2), enumerate_webs(2)
+        assert built == ["_trusted"] * 4
 
     def test_results_are_not_cached(self):
         built = weakref.ref(transition_matrix(6))

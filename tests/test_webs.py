@@ -17,6 +17,7 @@ from model import (
     mat_mul,
     partitions,
     partner_of,
+    reconnect,
     reduced_word,
     web_action_matrix,
 )
@@ -28,6 +29,7 @@ from tworow.combinat import (
     crossing_pairs,
     enumerate_syt,
     enumerate_webs,
+    row_index,
 )
 from tworow import webs
 from tworow.webs import action_table, resolve_crossings
@@ -212,8 +214,8 @@ class TestTupleRewrite:
                     continue
                 a, b, c, d = quad
                 for child in (
-                    webs._reconnect(m.partner, a, b, c, d),
-                    webs._reconnect(m.partner, a, d, b, c),
+                    reconnect(m.partner, a, b, c, d),
+                    reconnect(m.partner, a, d, b, c),
                 ):
                     children += 1
                     smallest = (crossing_pairs(Matching(child)) or [None])[0]
@@ -379,12 +381,25 @@ class TestActionMatrix:
         assert web_action_matrix(1, 1) == [[-1]]
 
     def test_image_missing_from_the_webs_raises(self, monkeypatch):
-        # s_1 takes 1~4, 2~3 to the consecutive web, dropped here from the
-        # index that every table reads the webs from
-        index_without_first = {w.partner: k for k, w in enumerate(enumerate_webs(2)[1:])}
-        monkeypatch.setattr(webs, "_web_index", lambda n: index_without_first)
-        with pytest.raises(RuntimeError, match="to a crossing matching"):
+        # s_1 takes 1~4, 2~3 (openers 1, 2) to the consecutive web (openers
+        # 1, 3), dropped here from the index that every table reads
+        index_without_first = dict(list(row_index(2).items())[1:])
+        assert index_without_first == {0b110: 1}
+        monkeypatch.setattr(webs, "row_index", lambda n: index_without_first)
+        with pytest.raises(RuntimeError, match="0b110 to 0b1010, not a web"):
             action_table(1, 2)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_flipped_bits_are_the_reconnected_web(self, n):
+        # the reference: re-pair a ~ i and b ~ i+1 of the partner tuple as
+        # a ~ b and i ~ i+1, and look the image up by its partner tuple
+        index = {w.partner: k for k, w in enumerate(enumerate_webs(n))}
+        for i in range(1, 2 * n):
+            expected = []
+            for p in index:
+                a, b = p[i - 1], p[i]
+                expected.append(-1 if a == i + 1 else index[reconnect(p, a, b, i, i + 1)])
+            assert action_table(i, n) == tuple(expected)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_entries_small_and_involutive(self, n):
